@@ -70,9 +70,16 @@ def _report(command: str, params: dict, results: list[dict]) -> dict:
     }
 
 
+def _echo(line: str) -> None:
+    # With no file, click.echo caches a wrapper per sys.stdout object in a
+    # WeakKeyDictionary that keeps its key alive: every in-process run that
+    # swaps sys.stdout (CliRunner, tests) would leak its captured stream.
+    click.echo(line, file=sys.stdout)
+
+
 def _emit(report: dict, json_path: str | None, human: list[str]) -> None:
     for line in human:
-        click.echo(line)
+        _echo(line)
     if json_path:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         Path(json_path).write_text(text)
@@ -359,7 +366,7 @@ def verify(suites, seed, budget, list_only, json_path):
     """Run verification suites (all of them when none are named)."""
     if list_only:
         for name in SUITES:
-            click.echo(name)
+            _echo(name)
         return
     unknown = [s for s in suites if s not in SUITES]
     if unknown:

@@ -8,19 +8,35 @@ which realizes the commutation relations of the coordinate algebra
 together with their adjoint (twisted CCR) counterparts.  Truncating at
 total degree K keeps every matrix entry exact; only columns within the
 validity window |k| <= K - deg(element) represent the untruncated
-operator faithfully, so norms are computed on that column block.
+operator faithfully, so norms are computed on that column block B.
+
+A monomial x^k sends e_l to a multiple of e_{l+k}, so column l of B lives
+on the rows l + k, k in the support.  Columns l and l' share a row only
+when l - l' is a difference of two support indices; the connected
+components of that relation split B, up to row and column order, into a
+direct sum of blocks, and ||B|| is the largest block norm.  Every
+monomial gives one-column blocks (column norms); other elements give
+blocks whose size depends on how the support differences link the
+window's columns, each with an exact SVD (ARPACK for the largest).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .qcombinatorics import MultiIndex, degree, multi_indices_up_to, q_int
+from .qcombinatorics import MultiIndex, multi_indices_up_to, q_int
 from .qspace import QElement, QParameter, scale_auto
+
+# Window components with more columns than this get ARPACK instead of a dense
+# SVD.  On fully linked components (1 + x1 + x2, 1 + x1 + x2 + x3; q = 0.2,
+# 0.5, 0.9) the two take the same time at 150-170 columns: a dense SVD costs
+# 2.7 ms at 136 columns and 14 ms at 253, svds 3.6 and 4.7 ms.
+_DENSE_MAX_COLS = 160
 
 
 class FockTruncation:
@@ -37,12 +53,50 @@ class FockTruncation:
         self.q = float(q)
         self.cap = cap
         self.basis: tuple[MultiIndex, ...] = tuple(multi_indices_up_to(n, cap))
-        self.index: dict[MultiIndex, int] = {k: i for i, k in enumerate(self.basis)}
-        self.degrees = np.array([degree(k) for k in self.basis], dtype=np.int64)
+        self.exponents = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), n)
+        self.degrees = self.exponents.sum(axis=1)
 
     @property
     def size(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def index(self) -> dict[MultiIndex, int]:
+        """Basis position of each multi-index, as ``positions`` ranks it."""
+        return dict(zip(self.basis, self.positions(self.exponents).tolist()))
+
+    def positions(self, exponents: np.ndarray) -> np.ndarray:
+        """Basis positions of the rows of an int array of multi-indices, |k| <= cap.
+
+        The basis is graded, and inside a degree the first entry descends
+        (recursively), so a position is a sum of binomial counts.
+        """
+        n = self.n
+        binom = self._binomials
+        remaining = exponents.sum(axis=1)
+        pos = binom[remaining + n - 1, n]  # multi-indices of lower degree
+        for i in range(n - 1):
+            parts = n - i
+            pos = pos + binom[remaining - exponents[:, i] + parts - 2, parts - 1]
+            remaining = remaining - exponents[:, i]
+        return pos
+
+    @functools.cached_property
+    def _binomials(self) -> np.ndarray:
+        n = self.n
+        return np.array(
+            [[math.comb(a, b) for b in range(n + 1)] for a in range(self.cap + n + 1)],
+            dtype=np.int64,
+        )
+
+    @functools.cached_property
+    def _shift_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(1 - q^2) sqrt([m]_{q^2}) and q^m for m = 0..cap."""
+        q = self.q
+        amp = math.sqrt(1.0 - q * q)
+        shift = np.array([amp * math.sqrt(q_int(m, q * q)) for m in range(self.cap + 1)])
+        powers = np.array([q ** m for m in range(self.cap + 1)])
+        return shift, powers
 
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, q={self.q:g}, cap={self.cap}, size={self.size})"
@@ -64,25 +118,20 @@ def rep_generator(j: int, fock: FockTruncation) -> RepMatrix:
     """Matrix of the j-th generator (1-based); exact on columns |k| <= cap-1."""
     if not 1 <= j <= fock.n:
         raise ValueError(f"generator index {j} outside 1..{fock.n}")
-    q = fock.q
-    q2 = q * q
-    amp = math.sqrt(1.0 - q2)
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for col, k in enumerate(fock.basis):
-        if degree(k) >= fock.cap:
-            continue  # image leaves the truncation; column stays zero
-        target = tuple(e + 1 if i == j - 1 else e for i, e in enumerate(k))
-        tail = sum(k[j:])  # k_{j+1} + ... + k_n
-        entry = amp * math.sqrt(q_int(k[j - 1] + 1, q2)) * q ** tail
-        rows.append(fock.index[target])
-        cols.append(col)
-        data.append(entry)
+    # columns of degree cap have their image outside the truncation and stay zero
+    cols = np.nonzero(fock.degrees < fock.cap)[0]
+    k = fock.exponents[cols]
+    shift, powers = fock._shift_tables
+    data = shift[k[:, j - 1] + 1] * powers[k[:, j:].sum(axis=1)]  # tail k_{j+1} + ... + k_n
+    target = k.copy()
+    target[:, j - 1] += 1
+    rows = fock.positions(target)  # distinct: one entry per row at most
+    order = np.argsort(rows)
+    indptr = np.zeros(fock.size + 1, dtype=np.int64)
+    indptr[rows + 1] = 1
     mat = sp.csr_matrix(
-        (np.array(data), (np.array(rows, dtype=int), np.array(cols, dtype=int))),
+        (data[order].astype(complex), cols[order], np.cumsum(indptr)),
         shape=(fock.size, fock.size),
-        dtype=complex,
     )
     return RepMatrix(mat, fock, fock.cap - 1)
 
@@ -119,41 +168,66 @@ def rep_element(a: QElement, fock: FockTruncation) -> RepMatrix:
     return RepMatrix(acc.tocsr(), fock, fock.cap - a.degree())
 
 
-def op_norm(M: RepMatrix, tol: float = 1e-10, max_iter: int = 10_000, seed: int = 0) -> float:
-    """Largest singular value of the window-column block, by power iteration.
+def op_norm(M: RepMatrix) -> float:
+    """Largest singular value of the window-column block B, computed exactly.
 
-    Iterates v <- B*B v / ||.|| tracking sigma = ||B v||; stops when sigma
-    stabilizes to relative ``tol``.  With the crowded singular spectra of
-    shift-type operators the iterate may keep rotating inside the top
-    cluster, but the tracked value settles within the cluster width, which
-    is what the stopping rule measures.
+    Columns of B that share no row act on orthogonal pieces, so B splits
+    into the connected components of the pattern of B^H B, and ||B|| is the
+    largest component norm: a one-column component gives its column norm, a
+    component of up to ``_DENSE_MAX_COLS`` columns the top value of a dense
+    SVD, and a larger one the top value from ARPACK (``svds``).  ARPACK
+    failing to converge raises ValueError; no estimate is returned.
     """
-    cols = M.window_columns()
-    if cols.size == 0:
+    window = np.zeros(M.fock.size, dtype=bool)
+    window[M.window_columns()] = True
+    if not window.any():
         raise ValueError("empty validity window")
-    B = M.matrix.tocsc()[:, cols]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(B.shape[1]) + 1j * rng.standard_normal(B.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
+    A = M.matrix.tocsr()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    keep = window[A.indices]
+    rows, cols, data = rows[keep], A.indices[keep], A.data[keep]
+    scale = float(np.max(np.abs(data))) if data.size else 0.0
+    if scale == 0.0:
         return 0.0
-    v /= nv
-    sigma = 0.0
-    BH = B.conj().T.tocsr()
-    for _ in range(max_iter):
-        w = B @ v
-        s = float(np.linalg.norm(w))
-        if s == 0.0:
-            return 0.0
-        u = BH @ w
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return s
-        v = u / nu
-        if abs(s - sigma) <= tol * max(s, 1e-300):
-            return s
-        sigma = s
-    return sigma
+    data = data / scale  # unit largest entry: squares neither overflow nor underflow
+    col_sq = np.bincount(cols, weights=np.abs(data) ** 2, minlength=A.shape[1])
+
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=A.shape)
+    count, labels = connected_components(pattern.T @ pattern, directed=False)
+    sizes = np.bincount(labels, minlength=count)
+    best = math.sqrt(float(col_sq[sizes[labels] == 1].max(initial=0.0)))
+    groups = np.nonzero(sizes > 1)[0]
+    entry_labels = labels[cols]
+    order = np.argsort(entry_labels, kind="stable")
+    sorted_labels = entry_labels[order]
+    starts = np.searchsorted(sorted_labels, groups, side="left")
+    stops = np.searchsorted(sorted_labels, groups, side="right")
+    for g, lo, hi in zip(groups, starts, stops):
+        entries = order[lo:hi]
+        _, r = np.unique(rows[entries], return_inverse=True)
+        _, c = np.unique(cols[entries], return_inverse=True)
+        best = max(best, _component_norm(r, c, data[entries], int(sizes[g])))
+    return scale * best
+
+
+def _component_norm(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, width: int) -> float:
+    """Top singular value of one component, given as local COO entries."""
+    shape = (int(rows.max()) + 1, width)
+    if width <= _DENSE_MAX_COLS or min(shape) < 3:  # ARPACK needs 1 = k < min(shape) - 1
+        block = np.zeros(shape, dtype=complex)
+        block[rows, cols] = data
+        return float(np.linalg.svd(block, compute_uv=False)[0])
+    from scipy.sparse.linalg import ArpackNoConvergence, svds
+
+    block = sp.csr_matrix((data, (rows, cols)), shape=shape)
+    v0 = np.random.default_rng(0).standard_normal(min(shape))
+    try:
+        top = svds(block, k=1, v0=v0, return_singular_vectors=False)
+    except ArpackNoConvergence as exc:
+        raise ValueError(f"ARPACK did not converge on a {shape[0]}x{width} window component") from exc
+    return float(top[0])
 
 
 def vaksman_norm(a: QElement, rho: float, fock: FockTruncation) -> float:

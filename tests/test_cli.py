@@ -1,5 +1,6 @@
 """CLI surface: values, JSON reports, CSV layouts, exit codes."""
 
+import gc
 import json
 import math
 
@@ -173,3 +174,33 @@ def test_parse_errors_become_clean_cli_errors(runner):
     assert "outside" in r.output
     r = invoke(runner, ["fock-norm", "x1", "--q-mod", "2.0"], ok=False)
     assert r.exit_code == 1
+
+
+def test_repeated_in_process_runs_release_their_streams(runner):
+    def captured_streams():
+        gc.collect()
+        return sum(type(o).__name__ == "_NamedTextIOWrapper" for o in gc.get_objects())
+
+    invoke(runner, ["norm", "x1", "--q-mod", "0.5"])
+    invoke(runner, ["verify", "--list"])
+    before = captured_streams()
+    for _ in range(20):
+        invoke(runner, ["norm", "x1", "--q-mod", "0.5"])
+        invoke(runner, ["verify", "--list"])
+    assert captured_streams() <= before
+
+
+def test_fock_norm_without_arpack_convergence_exits_one(runner, monkeypatch):
+    import scipy.sparse.linalg
+
+    import qdomains.fock
+
+    def failing_svds(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+    monkeypatch.setattr(qdomains.fock, "_DENSE_MAX_COLS", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+    r = invoke(runner, ["fock-norm", "x1 + x2", "--n", "2", "--fock-cap", "8"], ok=False)
+    assert r.exit_code == 1
+    assert "ARPACK" in r.output
+    assert not isinstance(r.exception, scipy.sparse.linalg.ArpackNoConvergence)

@@ -1,10 +1,16 @@
 """Truncated Fock representation: entries, relations, operator norms."""
 
+import inspect
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qdomains.fock as fock_module
 from qdomains.fock import (
     FockTruncation,
     element_for,
@@ -14,7 +20,7 @@ from qdomains.fock import (
     vaksman_norm,
     verify_tw_ccr,
 )
-from qdomains.qcombinatorics import q_int
+from qdomains.qcombinatorics import multi_indices_up_to, q_int
 from qdomains.qspace import QElement, QParameter
 
 
@@ -112,7 +118,98 @@ def test_op_norm_against_dense_svd():
     R = rep_element(a, fock)
     dense = R.matrix.toarray()[:, R.window_columns()]
     svd_top = float(np.linalg.svd(dense, compute_uv=False)[0])
-    assert op_norm(R) == pytest.approx(svd_top, rel=1e-6)
+    assert op_norm(R) == pytest.approx(svd_top, rel=1e-12)
+
+
+def _dense_window_norm(R) -> float:
+    dense = R.matrix.toarray()[:, R.window_columns()]
+    return float(np.linalg.svd(dense, compute_uv=False)[0])
+
+
+@st.composite
+def _fock_elements(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    cap = draw(st.integers(0, 8))
+    q = draw(st.floats(0.05, 0.95))
+    fock = FockTruncation(n, q, cap)
+    support = draw(st.lists(st.sampled_from(list(multi_indices_up_to(n, cap))), min_size=1, max_size=3))
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0)
+    return fock, {k: draw(coeff) for k in support}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_fock_elements())
+def test_op_norm_matches_dense_svd_property(case):
+    fock, coeffs = case
+    R = rep_element(element_for(fock, coeffs), fock)
+    assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-10)
+
+
+# elements whose window splits into components of several columns
+_WIDE_CASES = [
+    (2, 0.6, 8, {(1, 0): 1.0, (0, 1): 0.5j, (1, 1): -0.25}),
+    (2, 0.4, 10, {(1, 0): 1.0, (0, 1): -2.0}),
+    (3, 0.5, 6, {(1, 0, 0): 1.0, (0, 1, 0): 0.5, (0, 0, 1): 0.3j}),
+]
+
+
+@pytest.mark.parametrize("n,q,cap,coeffs", _WIDE_CASES)
+def test_op_norm_arpack_branch_matches_dense_svd(monkeypatch, n, q, cap, coeffs):
+    calls = []
+    svds = scipy.sparse.linalg.svds
+
+    def counting_svds(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svds(*args, **kwargs)
+
+    monkeypatch.setattr(fock_module, "_DENSE_MAX_COLS", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", counting_svds)
+    fock = FockTruncation(n, q, cap)
+    R = rep_element(element_for(fock, coeffs), fock)
+    assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-10)
+    assert calls  # the value came through ARPACK
+
+
+def test_op_norm_arpack_nonconvergence_is_an_error(monkeypatch):
+    def failing_svds(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(fock_module, "_DENSE_MAX_COLS", 0)
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+    n, q, cap, coeffs = _WIDE_CASES[0]
+    fock = FockTruncation(n, q, cap)
+    with pytest.raises(ValueError, match="ARPACK"):
+        op_norm(rep_element(element_for(fock, coeffs), fock))
+
+
+def test_op_norm_takes_only_the_matrix():
+    assert list(inspect.signature(op_norm).parameters) == ["M"]
+
+
+def test_op_norm_of_zero_and_empty_window():
+    fock = FockTruncation(2, 0.5, 4)
+    zero = rep_element(element_for(fock, {(1, 0): 0.0}), fock)
+    assert op_norm(zero) == 0.0
+    with pytest.raises(ValueError):
+        op_norm(fock_module.RepMatrix(zero.matrix, fock, -1))
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("cap", [4, 24, 60])
+def test_one_mode_generator_norm_closed_form(q, cap):
+    # ||pi(x)|| on the window |k| <= K-1 is sqrt(1-q^2) sqrt([K]_{q^2})
+    with mpmath.workdps(30):
+        t = mpmath.mpf(q) ** 2
+        closed = mpmath.sqrt(1 - t) * mpmath.sqrt(mpmath.fsum(t ** j for j in range(cap)))
+        want = float(closed)
+    got = op_norm(rep_generator(1, FockTruncation(1, q, cap)))
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n,cap", [(1, 5), (2, 7), (3, 6), (4, 4)])
+def test_positions_invert_the_basis(n, cap):
+    fock = FockTruncation(n, 0.5, cap)
+    assert np.array_equal(fock.positions(fock.exponents), np.arange(fock.size))
 
 
 def test_generator_norm_approaches_one_from_below():
