@@ -216,27 +216,24 @@ def multiply_cmd(expr_a, expr_b, mode, n, q_mod, q_phase, cap, json_path):
 @click.option("--rho", type=float, default=1.0, show_default=True)
 @click.option("--tau", type=float, default=1.0, show_default=True)
 @click.option("--cap", type=int, default=16, show_default=True)
-@click.option("--method", type=click.Choice(("fiber", "joint")), default="fiber", show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
-def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, method, json_path):
+def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_path):
     """Norm of the coset of EXPRESSION modulo the commutation ideal."""
     try:
         target = parse_free_element(expression, n, cap)
         q = QParameter(q_mod, q_phase)
         if family == "free-taylor":
-            res = quotient_norm_l1(target, rho, q=q, method=method)
+            res = quotient_norm_l1(target, rho, q=q)
         elif family == "free-polydisk":
-            res = quotient_norm_l1(target, rho, tau, q=q, method=method)
+            res = quotient_norm_l1(target, rho, tau, q=q)
         else:
-            res = quotient_norm_l2(target, rho, q=q, method=method)
+            res = quotient_norm_l2(target, rho, q=q)
     except (ParseError, ValueError) as exc:
         _fail(exc)
     flags = tuple(res.flags)
     results = [_result("quotient-norm", res.value, flags)]
     for d, v in sorted(res.per_degree.items()):
         results.append(_result(f"degree-{d}", v, flags))
-    results.append(_result("iterations", float(res.iterations)))
-    results.append(_result("splitting-gap", res.residual))
     params = {
         "expression": expression,
         "family": family,
@@ -246,7 +243,6 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, method, 
         "rho": rho,
         "tau": tau,
         "cap": cap,
-        "method": method,
     }
     report = _report("quotient-norm", params, results)
     suffix = f"  [{', '.join(flags)}]" if flags else ""

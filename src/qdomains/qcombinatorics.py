@@ -23,8 +23,6 @@ Word = tuple[int, ...]
 # in the log domain above it (cross-checked at the boundary in the tests).
 LINEAR_DEGREE_LIMIT = 150
 
-_TWO_PI = 2.0 * math.pi
-
 
 def as_multi_index(entries: Sequence[int], n: int | None = None) -> MultiIndex:
     """Normalize and validate a multi-index (all entries integers >= 0)."""

@@ -1,24 +1,38 @@
-"""Quotient seminorms over the q-commutation ideal, degree slice by degree slice.
+"""Quotient seminorms over the q-commutation ideal, in closed form.
 
-The two-sided ideal generated by z_i z_j - q z_j z_i (i < j) is graded, so
-the quotient norm of a polynomial coset only involves finite-dimensional
-degree slices.  Within a degree the slice is the direct sum, over the
-letter-count fibers, of the kernels of the projection functional
-c |-> sum_w q^(-inv(w)) c_w; the production solver therefore works fiber
-by fiber (one linear constraint each), while ``method="joint"`` runs the
-same splitting on whole degree slices parametrized by the spanning
-vectors, as an independent cross-check.
+The two-sided ideal generated by z_i z_j - q z_j z_i (i < j) is graded, and
+within a degree it splits over the letter-count fibers: its part in fiber k
+is the kernel of the functional c |-> sum_w q^(-inv(w)) c_w, w running over
+the rearrangements of k.  A coset norm is therefore a sum of one rank-one
+problem per fiber,
 
-Minimization is Douglas-Rachford splitting: alternate the proximal map of
-the weighted l1 (or fiberwise l2) objective - complex respectively group
-soft-thresholding - with the projection onto the affine set of lifts.
+    minimize  sum_w weight_w |c_w|  (or rho^d ||c||_2)  subject to  g . c = y_k,
+
+with g_w = q^(-inv(w)) and y_k = g . t for the target t.  By the dual-norm
+identity the l1 value is |y_k| min_w weight_w / |g_w|; for the weights here
+the minimum sits on the sorted word (|q| >= 1) or on the reversed word
+(|q| < 1), both with the least block count nnz(k).  The l2 value is
+rho^d |y_k| / ||g||_2, and ||g||_2^2 is the q-multinomial [d]_u! / [k]_u!
+with u = |q|^-2.  With w(k) = min(1, |q|^cross(k)), cross(k) = sum_{i<j} k_i k_j:
+
+    l1:  |y_k| w(k) rho^d tau^nnz(k)        (no tau factor for tau=None)
+    l2:  |y_k| w(k) rho^d ([d]_t! / [k]_t!)^(-1/2),   t = min(|q|, 1/|q|)^2
+
+The l2 form uses [m]_u = u^(m-1) [m]_(1/u) to keep t <= 1.  Everything is
+summed in the log domain, so no power of |q| leaves double range on the way;
+a result that does raises ValueError.
+
+The explicit slices (``build_slice``, ``slice_matrix``, ``slice_rank``) stay
+as the independent description of the ideal: the slice-rank suite counts
+their rank and the tests solve the quotient problems on them directly.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,20 +41,14 @@ from .qcombinatorics import (
     MultiIndex,
     Word,
     as_multi_index,
+    cross_degree_sum,
     degree,
-    fiber_words,
     inv_count,
+    log_q_multinomial,
     p_proj,
-    s_stat,
     words_of_degree,
 )
 from .qspace import QParameter
-
-#: solver defaults: successive relative objective change below STOP_TOL for
-#: STOP_PATIENCE iterations, hard cap MAX_ITER
-STOP_TOL = 1e-10
-STOP_PATIENCE = 20
-MAX_ITER = 100_000
 
 
 @dataclass(frozen=True)
@@ -113,341 +121,84 @@ def canonical_lift(k: Sequence[int], *, cap: int | None = None) -> FreeElement:
 class QuotientResult:
     value: float
     per_degree: dict[int, float]
-    residual: float
-    iterations: int
-    converged: bool
-    method: str
     flags: list[str] = field(default_factory=list)
+    # The closed form runs no iteration; both are kept for callers that
+    # count solver work.
+    iterations: int = 0
+    converged: bool = True
 
 
-# ---------------------------------------------------------------------------
-# Douglas-Rachford core
+def _fiber_log_images(target: FreeElement, q: QParameter) -> dict[MultiIndex, float]:
+    """log(|y_k| w(k)) for each letter-count fiber k of the target.
 
-
-def _dr_minimize(
-    proj: Callable[[np.ndarray], np.ndarray],
-    prox: Callable[[np.ndarray, float], np.ndarray],
-    objective: Callable[[np.ndarray], float],
-    z0: np.ndarray,
-    gamma: float,
-    tol: float,
-    max_iter: int,
-) -> tuple[float, np.ndarray, int, bool, float]:
-    """Minimize objective over the affine set fixed by proj.
-
-    Returns (best value, best feasible point, iterations, converged, gap)
-    where gap is the final splitting residual ||u - P(u)||_inf.
+    Each term t_w q^(-inv w) is scaled by q^cross(k) when |q| < 1, so no
+    power of |q| above 1 is formed, and a fiber is summed relative to its
+    largest term.  A fiber whose terms cancel gives -inf.
     """
-    z = z0.copy()
-    best_c = proj(z0)
-    best = objective(best_c)
-    prev = best
-    stall = 0
-    gap = math.inf
-    for it in range(1, max_iter + 1):
-        u = prox(z, gamma)
-        v = proj(2.0 * u - z)
-        z += v - u
-        cand = proj(u)
-        val = objective(cand)
-        if val < best:
-            best, best_c = val, cand
-        gap = float(np.max(np.abs(u - v))) if u.size else 0.0
-        if abs(val - prev) <= tol * max(abs(val), 1.0e-30):
-            stall += 1
-            if stall >= STOP_PATIENCE:
-                return best, best_c, it, True, gap
-        else:
-            stall = 0
-        prev = val
-    return best, best_c, max_iter, False, gap
-
-
-def _prox_weighted_l1(weights: np.ndarray) -> Callable[[np.ndarray, float], np.ndarray]:
-    def prox(z: np.ndarray, gamma: float) -> np.ndarray:
-        mag = np.abs(z)
-        scale = np.maximum(0.0, 1.0 - gamma * weights / np.maximum(mag, 1e-300))
-        return z * scale
-
-    return prox
-
-
-def _prox_group_l2(
-    groups: list[np.ndarray], weights: np.ndarray
-) -> Callable[[np.ndarray, float], np.ndarray]:
-    # groups: index arrays; weights: one weight per group
-    def prox(z: np.ndarray, gamma: float) -> np.ndarray:
-        out = z.copy()
-        for idx, wg in zip(groups, weights):
-            nrm = math.sqrt(float(np.sum(np.abs(z[idx]) ** 2)))
-            out[idx] *= max(0.0, 1.0 - gamma * wg / max(nrm, 1e-300))
-        return out
-
-    return prox
-
-
-def _hyperplane_proj(g: np.ndarray, y: complex) -> Callable[[np.ndarray], np.ndarray]:
-    gbar = np.conj(g)
-    gg = float(np.vdot(g, g).real)
-
-    def proj(c: np.ndarray) -> np.ndarray:
-        return c - gbar * ((np.dot(g, c) - y) / gg)
-
-    return proj
-
-
-def _solve_fiber(
-    g: np.ndarray,
-    y: complex,
-    weights: np.ndarray,
-    groups: list[np.ndarray] | None,
-    group_weights: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-) -> tuple[float, int, bool, float]:
-    """min sum w_i |c_i| (or w_g ||c||_2 with one group) s.t. g . c = y."""
-    if len(g) == 1:
-        w0 = float(weights[0]) if groups is None else float(group_weights[0])
-        return w0 * abs(y) / abs(g[0]), 0, True, 0.0
-    proj = _hyperplane_proj(g, y)
-    if groups is None:
-        prox = _prox_weighted_l1(weights)
-
-        def objective(c: np.ndarray) -> float:
-            return float(np.sum(weights * np.abs(c)))
-
-        wmax = float(np.max(weights))
-    else:
-        prox = _prox_group_l2(groups, group_weights)
-
-        def objective(c: np.ndarray) -> float:
-            return math.fsum(
-                float(wg) * math.sqrt(float(np.sum(np.abs(c[idx]) ** 2)))
-                for idx, wg in zip(groups, group_weights)
-            )
-
-        wmax = float(np.max(group_weights))
-    scale = abs(y) / math.sqrt(float(np.vdot(g, g).real))
-    gamma = max(scale / wmax, 1e-300)
-    z0 = proj(np.zeros(len(g), dtype=complex))
-    value, _, iters, ok, gap = _dr_minimize(proj, prox, objective, z0, gamma, tol, max_iter)
-    return value, iters, ok, gap
-
-
-# ---------------------------------------------------------------------------
-# weights
-
-
-def _l1_weights(words: Sequence[Word], rho: float, tau: float | None) -> np.ndarray:
-    if tau is None:
-        return np.array([rho ** len(w) for w in words], dtype=float)
-    return np.array([rho ** len(w) * tau ** (s_stat(w) + 1) for w in words], dtype=float)
-
-
-def _fiber_image(
-    target: FreeElement, q: QParameter
-) -> dict[int, dict[MultiIndex, complex]]:
-    """Projection coefficient y_k = sum_w q^(-inv w) t_w per degree and fiber."""
-    out: dict[int, dict[MultiIndex, complex]] = {}
+    log_q = math.log(q.modulus)
+    phase = QParameter(1.0, q.phase)
+    terms: dict[MultiIndex, list[tuple[float, complex]]] = {}
     for w, c in target.coefficients.items():
-        d = len(w)
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {c!r} of {w} is not finite")
         k = p_proj(w, target.n)
-        level = out.setdefault(d, {})
-        level[k] = level.get(k, 0j) + c * q.power(-inv_count(w))
+        shift = cross_degree_sum(k) if log_q < 0.0 else 0
+        inv = inv_count(w)
+        terms.setdefault(k, []).append(
+            (math.log(abs(c)) + (shift - inv) * log_q, c / abs(c) * phase.power(-inv))
+        )
+    out: dict[MultiIndex, float] = {}
+    for k, fiber in terms.items():
+        top = max(lv for lv, _ in fiber)
+        s = abs(sum(u * math.exp(lv - top) for lv, u in fiber))
+        out[k] = top + math.log(s) if s > 0.0 else -math.inf
     return out
 
 
-def _resolve_q(
-    q: QParameter | None, slices: Mapping[int, IdealSlice] | None
-) -> QParameter:
-    if slices:
-        qs = {s.q for s in slices.values()}
-        if len(qs) > 1:
-            raise ValueError("slices disagree on q")
-        sq = next(iter(qs))
-        if q is not None and q != sq:
-            raise ValueError("explicit q disagrees with slices")
-        return sq
-    if q is None:
-        raise ValueError("need q (directly or via slices)")
-    return q
-
-
-def _quotient_fiber(
+def _quotient(
     target: FreeElement,
     q: QParameter,
-    weight_of: Callable[[Sequence[Word]], np.ndarray],
-    grouped: bool,
     rho: float,
-    tol: float,
-    max_iter: int,
-    method_name: str,
+    log_factor: Callable[[MultiIndex], float],
 ) -> QuotientResult:
-    per_degree: dict[int, float] = {}
-    residual = 0.0
-    iterations = 0
-    converged = True
-    for d, fibers in sorted(_fiber_image(target, q).items()):
-        total = 0.0
-        for k, y in sorted(fibers.items()):
-            if y == 0:
-                continue
-            words = sorted(fiber_words(k))
-            g = np.array([q.power(-inv_count(w)) for w in words], dtype=complex)
-            if grouped:
-                weights = None
-                groups = [np.arange(len(words))]
-                group_weights = np.array([rho ** d], dtype=float)
-                value, iters, ok, gap = _solve_fiber(
-                    g, y, weights, groups, group_weights, tol, max_iter
-                )
-            else:
-                weights = weight_of(words)
-                value, iters, ok, gap = _solve_fiber(
-                    g, y, weights, None, None, tol, max_iter
-                )
-            total += value
-            iterations += iters
-            converged = converged and ok
-            residual = max(residual, gap)
-        per_degree[d] = total
-    value = math.fsum(per_degree.values())
-    flags = [] if converged else ["non-convergence"]
-    return QuotientResult(value, per_degree, residual, iterations, converged, method_name, flags)
-
-
-# ---------------------------------------------------------------------------
-# joint (whole degree slice) path
-
-
-def _quotient_joint(
-    target: FreeElement,
-    q: QParameter,
-    slices: Mapping[int, IdealSlice] | None,
-    weight_of: Callable[[Sequence[Word]], np.ndarray],
-    grouped: bool,
-    rho: float,
-    tol: float,
-    max_iter: int,
-) -> QuotientResult:
-    degrees = sorted({len(w) for w in target.coefficients})
-    if slices is None:
-        slices = {d: build_slice(target.n, q, d) for d in degrees}
-    per_degree: dict[int, float] = {}
-    residual = 0.0
-    iterations = 0
-    converged = True
-    for d in degrees:
-        s = slices.get(d)
-        if s is None:
-            s = build_slice(target.n, q, d)
-        if s.n != target.n or s.degree != d:
-            raise ValueError("slice does not match target degree/dimension")
-        words, mat = slice_matrix(s)
-        t0 = np.array([target.coefficients.get(w, 0j) for w in words], dtype=complex)
-        if mat.shape[1]:
-            u_svd, sv, _ = np.linalg.svd(mat, full_matrices=False)
-            rank = int(np.sum(sv > sv[0] * max(mat.shape) * np.finfo(float).eps)) if sv.size else 0
-            basis = u_svd[:, :rank]
-        else:
-            basis = np.zeros((len(words), 0), dtype=complex)
-
-        def proj(c: np.ndarray, t0=t0, basis=basis) -> np.ndarray:
-            diff = c - t0
-            return t0 + basis @ (basis.conj().T @ diff)
-
-        if grouped:
-            fibers: dict[MultiIndex, list[int]] = {}
-            for i, w in enumerate(words):
-                fibers.setdefault(p_proj(w, target.n), []).append(i)
-            groups = [np.array(idx) for idx in fibers.values()]
-            group_weights = np.array([rho ** d] * len(groups), dtype=float)
-            prox = _prox_group_l2(groups, group_weights)
-
-            def objective(c: np.ndarray) -> float:
-                return math.fsum(
-                    float(wg) * math.sqrt(float(np.sum(np.abs(c[idx]) ** 2)))
-                    for idx, wg in zip(groups, group_weights)
-                )
-
-            wmax = float(np.max(group_weights))
-        else:
-            weights = weight_of(words)
-            prox = _prox_weighted_l1(weights)
-
-            def objective(c: np.ndarray) -> float:
-                return float(np.sum(weights * np.abs(c)))
-
-            wmax = float(np.max(weights))
-        scale = float(np.max(np.abs(t0))) if np.any(t0) else 0.0
-        if scale == 0.0:
-            per_degree[d] = 0.0
-            continue
-        gamma = max(scale / wmax, 1e-300)
-        value, _, iters, ok, gap = _dr_minimize(
-            proj, prox, objective, t0.copy(), gamma, tol, max_iter
-        )
-        per_degree[d] = value
-        iterations += iters
-        converged = converged and ok
-        residual = max(residual, gap)
-    value = math.fsum(per_degree.values())
-    flags = [] if converged else ["non-convergence"]
-    return QuotientResult(value, per_degree, residual, iterations, converged, "joint", flags)
-
-
-# ---------------------------------------------------------------------------
-# public entry points
+    """Sum over fibers of exp(log(|y_k| w(k)) + |k| log rho + log_factor(k))."""
+    if not (rho > 0 and math.isfinite(rho)):
+        raise ValueError("rho must be positive and finite")
+    log_rho = math.log(rho)
+    logs: dict[int, list[float]] = {len(w): [] for w in target.coefficients}
+    try:
+        for k, log_y in _fiber_log_images(target, q).items():
+            d = degree(k)
+            logs[d].append(log_y + d * log_rho + log_factor(k))
+        per_degree = {d: math.fsum(map(math.exp, ls)) for d, ls in sorted(logs.items())}
+        value = math.fsum(per_degree.values())
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("quotient norm leaves the double range")
+    return QuotientResult(value, per_degree)
 
 
 def quotient_norm_l1(
-    target: FreeElement,
-    rho: float,
-    tau: float | None = None,
-    q: QParameter | None = None,
-    slices: Mapping[int, IdealSlice] | None = None,
-    *,
-    method: str = "fiber",
-    tol: float = STOP_TOL,
-    max_iter: int = MAX_ITER,
+    target: FreeElement, rho: float, tau: float | None = None, *, q: QParameter
 ) -> QuotientResult:
-    """Quotient of the weighted-l1 family by the commutation ideal slices.
+    """Quotient of the weighted-l1 family by the commutation ideal.
 
     tau=None gives the plain coefficient (Taylor) weights rho^|w|;
     numeric tau >= 1 adds the block-count factor tau^(s(w)+1).
     """
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
-    if tau is not None and tau < 1.0:
+    if tau is None:
+        return _quotient(target, q, rho, lambda k: 0.0)
+    if tau < 1.0:
         raise ValueError("tau must be >= 1")
-    qq = _resolve_q(q, slices)
-
-    def weight_of(words: Sequence[Word]) -> np.ndarray:
-        return _l1_weights(words, rho, tau)
-
-    if method == "fiber":
-        return _quotient_fiber(target, qq, weight_of, False, rho, tol, max_iter, "fiber")
-    if method == "joint":
-        return _quotient_joint(target, qq, slices, weight_of, False, rho, tol, max_iter)
-    raise ValueError(f"unknown method {method!r}")
+    log_tau = math.log(tau)
+    return _quotient(target, q, rho, lambda k: log_tau * sum(1 for e in k if e))
 
 
-def quotient_norm_l2(
-    target: FreeElement,
-    rho: float,
-    q: QParameter | None = None,
-    slices: Mapping[int, IdealSlice] | None = None,
-    *,
-    method: str = "fiber",
-    tol: float = STOP_TOL,
-    max_iter: int = MAX_ITER,
-) -> QuotientResult:
-    """Quotient of the fiberwise-l2 (free ball) norm by the ideal slices."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
-    qq = _resolve_q(q, slices)
-    if method == "fiber":
-        return _quotient_fiber(target, qq, lambda ws: None, True, rho, tol, max_iter, "fiber")
-    if method == "joint":
-        return _quotient_joint(target, qq, slices, lambda ws: None, True, rho, tol, max_iter)
-    raise ValueError(f"unknown method {method!r}")
+def quotient_norm_l2(target: FreeElement, rho: float, *, q: QParameter) -> QuotientResult:
+    """Quotient of the fiberwise-l2 (free ball) norm by the commutation ideal."""
+    r = q.modulus if q.modulus < 1.0 else 1.0 / q.modulus
+    t = r * r
+    if t == 0.0:  # [m]_t = 1 to double precision
+        return _quotient(target, q, rho, lambda k: 0.0)
+    return _quotient(target, q, rho, lambda k: -0.5 * log_q_multinomial(k, t))

@@ -85,7 +85,9 @@ def test_quotient_norm_spot(runner, tmp_path):
     by_name = {e["name"]: e for e in report["results"]}
     assert by_name["quotient-norm"]["value"] == pytest.approx(0.81 / math.sqrt(2.0), rel=1e-7)
     assert "degree-2" in by_name
-    assert "iterations" in by_name and "splitting-gap" in by_name
+    # the closed form runs no solver, so no solver diagnostics are reported
+    assert "iterations" not in by_name and "splitting-gap" not in by_name
+    assert "method" not in report["params"]
 
 
 def test_quotient_norm_block_weights(runner, tmp_path):
@@ -98,6 +100,25 @@ def test_quotient_norm_block_weights(runner, tmp_path):
     report = json.loads(out.read_text())
     by_name = {e["name"]: e for e in report["results"]}
     assert by_name["quotient-norm"]["value"] == pytest.approx(4.0 * 0.81, rel=1e-7)
+
+
+def test_quotient_norm_at_extreme_scales(runner, tmp_path):
+    # x1*x2 at |q| = 1e-320 (ball) and x2*x1*x2*x1 at |q| = 1e-200: the coset
+    # norms are |q| / sqrt(1 + |q|^2) and |q|^-3 |q|^4, both representable
+    for args, want in (
+        (["x1*x2", "--family", "free-ball", "--q-mod", "1e-320"], 1e-320),
+        (["x2*x1*x2*x1", "--q-mod", "1e-200"], 1e-200),
+    ):
+        out = tmp_path / "extreme.json"
+        invoke(runner, ["quotient-norm", *args, "--json", str(out)])
+        value = json.loads(out.read_text())["results"][0]["value"]
+        assert value == pytest.approx(want, rel=1e-3 if want < 1e-300 else 1e-12)
+    # rho^2 tau^2 = 1e800 leaves double range: a clean error, no traceback
+    r = invoke(runner, ["quotient-norm", "x1*x2", "--family", "free-polydisk",
+                        "--tau", "1e200", "--rho", "1e200"], ok=False)
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    assert "Error:" in r.output and "Traceback" not in r.output
 
 
 def test_jsr_csv_and_json(runner, tmp_path):

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qdomains.qcombinatorics import (
     ball_weight,
@@ -87,11 +88,10 @@ def test_taylor_quotient_closed_form(q):
             continue
         res = quotient_norm_l1(canonical_lift(k), rho, q=q)
         want = w_q(k, q.modulus) * rho ** degree(k)
-        assert res.converged
-        assert res.value == pytest.approx(want, rel=1e-8)
+        assert res.value == pytest.approx(want, rel=1e-12)
         # vertex enumeration of the same LP
         brute = _dual_l1_value(k, q, lambda w: rho ** len(w))
-        assert res.value == pytest.approx(brute, rel=1e-8)
+        assert res.value == pytest.approx(brute, rel=1e-12)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -102,11 +102,11 @@ def test_block_weighted_quotient_law(q, tau):
     for k in [(1, 1), (2, 1), (1, 1, 1), (3, 0, 2)]:
         res = quotient_norm_l1(canonical_lift(k), rho, tau=tau, q=q)
         want = tau ** blocks(k) * w_q(k, q.modulus) * rho ** degree(k)
-        assert res.value == pytest.approx(want, rel=1e-8)
+        assert res.value == pytest.approx(want, rel=1e-12)
         brute = _dual_l1_value(
             k, q, lambda w: rho ** len(w) * tau ** (s_stat(w) + 1)
         )
-        assert res.value == pytest.approx(brute, rel=1e-8)
+        assert res.value == pytest.approx(brute, rel=1e-12)
 
 
 def test_tau_dependence_is_real():
@@ -114,7 +114,7 @@ def test_tau_dependence_is_real():
     q = QS[1]
     r1 = quotient_norm_l1(canonical_lift((1, 1)), 1.0, tau=1.0, q=q)
     r2 = quotient_norm_l1(canonical_lift((1, 1)), 1.0, tau=2.0, q=q)
-    assert r2.value == pytest.approx(4.0 * r1.value, rel=1e-8)
+    assert r2.value == pytest.approx(4.0 * r1.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -125,35 +125,125 @@ def test_ball_quotient_closed_form(q):
             continue
         res = quotient_norm_l2(canonical_lift(k), rho, q=q)
         want = ball_weight(k, q.modulus) * rho ** degree(k)
-        assert res.converged
-        assert res.value == pytest.approx(want, rel=1e-8)
+        assert res.value == pytest.approx(want, rel=1e-12)
         # least-norm solution of the rank-1 constraint, by direct summation
         g2 = math.fsum(abs(q.power(-inv_count(w))) ** 2 for w in fiber_words(k))
-        assert res.value == pytest.approx(rho ** degree(k) / math.sqrt(g2), rel=1e-10)
+        assert res.value == pytest.approx(rho ** degree(k) / math.sqrt(g2), rel=1e-12)
 
 
 def test_quotient_spots_unit_modulus():
     q = QParameter(1.0, math.pi / 4)
     rho = 0.9
     lift = canonical_lift((1, 1))
-    assert quotient_norm_l1(lift, rho, q=q).value == pytest.approx(0.81, rel=1e-8)
+    assert quotient_norm_l1(lift, rho, q=q).value == pytest.approx(0.81, rel=1e-12)
     assert quotient_norm_l2(lift, rho, q=q).value == pytest.approx(
-        0.81 / math.sqrt(2.0), rel=1e-8
+        0.81 / math.sqrt(2.0), rel=1e-12
     )
 
 
-def test_fiber_and_joint_methods_agree():
-    q = QParameter(0.5, 0.3)
-    target = FreeElement(
-        2, {(1, 2): 1.0, (2, 1): 0.5j, (1,): -1.0, (2, 2, 1): 2.0}, cap=4
+def _random_target(rng, n, complex_coeffs):
+    # up to three random words of degree <= 5, each with up to three random
+    # rearrangements, so that terms share letter-count fibers
+    words = set()
+    for _ in range(int(rng.integers(1, 4))):
+        word = rng.integers(1, n + 1, size=int(rng.integers(0, 6)))
+        for _ in range(int(rng.integers(1, 4))):
+            words.add(tuple(int(a) for a in rng.permutation(word)))
+    words = sorted(words)
+    coeffs = rng.standard_normal((len(words), 2))
+    return FreeElement(
+        n,
+        {w: complex(re, im if complex_coeffs else 0.0) for w, (re, im) in zip(words, coeffs)},
+        cap=5,
     )
-    slices = {d: build_slice(2, q, d) for d in range(4)}
-    for solver in (quotient_norm_l1, quotient_norm_l2):
-        a = solver(target, 0.8, q=q, method="fiber")
-        b = solver(target, 0.8, slices=slices, method="joint")
-        assert a.converged and b.converged
-        assert a.value == pytest.approx(b.value, rel=1e-6)
-        assert set(a.per_degree) == set(b.per_degree) == {1, 2, 3}
+
+
+def _lp_quotient_l1(target, q, rho, tau):
+    # min sum_w weight_w |c_w| over c = t + M a on each whole degree slice,
+    # as an LP in (a, s) with -s <= c <= s; q and t real
+    total = 0.0
+    for d in sorted({len(w) for w in target.coefficients}):
+        words, mat = slice_matrix(build_slice(target.n, q, d))
+        mat = mat.real
+        t = np.array([target.coefficients.get(w, 0j).real for w in words])
+        weights = np.array(
+            [rho ** d * (1.0 if tau is None else tau ** (s_stat(w) + 1)) for w in words]
+        )
+        nw, na = mat.shape
+        eye = np.eye(nw)
+        res = linprog(
+            np.concatenate([np.zeros(na), weights]),
+            A_ub=np.block([[mat, -eye], [-mat, -eye]]),
+            b_ub=np.concatenate([-t, t]),
+            bounds=[(None, None)] * na + [(0, None)] * nw,
+            method="highs",
+        )
+        assert res.status == 0
+        total += res.fun
+    return total
+
+
+def _projection_quotient_l2(target, q, rho):
+    # the slice is a direct sum over fibers, so the fiberwise-l2 optimum is
+    # the projection of t onto the orthogonal complement of span(M)
+    total = 0.0
+    for d in sorted({len(w) for w in target.coefficients}):
+        words, mat = slice_matrix(build_slice(target.n, q, d))
+        t = np.array([target.coefficients.get(w, 0j) for w in words])
+        if mat.shape[1]:
+            u, sv, _ = np.linalg.svd(mat, full_matrices=False)
+            u = u[:, : int(np.sum(sv > sv[0] * 1e-12))]
+            t = t - u @ (u.conj().T @ t)
+        fibers = {}
+        for w, c in zip(words, t):
+            fibers.setdefault(tuple(sorted(w)), []).append(c)
+        total += rho ** d * math.fsum(np.linalg.norm(cs) for cs in fibers.values())
+    return total
+
+
+def test_l1_quotient_matches_whole_slice_lp():
+    rng = np.random.default_rng(4)
+    real_qs = (QParameter(0.5, 0.0), QParameter(0.7, math.pi), QParameter(2.0, 0.0))
+    for case in range(40):
+        q = real_qs[case % 3]
+        tau = (None, 2.0, 5.0)[(case // 3) % 3]
+        n = 2 + case % 2
+        rho = float(rng.uniform(0.5, 1.5))
+        target = _random_target(rng, n, complex_coeffs=False)
+        want = _lp_quotient_l1(target, q, rho, tau)
+        assert quotient_norm_l1(target, rho, tau, q=q).value == pytest.approx(want, rel=1e-12)
+
+
+def test_l2_quotient_matches_whole_slice_projection():
+    rng = np.random.default_rng(5)
+    for case in range(30):
+        q = QS[case % 3]
+        n = 2 + case % 2
+        rho = float(rng.uniform(0.5, 1.5))
+        target = _random_target(rng, n, complex_coeffs=True)
+        want = _projection_quotient_l2(target, q, rho)
+        assert quotient_norm_l2(target, rho, q=q).value == pytest.approx(want, rel=1e-12)
+
+
+def test_extreme_modulus_keeps_the_value():
+    # x2 x1 = q^-1 x1 x2 in the quotient: |q|^-1 w((1,1)) = 1 below |q| = 1,
+    # |q|^-1 above; ||g||_2 overflows at |q| = 1e-200 if formed directly
+    rev = FreeElement(2, {(2, 1): 1.0}, cap=2)
+    for q_mod, want in ((1e-200, 1.0), (1e100, 1e-100)):
+        q = QParameter(q_mod, 0.0)
+        assert quotient_norm_l1(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12)
+        assert quotient_norm_l2(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12)
+
+
+def test_out_of_range_values_raise():
+    q = QS[1]
+    lift = canonical_lift((1, 1))
+    with pytest.raises(ValueError):
+        quotient_norm_l1(lift, 1e200, tau=1e200, q=q)
+    with pytest.raises(ValueError):
+        quotient_norm_l2(canonical_lift((400, 0)), 10.0, q=q)
+    with pytest.raises(ValueError):
+        quotient_norm_l1(FreeElement(2, {(1, 2): math.nan}, cap=2), 1.0, q=q)
 
 
 def test_quotient_of_zero_and_scalar():
@@ -185,19 +275,16 @@ def test_invariance_within_a_fiber():
     other = FreeElement(2, {(2, 1): q.power(1)}, cap=2)  # q z2 z1 ~ z1 z2
     r1 = quotient_norm_l1(lift, 0.7, q=q)
     r2 = quotient_norm_l1(other, 0.7, q=q)
-    assert r1.value == pytest.approx(r2.value, rel=1e-8)
+    assert r1.value == pytest.approx(r2.value, rel=1e-12)
 
 
 def test_result_metadata():
     q = QS[0]
     res = quotient_norm_l1(canonical_lift((2, 1)), 0.5, q=q)
     assert isinstance(res, QuotientResult)
-    assert res.method == "fiber"
-    assert res.iterations >= 0
-    assert res.residual <= 1e-8
+    assert res.iterations == 0 and res.converged and res.flags == []
+    assert set(res.per_degree) == {3}
     with pytest.raises(ValueError):
         quotient_norm_l1(canonical_lift((1, 1)), -0.5, q=q)
     with pytest.raises(ValueError):
         quotient_norm_l1(canonical_lift((1, 1)), 0.5, tau=0.2, q=q)
-    with pytest.raises(ValueError):
-        quotient_norm_l1(canonical_lift((1, 1)), 0.5, q=q, method="magic")
