@@ -8,6 +8,7 @@ tuples) and the projection onto the q-commuting algebra.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .qcombinatorics import (
     p_proj,
     s_stat,
 )
-from .qspace import IncompatibilityError, QElement, QParameter
+from .qspace import IncompatibilityError, QElement, QParameter, check_finite_coefficients
 
 
 class FreeElement:
@@ -55,6 +56,8 @@ class FreeElement:
             if len(w) > cap:
                 raise ValueError(f"word {w} exceeds degree cap {cap}")
             cc = complex(c)
+            if not cmath.isfinite(cc):
+                raise ValueError(f"coefficient of {w} is not finite: {cc!r}")
             if cc != 0:
                 coeffs[w] = cc
         self.n = n
@@ -97,6 +100,7 @@ class FreeElement:
         return sorted(self.coefficients.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def _with(self, coefficients: dict[Word, complex], saturated: bool) -> "FreeElement":
+        check_finite_coefficients(coefficients)
         out = FreeElement.__new__(FreeElement)
         out.n = self.n
         out.cap = self.cap
@@ -215,12 +219,17 @@ def radius_partials(a: FreeElement, d_max: int | None = None) -> list[tuple[int,
     """
     if d_max is None:
         d_max = a.cap
-    sums: dict[int, float] = {}
+    moduli: dict[int, list[float]] = {}
     for w, c in a.coefficients.items():
-        d = len(w)
-        if 1 <= d <= d_max:
-            sums[d] = sums.get(d, 0.0) + abs(c) ** 2
-    return [(d, sums[d] ** (0.5 / d)) for d in sorted(sums)]
+        if 1 <= len(w) <= d_max:
+            moduli.setdefault(len(w), []).append(abs(c))
+    out = []
+    for d in sorted(moduli):
+        # scaled by the largest modulus so that no square leaves double range
+        top = max(moduli[d])
+        s = math.fsum((v / top) ** 2 for v in moduli[d])
+        out.append((d, top ** (1.0 / d) * s ** (0.5 / d)))
+    return out
 
 
 def estimated_radius(a: FreeElement) -> float:

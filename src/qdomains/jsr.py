@@ -7,10 +7,13 @@ The degree-d partial quantity for a tuple (a_1, ..., a_n) is
 with a_w the length-d product along the word w.  For the canonical
 generators x_i the norm of a word product depends on its letter counts k
 and its inversion number only, and summing |q|^(-p inv) over a fiber is
-the classical q-multinomial; collapsing the n^d words onto the
-C(d+n-1, n-1) fibers makes d in the hundreds routine.  The per-degree
-values are extrapolated in d and the limit is maximized over a grid of
-rho approaching the domain radius.
+the classical q-multinomial [d]_u! / prod_i [k_i]_u!, u = |q|^-p.  Each
+fiber term is then exp(A(d) + sum_i g(k_i)), so the sum over all fibers
+of degree d is entry d of the n-fold self-convolution of exp(g) (Andrews,
+The Theory of Partitions, Thm 3.6), formed in the log domain for every
+d <= d_max at once (a max-plus convolution for p = inf); d in the hundreds
+is routine.  The per-degree values are extrapolated in d and the limit is
+maximized over a grid of rho approaching the domain radius.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .qcombinatorics import (
-    composition_array,
+    checked_power,
+    log_convolution_power,
     log_q_factorial_table,
 )
 from .qspace import (
@@ -53,10 +56,11 @@ def canonical_partials(
 ) -> list[tuple[int, float]]:
     """Partial sequence (d, R_d) for the canonical generator tuple.
 
-    Collapsed over letter-count fibers for the q-side families; closed
-    word-count sums for the free families (both cross-checked against
-    brute-force enumeration in the tests).  R_d is degree-homogeneous in
-    rho: R_d(rho) = rho R_d(1).
+    A log-domain convolution power over letter counts for the q-side
+    families; closed word-count sums for the free families (both
+    cross-checked against brute-force enumeration in the tests).  R_d is
+    degree-homogeneous in rho: R_d(rho) = rho R_d(1).  Raises ValueError
+    when a weight table or a partial leaves double range.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -72,28 +76,34 @@ def canonical_partials(
     finite_p = math.isfinite(p)
     if finite_p and p < 1:
         raise ValueError("p must be >= 1")
-    if finite_p:
-        u_table = log_q_factorial_table(d_max, mod ** -p)
-    if family == "ball":
-        t_table = log_q_factorial_table(d_max, mod ** -2)
     log_mod = math.log(mod)
-    out: list[tuple[int, float]] = []
-    for d in range(1, d_max + 1):
-        K = composition_array(n, d)
-        cross = (d * d - np.sum(K * K, axis=1)) // 2  # sum_{i<j} k_i k_j per fiber
-        if family == "polydisk":
-            logw = cross * log_mod if mod < 1.0 else np.zeros(len(K))
-        else:
-            logw = 0.5 * (np.sum(t_table[K], axis=1) - t_table[d])
-        if finite_p:
-            log_mult = u_table[d] - np.sum(u_table[K], axis=1)
-            s = float(logsumexp(log_mult + p * logw))
-            out.append((d, rho * math.exp(s / (p * d))))
-        else:
-            # sup over a fiber of |q|^(-inv) is attained at inv = 0 or inv = cross
-            top = logw + np.maximum(0.0, -cross * log_mod)
-            out.append((d, rho * math.exp(float(np.max(top)) / d)))
-    return out
+    j = np.arange(d_max + 1, dtype=float)
+    # the weight of a fiber k of degree d is exp(a(d) + sum_i h(k_i))
+    if family == "ball":
+        t_table = log_q_factorial_table(d_max, checked_power(mod, -2))
+        h, a = 0.5 * t_table, -0.5 * t_table
+    elif mod < 1.0:
+        # |q|^cross(k), cross(k) = (d^2 - sum_i k_i^2) / 2
+        a = 0.5 * log_mod * j * j
+        h = -a
+    else:
+        h = a = np.zeros(d_max + 1)
+    if finite_p:
+        u_table = log_q_factorial_table(d_max, checked_power(mod, -p))
+        log_s = u_table + p * a + log_convolution_power(p * h - u_table, n)
+        log_r = log_s[1:] / (p * j[1:])
+    else:
+        # sup over a fiber of |q|^(-inv) is attained at inv = 0 or inv = cross
+        top = a + log_convolution_power(h, n, maxplus=True)
+        if mod < 1.0:
+            shift = 0.5 * log_mod * j * j  # -cross(k) log|q| = sum_i shift(k_i) - shift(d)
+            top = np.maximum(top, a - shift + log_convolution_power(h + shift, n, maxplus=True))
+        log_r = top[1:] / j[1:]
+    with np.errstate(over="ignore"):
+        values = rho * np.exp(log_r)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("JSR partial leaves the double range")
+    return list(zip(range(1, d_max + 1), values.tolist()))
 
 
 def _free_canonical_partials(
@@ -150,7 +160,7 @@ def jsr_partials(
 ) -> tuple[list[tuple[int, float]], list[str]]:
     """Partial sequence for an arbitrary generator tuple, with flags.
 
-    The canonical tuple routes to the collapsed computation; anything else
+    The canonical tuple routes to :func:`canonical_partials`; anything else
     multiplies out all n^d word products (flagged, size-guarded) and stops
     early if truncation saturates the products.
     """

@@ -17,6 +17,8 @@ repr round-trip).
 
 from __future__ import annotations
 
+import cmath
+import math
 import re
 from dataclasses import dataclass
 from itertools import groupby
@@ -108,12 +110,21 @@ class _Parser:
             raise ParseError("empty expression", 0)
         return terms
 
+    def _number(self, tok: _Token) -> float:
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(f"number {tok.text!r} leaves the double range", tok.pos)
+        return value
+
     def _term(self) -> _Term:
         coeff = complex(1.0)
         factors: list[tuple[int, int]] = []
         while True:
-            c = self._atom(factors)
-            coeff *= c
+            coeff *= self._atom(factors)
+            if not cmath.isfinite(coeff):
+                raise ParseError(
+                    "coefficient product leaves the double range", self.tokens[self.i - 1].pos
+                )
             if self._at_op("*"):
                 self._next()
                 continue
@@ -125,8 +136,8 @@ class _Parser:
         if tok.kind == "number":
             if self._at_op("i"):
                 self._next()
-                return float(tok.text) * 1j
-            return complex(float(tok.text))
+                return self._number(tok) * 1j
+            return complex(self._number(tok))
         if tok.kind == "op" and tok.text == "i":
             return 1j
         if tok.kind == "op" and tok.text == "(":
@@ -157,7 +168,7 @@ class _Parser:
         tok = self._next()
         if tok.kind != "number":
             raise ParseError("expected a number inside parentheses", tok.pos)
-        first = sign * float(tok.text)
+        first = sign * self._number(tok)
         value = complex(first)
         if self._at_op("i"):
             self._next()
@@ -170,7 +181,7 @@ class _Parser:
             itok = self._next()
             if not (itok.kind == "op" and itok.text == "i"):
                 raise ParseError("imaginary part must end in 'i'", itok.pos)
-            value = complex(value.real, value.imag + sign2 * float(tok2.text))
+            value = complex(value.real, value.imag + sign2 * self._number(tok2))
         close = self._next()
         if not (close.kind == "op" and close.text == ")"):
             raise ParseError("unbalanced parenthesis", open_pos)

@@ -2,13 +2,18 @@
 
 Multi-indices are plain tuples of nonnegative ints (exponent vectors of
 normal-ordered monomials), words are tuples over the letter alphabet
-``1..n``.  Everything in this module is a pure function of its arguments;
-the stateful containers live in :mod:`qdomains.qspace` and
-:mod:`qdomains.freeseries`.
+``1..n``.  Next to the scalar helpers sit the graded-table kernels: log
+q-factorial tables for all degrees up to d_max, the log-domain convolution
+power that sums a letter-separable term over every multi-index of each
+degree at once, and the Sobol sample behind the sampled suprema, drawn once
+per (domain, n, point count, seed) and kept read-only.  Everything in this
+module is a pure function of its arguments; the stateful containers live in
+:mod:`qdomains.qspace` and :mod:`qdomains.freeseries`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator, Literal, Sequence
@@ -179,6 +184,37 @@ def log_q_factorial_table(d_max: int, t: float) -> np.ndarray:
     return np.cumsum(v)
 
 
+def checked_power(x: float, e: float) -> float:
+    """x**e for x > 0, raising ValueError where the value leaves double range."""
+    try:
+        return float(x) ** e
+    except OverflowError:
+        raise ValueError(f"{x!r}**{e!r} leaves the double range") from None
+
+
+def log_convolution_power(g: np.ndarray, n: int, *, maxplus: bool = False) -> np.ndarray:
+    """Entry d is log sum_{|k| = d} exp(g[k_1] + ... + g[k_n]) over length-n k.
+
+    The n-fold self-convolution of exp(g), formed in the log domain by
+    n - 1 log-sum-exp convolutions; with ``maxplus`` the sum becomes a max.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = len(g)
+    lag = np.subtract.outer(np.arange(size), np.arange(size))  # lag[d, j] = d - j
+    below = lag >= 0
+    g_lag = np.where(below, g[np.where(below, lag, 0)], -np.inf)
+    out = np.asarray(g, dtype=float)
+    for _ in range(n - 1):
+        terms = g_lag + out  # terms[d, j] = g[d - j] + out[j]
+        top = np.max(terms, axis=1)
+        if not maxplus:
+            with np.errstate(under="ignore"):
+                top = top + np.log(np.sum(np.exp(terms - top[:, None]), axis=1))
+        out = top
+    return out
+
+
 def log_q_multinomial(k: Sequence[int], u: float) -> float:
     """log of [|k|]_u! / prod_i [k_i]_u!.
 
@@ -258,17 +294,29 @@ def stirling_ratio(k: Sequence[int]) -> float:
     return math.exp((num - den) / (2.0 * d))
 
 
-def _simplex_samples(n: int, points: int, seed: int) -> np.ndarray:
-    """Quasi-random points on the standard (n-1)-simplex via sorted spacings."""
-    if n == 1:
-        return np.ones((1, 1))
-    m = max(1, math.ceil(math.log2(points)))
-    s = qmc.Sobol(d=n - 1, scramble=True, seed=seed).random_base2(m)
-    s.sort(axis=1)
-    padded = np.concatenate(
-        [np.zeros((s.shape[0], 1)), s, np.ones((s.shape[0], 1))], axis=1
-    )
-    return np.diff(padded, axis=1)
+@functools.lru_cache(maxsize=4)
+def _log_sample(domain: Domain, n: int, m: int, seed: int) -> np.ndarray:
+    """Read-only logs of 2^m scrambled Sobol points, one row per point.
+
+    ball: squared moduli on the unit sphere, i.e. points of the standard
+    (n-1)-simplex by sorted spacings; polydisk: moduli in the unit box.
+    Zero coordinates give -inf.
+    """
+    if domain == "ball":
+        if n == 1:
+            u = np.ones((1, 1))
+        else:
+            s = qmc.Sobol(d=n - 1, scramble=True, seed=seed).random_base2(m)
+            s.sort(axis=1)
+            u = np.diff(s, axis=1, prepend=0.0, append=1.0)
+    elif domain == "polydisk":
+        u = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m)
+    else:
+        raise ValueError(f"unknown domain {domain!r}")
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    u.flags.writeable = False
+    return u
 
 
 def sampled_monomial_sup(
@@ -284,30 +332,24 @@ def sampled_monomial_sup(
     maximizer is interior to the sphere simplex and ~10^5 Sobol points keep
     the one-sided gap below 1% for small exponents; on the polydisk the
     maximizer is a box corner and the box sampling is a much coarser
-    underestimate.  The point count is rounded up to a power of 2.
+    underestimate.  The point count is rounded up to a power of 2; the
+    sample for the unit domain is drawn once per (domain, n, point count,
+    seed) and kept, so each call is one matrix-vector product.
     """
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
+    if domain not in ("polydisk", "ball"):
+        raise ValueError(f"unknown domain {domain!r}")
     kk = as_multi_index(k)
-    n = len(kk)
     d = degree(kk)
     if d == 0:
         return 1.0
+    m = max(1, math.ceil(math.log2(points)))
+    logs = _log_sample(domain, len(kk), m, seed)
     ke = np.asarray(kk, dtype=float)
     if domain == "ball":
-        u = _simplex_samples(n, points, seed) * (r * r)  # squared moduli on the sphere
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), -np.inf)
-        logf = logs @ (0.5 * ke)
-        return float(np.exp(np.max(logf)))
-    if domain != "polydisk":
-        raise ValueError(f"unknown domain {domain!r}")
-    m = max(1, math.ceil(math.log2(points)))
-    u = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m) * r  # moduli
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(u > 0.0, np.log(np.where(u > 0.0, u, 1.0)), -np.inf)
-    logf = logs @ ke
-    return float(np.exp(np.max(logf)))
+        ke *= 0.5  # the sample holds squared moduli
+    return float(np.exp(np.max(logs @ ke) + d * math.log(r)))
 
 
 # ---------------------------------------------------------------------------

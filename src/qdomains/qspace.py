@@ -14,16 +14,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .qcombinatorics import (
     MultiIndex,
     Word,
     as_multi_index,
     ball_weight,
+    checked_power,
+    composition_array,
     cross_degree_sum,
     degree,
-    log_ball_weight,
-    log_w_q,
-    multi_indices_up_to,
     p_proj,
     w_q,
 )
@@ -61,7 +62,7 @@ class QParameter:
 
     def power(self, e: int) -> complex:
         """q**e with exact modulus |q|**e and exact phase e*arg(q) mod 2pi."""
-        return self.modulus ** e * cmath.exp(1j * ((e * self.phase) % _TWO_PI))
+        return checked_power(self.modulus, e) * cmath.exp(1j * ((e * self.phase) % _TWO_PI))
 
     def inverse(self) -> "QParameter":
         return QParameter(1.0 / self.modulus, -self.phase)
@@ -138,6 +139,8 @@ class QElement:
             if degree(kk) > cap:
                 raise ValueError(f"monomial {kk} exceeds degree cap {cap}")
             cc = complex(c)
+            if not cmath.isfinite(cc):
+                raise ValueError(f"coefficient of {kk} is not finite: {cc!r}")
             if cc != 0:
                 coeffs[kk] = cc
         self.n = n
@@ -186,6 +189,7 @@ class QElement:
         return sorted(self.coefficients.items(), key=lambda kv: (degree(kv[0]), kv[0]))
 
     def _with(self, coefficients: dict[MultiIndex, complex], saturated: bool) -> "QElement":
+        check_finite_coefficients(coefficients)
         out = QElement.__new__(QElement)
         out.n = self.n
         out.q = self.q
@@ -236,6 +240,15 @@ class QElement:
         if isinstance(other, (int, float, complex)):
             return self.scaled(other)
         return NotImplemented
+
+
+def check_finite_coefficients(coefficients: Mapping[object, complex]) -> None:
+    """Raise ValueError when arithmetic has left double range (inf or nan)."""
+    # a non-finite entry makes the sum non-finite; finite entries can also
+    # overflow the sum, so only then are they looked at one by one
+    values = coefficients.values()
+    if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
+        raise ValueError("coefficient overflow: a result leaves the double range")
 
 
 def _check_compatible(a: QElement, b: QElement) -> None:
@@ -375,19 +388,36 @@ def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
 
     The ratio being pinched inside (0, 1] for |q| > 1 witnesses that the
     two seminorm families generate the same series space there (and, via
-    reversal_iso, for |q| < 1).
+    reversal_iso, for |q| < 1).  Ties go to the first index in
+    multi_indices_up_to order.
+
+    With s = min(|q|, 1/|q|)^2 and P[m] = log (s; s)_m = sum_{j <= m}
+    log(1 - s^j), the log ratio is (sum_i P[k_i] - P[|k|]) / 2 for either
+    side of |q| = 1: the (1 - s)^-m factors of the q-factorials and, for
+    |q| < 1, the power |q|^cross(k) of w_q cancel exactly.  P is a sum of
+    small terms, so neighbouring indices whose ratios differ by a few ulps
+    still come out in the right order.
     """
     if q_mod == 1.0:
         raise ValueError("weight ratio scan requires |q| != 1")
+    if not (q_mod > 0 and math.isfinite(q_mod)):
+        raise ValueError("q_mod must be positive and finite")
+    # log(1 - s^j) from log s^j, by whichever form keeps its digits
+    log_sj = np.arange(1, d_max + 1) * (-2.0 * abs(math.log(q_mod)))
+    log_terms = np.where(
+        log_sj < -math.log(2.0), np.log1p(-np.exp(log_sj)), np.log(-np.expm1(log_sj))
+    )
+    pochhammer = np.concatenate(([0.0], np.cumsum(log_terms)))
     best_min = math.inf
     best_max = -math.inf
     min_at: MultiIndex = (0,) * n
     max_at: MultiIndex = (0,) * n
-    for k in multi_indices_up_to(n, d_max):
-        log_ratio = log_ball_weight(k, q_mod) - log_w_q(k, q_mod)
-        ratio = math.exp(log_ratio)
-        if ratio < best_min:
-            best_min, min_at = ratio, k
-        if ratio > best_max:
-            best_max, max_at = ratio, k
+    for d in range(d_max + 1):
+        K = composition_array(n, d)
+        ratio = np.exp(0.5 * (np.sum(pochhammer[K], axis=1) - pochhammer[d]))
+        lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
+        if ratio[lo] < best_min:
+            best_min, min_at = float(ratio[lo]), tuple(int(e) for e in K[lo])
+        if ratio[hi] > best_max:
+            best_max, max_at = float(ratio[hi]), tuple(int(e) for e in K[hi])
     return WeightRatioScan(q_mod, n, d_max, best_min, best_max, min_at, max_at)

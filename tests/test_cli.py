@@ -197,6 +197,34 @@ def test_parse_errors_become_clean_cli_errors(runner):
     assert r.exit_code == 1
 
 
+def assert_clean_error(r):
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    lines = r.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error:"), r.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "1e999*x1"],
+        ["multiply", "x2*x1", "x2*x1", "--q-mod", "1e-200"],
+        ["norm", "x2*x1*x2*x1", "--q-mod", "1e-200"],
+        ["jsr", "--family", "ball", "--n", "2", "--q-mod", "1e-300"],
+        ["jsr", "--family", "polydisk", "--n", "2", "--q-mod", "1e-300"],
+    ],
+)
+def test_values_outside_double_range_are_clean_errors(runner, args):
+    assert_clean_error(invoke(runner, args, ok=False))
+
+
+def test_radius_of_huge_coefficients(runner, tmp_path):
+    out = tmp_path / "r.json"
+    invoke(runner, ["radius", "z1 + 1e308*z1*z2", "--json", str(out)])
+    values = {e["name"]: e["value"] for e in json.loads(out.read_text())["results"]}
+    assert values["partial-d=2"] == pytest.approx(1e154, rel=1e-14)
+
+
 def test_repeated_in_process_runs_release_their_streams(runner):
     def captured_streams():
         gc.collect()

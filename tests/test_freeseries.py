@@ -141,6 +141,24 @@ def test_radius_partials_skip_empty_degrees():
     assert radius_partials(a)[1][1] == pytest.approx(8.0 ** (1.0 / 3.0), rel=1e-14)
 
 
+def test_radius_partials_are_range_safe():
+    # |c|^2 = 1e616 is not a double, but (1e616)^(1/4) = 1e154 is
+    a = FreeElement(2, {(1,): 1.0, (1, 2): 1e308, (2, 1): 1e308}, cap=4)
+    (_, r1), (_, r2) = radius_partials(a)
+    assert r1 == 1.0
+    assert r2 == pytest.approx(2.0 ** 0.25 * 1e154, rel=1e-14)
+    tiny = FreeElement(1, {(1, 1): 1e-300}, cap=2)
+    assert radius_partials(tiny)[0][1] == pytest.approx(1e-150, rel=1e-14)
+
+
+def test_non_finite_free_coefficients_are_rejected():
+    with pytest.raises(ValueError, match="not finite"):
+        FreeElement(2, {(1, 2): math.nan}, cap=4)
+    big = FreeElement(2, {(1,): 1e300}, cap=4)
+    with pytest.raises(ValueError, match="double range"):
+        concat_multiply(big, big)
+
+
 def test_evaluate_matrix_units():
     a = FreeElement.word(2, (1, 2), cap=4)
     T = OperatorTuple((E12, E21))

@@ -2,7 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from qdomains.jsr import (
     ENUMERATION_LIMIT,
@@ -14,6 +18,7 @@ from qdomains.jsr import (
     jsr_monotone_check,
     jsr_partials,
 )
+from qdomains.qcombinatorics import composition_array, log_q_factorial_table
 from qdomains.qspace import QElement, QParameter, SeminormSpec
 
 Q_UNIT = QParameter(1.0, math.pi / 4)
@@ -23,6 +28,77 @@ Q_TWO = QParameter(2.0, 0.3)
 
 def canonical_tuple(n, q, cap):
     return tuple(QElement.generator(n, q, i + 1, cap=cap) for i in range(n))
+
+
+def fiber_partials(family, n, q, p, d_max, rho=1.0):
+    """Oracle: enumerate every letter-count fiber k of each degree d.
+
+    A fiber contributes the q-multinomial [d]_u! / prod [k_i]_u!, u = |q|^-p
+    (the sum of |q|^(-p inv) over its words), times the p-th power of its
+    weight; for p = inf the fiber sup of |q|^(-inv) sits at inv = 0 or cross.
+    """
+    mod = q.modulus
+    log_mod = math.log(mod)
+    finite_p = math.isfinite(p)
+    if finite_p:
+        u_table = log_q_factorial_table(d_max, mod ** -p)
+    t_table = log_q_factorial_table(d_max, mod ** -2)
+    out = []
+    for d in range(1, d_max + 1):
+        K = composition_array(n, d)
+        cross = (d * d - np.sum(K * K, axis=1)) // 2
+        if family == "polydisk":
+            logw = cross * log_mod if mod < 1.0 else np.zeros(len(K))
+        else:
+            logw = 0.5 * (np.sum(t_table[K], axis=1) - t_table[d])
+        if finite_p:
+            log_mult = u_table[d] - np.sum(u_table[K], axis=1)
+            out.append((d, rho * math.exp(float(logsumexp(log_mult + p * logw)) / (p * d))))
+        else:
+            top = logw + np.maximum(0.0, -cross * log_mod)
+            out.append((d, rho * math.exp(float(np.max(top)) / d)))
+    return out
+
+
+def assert_partials_match(got, want, rel):
+    assert [d for d, _ in got] == [d for d, _ in want]
+    for (_, v), (_, w) in zip(got, want):
+        assert v == pytest.approx(w, rel=rel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["polydisk", "ball"]),
+    n=st.integers(min_value=1, max_value=4),
+    p=st.sampled_from([1.0, 2.0, 3.5, math.inf]),
+    log_mod=st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
+    phase=st.floats(min_value=0.0, max_value=6.0),
+    d_max=st.integers(min_value=1, max_value=60),
+)
+def test_convolution_partials_match_fiber_enumeration(family, n, p, log_mod, phase, d_max):
+    q = QParameter(math.exp(log_mod), phase)
+    assert_partials_match(
+        canonical_partials(family, n, q, p, d_max, rho=0.8),
+        fiber_partials(family, n, q, p, d_max, rho=0.8),
+        rel=1e-12,
+    )
+
+
+@pytest.mark.parametrize("family", ["polydisk", "ball"])
+def test_convolution_partials_match_fiber_enumeration_at_degree_200(family):
+    q = QParameter(0.5, 1.1)
+    assert_partials_match(
+        canonical_partials(family, 3, q, 2.0, 200),
+        fiber_partials(family, 3, q, 2.0, 200),
+        rel=1e-12,
+    )
+
+
+@pytest.mark.parametrize("family", ["polydisk", "ball"])
+def test_partials_outside_double_range_raise(family):
+    # |q|^-2 = 1e600 is not a double
+    with pytest.raises(ValueError, match="double range"):
+        canonical_partials(family, 2, QParameter(1e-300), 2.0, 10)
 
 
 def test_polydisk_partials_unit_modulus_are_constant():

@@ -85,6 +85,16 @@ def test_error_positions():
         parse_qelement("", 2, Q, 8)
 
 
+def test_non_finite_numbers_are_rejected():
+    with pytest.raises(ParseError, match="double range") as e:
+        parse_qelement("x1 + 1e999*x2", 2, Q, 8)
+    assert e.value.position == 5
+    with pytest.raises(ParseError, match="double range"):
+        parse_qelement("(1+1e999i)*x1", 2, Q, 8)
+    with pytest.raises(ParseError, match="double range"):
+        parse_free_element("1e200*z1*1e200", 2, 8)
+
+
 def test_degree_cap_is_checked():
     with pytest.raises(ParseError):
         parse_qelement("x1^9", 2, Q, 8)

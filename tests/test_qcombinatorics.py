@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
+from qdomains import qcombinatorics
 from qdomains.qcombinatorics import (
     as_multi_index,
     as_word,
     ball_weight,
+    checked_power,
     composition_array,
     cross_degree_sum,
     degree,
     fiber_words,
     inv_count,
     log_ball_weight,
+    log_convolution_power,
     log_q_factorial,
     log_q_int,
     log_q_multinomial,
@@ -180,6 +184,67 @@ def test_sampled_sup_polydisk_one_sided():
         est = sampled_monomial_sup(k, "polydisk", 0.9, points=1 << 14, seed=3)
         assert est <= exact * (1 + 1e-9)
         assert est > 0.0
+
+
+def fresh_sampled_sup(k, domain, r, m, seed):
+    """Oracle: draw the Sobol points anew and scale them to radius r first."""
+    n = len(k)
+    ke = np.asarray(k, dtype=float)
+    if domain == "ball":
+        s = qmc.Sobol(d=n - 1, scramble=True, seed=seed).random_base2(m)
+        s.sort(axis=1)
+        pad = np.concatenate([np.zeros((len(s), 1)), s, np.ones((len(s), 1))], axis=1)
+        u, ke = np.diff(pad, axis=1) * (r * r), 0.5 * ke
+    else:
+        u = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m) * r
+    return float(np.max(np.prod(u ** ke, axis=1)))
+
+
+def test_sampled_sup_matches_a_fresh_sample():
+    for domain in ("ball", "polydisk"):
+        for k in [(1, 1), (2, 1), (3, 0, 2), (1, 2, 3)]:
+            for r in (0.8, 1.0):
+                got = sampled_monomial_sup(k, domain, r, points=1 << 12, seed=5)
+                assert got == pytest.approx(fresh_sampled_sup(k, domain, r, 12, 5), rel=1e-13)
+
+
+def test_sample_cache_is_read_only_and_keyed():
+    sample = qcombinatorics._log_sample("ball", 3, 10, 7)
+    assert qcombinatorics._log_sample("ball", 3, 10, 7) is sample
+    assert sample.shape == (1 << 10, 3)
+    assert not sample.flags.writeable
+    with pytest.raises(ValueError):
+        sample[0, 0] = 0.0
+    first = [sampled_monomial_sup(k, "ball", 0.9, points=1 << 10, seed=7) for k in [(1, 2, 0), (2, 2, 2)]]
+    again = [sampled_monomial_sup(k, "ball", 0.9, points=1 << 10, seed=7) for k in [(1, 2, 0), (2, 2, 2)]]
+    assert first == again
+    for other in (("ball", 3, 10, 8), ("ball", 2, 10, 7), ("polydisk", 3, 10, 7)):
+        o = qcombinatorics._log_sample(*other)
+        assert o.shape != sample.shape or not np.array_equal(o, sample)
+    assert sampled_monomial_sup((1, 2, 0), "ball", 0.9, points=1 << 10, seed=8) != first[0]
+    assert sampled_monomial_sup((1, 2, 0), "polydisk", 0.9, points=1 << 10, seed=7) != first[0]
+    with pytest.raises(ValueError):
+        sampled_monomial_sup((1, 1), "cube", 1.0)
+
+
+@pytest.mark.parametrize("maxplus", [False, True])
+def test_log_convolution_power_matches_fiber_sums(maxplus):
+    g = np.random.default_rng(3).normal(size=9) * 5.0
+    for n in (1, 2, 3, 4):
+        got = log_convolution_power(g, n, maxplus=maxplus)
+        for d in range(len(g)):
+            vals = np.sum(g[composition_array(n, d)], axis=1)
+            want = np.max(vals) if maxplus else math.log(math.fsum(np.exp(vals)))
+            assert got[d] == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_checked_power_raises_outside_double_range():
+    assert checked_power(2.0, -3) == 0.125
+    assert checked_power(1e-300, 1) == 1e-300
+    with pytest.raises(ValueError, match="double range"):
+        checked_power(1e-300, -2)
+    with pytest.raises(ValueError, match="double range"):
+        checked_power(1e200, 3.5)
 
 
 def test_stirling_ratio_spots():

@@ -5,11 +5,15 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdomains.qcombinatorics import (
     cross_degree_sum,
     degree,
     inv_count,
+    log_ball_weight,
+    log_w_q,
     multi_indices_up_to,
     words_of_degree,
 )
@@ -226,3 +230,69 @@ def test_weight_ratio_scan_small_modulus_via_reversal_regime():
     # same pinch for |q| < 1 since both weights transform the same way
     scan = weight_ratio_scan(0.5, 2, 30)
     assert 0.0 < scan.min_ratio <= scan.max_ratio <= 1.0 + 1e-12
+
+
+def scalar_ratio(k, q_mod):
+    return math.exp(log_ball_weight(k, q_mod) - log_w_q(k, q_mod))
+
+
+def scalar_weight_ratio_scan(q_mod, n, d_max):
+    """Oracle: one multi-index at a time from the scalar weight helpers."""
+    best_min, best_max = math.inf, -math.inf
+    min_at = max_at = (0,) * n
+    for k in multi_indices_up_to(n, d_max):
+        ratio = scalar_ratio(k, q_mod)
+        if ratio < best_min:
+            best_min, min_at = ratio, k
+        if ratio > best_max:
+            best_max, max_at = ratio, k
+    return best_min, best_max, min_at, max_at
+
+
+# log-uniform |q| in [0.25, 0.8] and [1.25, 4]: nearer to 1 the oracle's
+# q-integers (1 - t^m) / (1 - t) lose digits to cancellation
+@settings(max_examples=40, deadline=None)
+@given(
+    log_mod=st.floats(min_value=math.log(1.25), max_value=math.log(4.0)),
+    invert=st.booleans(),
+    n=st.integers(min_value=1, max_value=3),
+    d_max=st.integers(min_value=0, max_value=20),
+)
+def test_weight_ratio_scan_matches_scalar_loop(log_mod, invert, n, d_max):
+    q_mod = math.exp(-log_mod if invert else log_mod)
+    scan = weight_ratio_scan(q_mod, n, d_max)
+    lo, hi, lo_at, hi_at = scalar_weight_ratio_scan(q_mod, n, d_max)
+    assert scan.min_ratio == pytest.approx(lo, rel=1e-12)
+    assert scan.max_ratio == pytest.approx(hi, rel=1e-12)
+    # another extreme index is allowed only where the ratios agree to 1e-14
+    if scan.min_at != lo_at:
+        assert scalar_ratio(scan.min_at, q_mod) == pytest.approx(lo, rel=1e-14)
+    if scan.max_at != hi_at:
+        assert scalar_ratio(scan.max_at, q_mod) == pytest.approx(hi, rel=1e-14)
+
+
+def test_weight_ratio_scan_depends_on_min_of_q_and_inverse():
+    # the reversal symmetry: |q| and 1/|q| give the same ratios
+    for n, d_max in ((2, 50), (3, 20)):
+        a, b = weight_ratio_scan(2.0, n, d_max), weight_ratio_scan(0.5, n, d_max)
+        assert (a.min_ratio, a.max_ratio, a.min_at, a.max_at) == (b.min_ratio, b.max_ratio, b.min_at, b.max_at)
+
+
+def test_non_finite_coefficients_are_rejected():
+    for bad in (math.inf, math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            QElement(2, Q_HALF, {(1, 0): bad}, cap=4)
+
+
+def test_overflowing_arithmetic_raises():
+    tiny = QParameter(1e-200, 0.0)
+    with pytest.raises(ValueError, match="double range"):
+        tiny.power(-2)
+    x2x1 = QElement(2, tiny, {(1, 1): 1e200}, cap=4)  # x2*x1 = q^-1 x1*x2
+    with pytest.raises(ValueError, match="double range"):
+        multiply(x2x1, x2x1)
+    big = QElement(2, Q_HALF, {(1, 0): 1e308}, cap=4)
+    with pytest.raises(ValueError, match="double range"):
+        big + big
+    with pytest.raises(ValueError, match="double range"):
+        big.scaled(10.0)
