@@ -27,6 +27,7 @@ import numpy as np
 from .qcombinatorics import (
     checked_power,
     log_convolution_power,
+    log_pochhammer_table,
     log_q_factorial_table,
 )
 from .qspace import (
@@ -78,16 +79,17 @@ def canonical_partials(
         raise ValueError("p must be >= 1")
     log_mod = math.log(mod)
     j = np.arange(d_max + 1, dtype=float)
-    # the weight of a fiber k of degree d is exp(a(d) + sum_i h(k_i))
-    if family == "ball":
-        t_table = log_q_factorial_table(d_max, checked_power(mod, -2))
-        h, a = 0.5 * t_table, -0.5 * t_table
-    elif mod < 1.0:
-        # |q|^cross(k), cross(k) = (d^2 - sum_i k_i^2) / 2
+    # the weight of a fiber k of degree d is exp(a(d) + sum_i h(k_i)):
+    # w_q(k) = |q|^cross(k), cross(k) = (d^2 - sum_i k_i^2) / 2, for |q| < 1,
+    # times exp((sum_i P[k_i] - P[d]) / 2) for the ball
+    if mod < 1.0:
         a = 0.5 * log_mod * j * j
         h = -a
     else:
         h = a = np.zeros(d_max + 1)
+    if family == "ball":
+        half = 0.5 * log_pochhammer_table(d_max, mod)
+        h, a = h + half, a - half
     if finite_p:
         u_table = log_q_factorial_table(d_max, checked_power(mod, -p))
         log_s = u_table + p * a + log_convolution_power(p * h - u_table, n)

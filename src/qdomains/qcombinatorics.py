@@ -2,8 +2,9 @@
 
 Multi-indices are plain tuples of nonnegative ints (exponent vectors of
 normal-ordered monomials), words are tuples over the letter alphabet
-``1..n``.  Next to the scalar helpers sit the graded-table kernels: log
-q-factorial tables for all degrees up to d_max, the log-domain convolution
+``1..n``.  Next to the scalar helpers sit the graded-table kernels: the
+log q-Pochhammer table behind every ball and q-multinomial weight, the log
+q-factorial table of the JSR's inversion sums, the log-domain convolution
 power that sums a letter-separable term over every multi-index of each
 degree at once, and the Sobol sample behind the sampled suprema, drawn once
 per (domain, n, point count, seed) and kept read-only.  Everything in this
@@ -23,11 +24,6 @@ from scipy.stats import qmc
 
 MultiIndex = tuple[int, ...]
 Word = tuple[int, ...]
-
-# q-factorials are evaluated as straight products up to this total degree and
-# in the log domain above it (cross-checked at the boundary in the tests).
-LINEAR_DEGREE_LIMIT = 150
-
 
 def as_multi_index(entries: Sequence[int], n: int | None = None) -> MultiIndex:
     """Normalize and validate a multi-index (all entries integers >= 0)."""
@@ -94,14 +90,14 @@ def cross_degree_sum(k: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# q-integers and q-factorials
+# q-integers and graded log tables
 
 
 def q_int(m: int, t: float) -> float:
     """q-integer [m]_t = 1 + t + ... + t^(m-1), [0]_t = 0.
 
     Summed with compensated (exactly rounded) addition; may overflow to inf
-    for large m and t > 1, in which case use :func:`log_q_int`.
+    for large m and t > 1.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -112,76 +108,50 @@ def q_int(m: int, t: float) -> float:
     return math.fsum(t ** j for j in range(m))
 
 
-def log_q_int(m: int, t: float) -> float:
-    """log of [m]_t, stable for any positive t (returns -inf for m = 0)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError("t must be positive and finite")
-    if m == 0:
-        return -math.inf
-    if t == 1.0:
-        return math.log(m)
-    if t < 1.0:
-        # [m]_t = (1 - t^m) / (1 - t)
-        return math.log1p(-t ** m) - math.log1p(-t)
-    # t > 1: [m]_t = t^(m-1) (1 - t^-m) / (1 - 1/t)
-    return (m - 1) * math.log(t) + math.log1p(-t ** -m) - math.log1p(-1.0 / t)
+def log_q_factorial_table(d_max: int, t: float) -> np.ndarray:
+    """Table c with c[m] = log [m]_t! for m = 0..d_max (c[0] = 0), any t > 0.
 
-
-def _as_exponent_tuple(k: int | Sequence[int]) -> MultiIndex:
-    if isinstance(k, (int, np.integer)):
-        return (int(k),)
-    return as_multi_index(k)
-
-
-def log_q_factorial(k: int | Sequence[int], t: float) -> float:
-    """log of the coordinatewise q-factorial [k]_t! = prod_i [k_i]_t!."""
-    kk = _as_exponent_tuple(k)
-    return math.fsum(log_q_int(j, t) for e in kk for j in range(1, e + 1))
-
-
-def q_factorial(k: int | Sequence[int], t: float) -> float:
-    """Coordinatewise q-factorial [k]_t! = prod_i [1]_t [2]_t ... [k_i]_t.
-
-    Straight product below total degree LINEAR_DEGREE_LIMIT, exp(log) above;
-    raises OverflowError when the value leaves double range (use
-    :func:`log_q_factorial` then).
+    Its one use is the JSR's inversion sums, whose base t = |q|^-p comes
+    from :func:`checked_power`: a t past double range is a clean error
+    there, and the ball and q-multinomial weights use
+    :func:`log_pochhammer_table` instead, which forms no such power.
     """
-    kk = _as_exponent_tuple(k)
-    if degree(kk) <= LINEAR_DEGREE_LIMIT:
-        out = 1.0
-        for e in kk:
-            for j in range(1, e + 1):
-                out *= q_int(j, t)
-        if math.isinf(out):
-            raise OverflowError("q_factorial overflow; use log_q_factorial")
-        return out
-    lv = log_q_factorial(kk, t)
-    if lv > math.log(np.finfo(float).max):
-        raise OverflowError("q_factorial overflow; use log_q_factorial")
-    return math.exp(lv)
-
-
-def log_q_int_vector(d_max: int, t: float) -> np.ndarray:
-    """Vector v with v[j] = log [j]_t for j = 0..d_max (v[0] = -inf)."""
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     j = np.arange(1, d_max + 1, dtype=float)
+    # log [j]_t, from [j]_t = (1 - t^j) / (1 - t) on the side where t^j stays small
     if t == 1.0:
-        body = np.log(j)
+        log_q_ints = np.log(j)
     elif t < 1.0:
-        body = np.log1p(-(t ** j)) - math.log1p(-t)
+        log_q_ints = np.log1p(-(t ** j)) - math.log1p(-t)
     else:
-        body = (j - 1.0) * math.log(t) + np.log1p(-(t ** (-j))) - math.log1p(-1.0 / t)
-    return np.concatenate(([-np.inf], body))
+        log_q_ints = (j - 1.0) * math.log(t) + np.log1p(-(t ** (-j))) - math.log1p(-1.0 / t)
+    return np.concatenate(([0.0], np.cumsum(log_q_ints)))
 
 
-def log_q_factorial_table(d_max: int, t: float) -> np.ndarray:
-    """Table c with c[m] = log [m]_t! for m = 0..d_max (c[0] = 0)."""
-    v = log_q_int_vector(d_max, t)
-    v[0] = 0.0
-    return np.cumsum(v)
+def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:
+    """Table P with P[m] = log (s; s)_m = sum_{j <= m} log(1 - s^j), m = 0..d_max.
+
+    s = min(|q|, 1/|q|)^2.  Each term comes from log s^j = -2 j |log |q||
+    by whichever of log1p / expm1 keeps its digits, so no power of |q|
+    is formed and any positive finite |q| is fine.  At |q| = 1 the table
+    holds log m! instead: only differences sum_i P[k_i] - P[|k|] over
+    sum_i k_i = |k| are ever used, terms linear in m cancel in them, and
+    log m! is the limit of P[m] - m log(1 - s) as s -> 1.
+    """
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
+    if not (q_mod > 0 and math.isfinite(q_mod)):
+        raise ValueError("q_mod must be positive and finite")
+    j = np.arange(1, d_max + 1, dtype=float)
+    if q_mod == 1.0:
+        terms = np.log(j)
+    else:
+        log_sj = j * (-2.0 * abs(math.log(q_mod)))
+        terms = np.where(
+            log_sj < -math.log(2.0), np.log1p(-np.exp(log_sj)), np.log(-np.expm1(log_sj))
+        )
+    return np.concatenate(([0.0], np.cumsum(terms)))
 
 
 def checked_power(x: float, e: float) -> float:
@@ -215,17 +185,6 @@ def log_convolution_power(g: np.ndarray, n: int, *, maxplus: bool = False) -> np
     return out
 
 
-def log_q_multinomial(k: Sequence[int], u: float) -> float:
-    """log of [|k|]_u! / prod_i [k_i]_u!.
-
-    By the classical inversion generating function this equals
-    log sum_{w} u^(inv_count(w)) over all distinct rearrangements w of the
-    multiset with multiplicities k (any positive real u).
-    """
-    kk = as_multi_index(k)
-    return log_q_factorial(degree(kk), u) - log_q_factorial(kk, u)
-
-
 # ---------------------------------------------------------------------------
 # norm weights
 
@@ -248,16 +207,22 @@ def log_w_q(k: Sequence[int], q_mod: float) -> float:
 
 
 def log_ball_weight(k: Sequence[int], q_mod: float) -> float:
-    """log of ([k]_t! / [|k|]_t!)^(1/2) with t = q_mod^(-2)."""
-    if not (q_mod > 0 and math.isfinite(q_mod)):
-        raise ValueError("q_mod must be positive and finite")
+    """log of the ball weight ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2.
+
+    Formed from the identity ball_weight(k) = w_q(k) exp((sum_i P[k_i] -
+    P[|k|]) / 2), P = :func:`log_pochhammer_table`, which holds for every
+    positive finite |q| and forms no power of |q| above 1: with
+    s = min(|q|, 1/|q|)^2, [m]_s! = (s; s)_m / (1 - s)^m, and for |q| < 1,
+    [m]_(1/s) = s^-(m-1) [m]_s leaves the factor |q|^cross(k) = w_q(k).
+    """
     kk = as_multi_index(k)
-    t = q_mod ** -2
-    return 0.5 * (log_q_factorial(kk, t) - log_q_factorial(degree(kk), t))
+    log_w = log_w_q(kk, q_mod)
+    pochhammer = log_pochhammer_table(degree(kk), q_mod)
+    return log_w + 0.5 * (math.fsum(pochhammer[list(kk)]) - pochhammer[degree(kk)])
 
 
 def ball_weight(k: Sequence[int], q_mod: float) -> float:
-    """Ball weight ([k]_t! / [|k|]_t!)^(1/2), t = q_mod^(-2); depends on |q| only."""
+    """Ball weight ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2; see :func:`log_ball_weight`."""
     return math.exp(log_ball_weight(k, q_mod))
 
 

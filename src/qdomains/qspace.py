@@ -20,13 +20,12 @@ from .qcombinatorics import (
     MultiIndex,
     Word,
     as_multi_index,
-    ball_weight,
     checked_power,
     composition_array,
     cross_degree_sum,
     degree,
+    log_pochhammer_table,
     p_proj,
-    w_q,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -344,6 +343,34 @@ class SeminormSpec:
             raise ValueError("tau must be >= 1")
 
 
+def _coefficient_norm(a: QElement, rho: float, ball: bool) -> float:
+    """sum_k |c_k| w_q(k) rho^|k|, for the ball with ball_weight(k) in place of w_q(k).
+
+    The ball weight is w_q(k) exp((sum_i P[k_i] - P[|k|]) / 2), one log
+    q-Pochhammer table P up to the element's degree serving every term
+    (see :func:`qdomains.qcombinatorics.log_ball_weight`).  Each term is
+    formed from its logs, so a large coefficient against a small weight
+    stays in range; a sum that leaves double range raises ValueError.
+    """
+    if not a.coefficients:
+        return 0.0
+    K = np.array(list(a.coefficients), dtype=np.int64)
+    d = K.sum(axis=1)
+    c = np.fromiter(a.coefficients.values(), dtype=complex, count=len(K))
+    log_terms = np.log(np.abs(c)) + d * math.log(rho)
+    mod = a.q.modulus
+    if mod < 1.0:
+        log_terms += (d * d - np.sum(K * K, axis=1)) // 2 * math.log(mod)
+    if ball:
+        pochhammer = log_pochhammer_table(int(d.max()), mod)
+        log_terms += 0.5 * (np.sum(pochhammer[K], axis=1) - pochhammer[d])
+    with np.errstate(over="ignore"):
+        value = math.fsum(np.exp(log_terms))
+    if not math.isfinite(value):
+        raise ValueError("norm leaves the double range")
+    return value
+
+
 def polydisk_norm(a: QElement, spec: SeminormSpec) -> float:
     """Weighted coefficient norm sum |c_k| w_q(k) rho^|k|.
 
@@ -352,22 +379,14 @@ def polydisk_norm(a: QElement, spec: SeminormSpec) -> float:
     """
     if spec.family != "polydisk":
         raise ValueError(f"spec family {spec.family!r}, expected 'polydisk'")
-    mod = a.q.modulus
-    rho = spec.rho
-    return math.fsum(
-        abs(c) * w_q(k, mod) * rho ** degree(k) for k, c in a.coefficients.items()
-    )
+    return _coefficient_norm(a, spec.rho, ball=False)
 
 
 def ball_norm(a: QElement, spec: SeminormSpec) -> float:
     """Weighted coefficient norm sum |c_k| ball_weight(k) rho^|k| (lower bound when saturated)."""
     if spec.family != "ball":
         raise ValueError(f"spec family {spec.family!r}, expected 'ball'")
-    mod = a.q.modulus
-    rho = spec.rho
-    return math.fsum(
-        abs(c) * ball_weight(k, mod) * rho ** degree(k) for k, c in a.coefficients.items()
-    )
+    return _coefficient_norm(a, spec.rho, ball=True)
 
 
 @dataclass(frozen=True)
@@ -402,12 +421,7 @@ def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
         raise ValueError("weight ratio scan requires |q| != 1")
     if not (q_mod > 0 and math.isfinite(q_mod)):
         raise ValueError("q_mod must be positive and finite")
-    # log(1 - s^j) from log s^j, by whichever form keeps its digits
-    log_sj = np.arange(1, d_max + 1) * (-2.0 * abs(math.log(q_mod)))
-    log_terms = np.where(
-        log_sj < -math.log(2.0), np.log1p(-np.exp(log_sj)), np.log(-np.expm1(log_sj))
-    )
-    pochhammer = np.concatenate(([0.0], np.cumsum(log_terms)))
+    pochhammer = log_pochhammer_table(d_max, q_mod)
     best_min = math.inf
     best_max = -math.inf
     min_at: MultiIndex = (0,) * n

@@ -18,7 +18,9 @@ with u = |q|^-2.  With w(k) = min(1, |q|^cross(k)), cross(k) = sum_{i<j} k_i k_j
     l1:  |y_k| w(k) rho^d tau^nnz(k)        (no tau factor for tau=None)
     l2:  |y_k| w(k) rho^d ([d]_t! / [k]_t!)^(-1/2),   t = min(|q|, 1/|q|)^2
 
-The l2 form uses [m]_u = u^(m-1) [m]_(1/u) to keep t <= 1.  Everything is
+The l2 form uses [m]_u = u^(m-1) [m]_(1/u) to keep t <= 1, and
+[m]_t! = (t; t)_m / (1 - t)^m to read the q-multinomial off one log
+q-Pochhammer table (Andrews, The Theory of Partitions, ch. 3).  Everything is
 summed in the log domain, so no power of |q| leaves double range on the way;
 a result that does raises ValueError.
 
@@ -44,7 +46,7 @@ from .qcombinatorics import (
     cross_degree_sum,
     degree,
     inv_count,
-    log_q_multinomial,
+    log_pochhammer_table,
     p_proj,
     words_of_degree,
 )
@@ -197,8 +199,10 @@ def quotient_norm_l1(
 
 def quotient_norm_l2(target: FreeElement, rho: float, *, q: QParameter) -> QuotientResult:
     """Quotient of the fiberwise-l2 (free ball) norm by the commutation ideal."""
-    r = q.modulus if q.modulus < 1.0 else 1.0 / q.modulus
-    t = r * r
-    if t == 0.0:  # [m]_t = 1 to double precision
-        return _quotient(target, q, rho, lambda k: 0.0)
-    return _quotient(target, q, rho, lambda k: -0.5 * log_q_multinomial(k, t))
+    pochhammer = log_pochhammer_table(target.degree(), q.modulus)
+    return _quotient(
+        target,
+        q,
+        rho,
+        lambda k: 0.5 * (math.fsum(pochhammer[list(k)]) - pochhammer[degree(k)]),
+    )

@@ -388,7 +388,7 @@ def _euler_product(t: float) -> float:
 
 def _suite_weight_equivalence(rng: np.random.Generator) -> Iterator[Check]:
     for q_mod in (2.0, 3.0):
-        phi = _euler_product(q_mod ** -2)
+        phi = _euler_product(min(q_mod, 1.0 / q_mod) ** 2)
         lo, hi = math.inf, -math.inf
         for n in (1, 2, 3):
             scan = weight_ratio_scan(q_mod, n, 50)

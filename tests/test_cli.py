@@ -6,6 +6,8 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdomains.cli import main
 from qdomains.verify import SUITES
@@ -210,6 +212,7 @@ def assert_clean_error(r):
         ["norm", "1e999*x1"],
         ["multiply", "x2*x1", "x2*x1", "--q-mod", "1e-200"],
         ["norm", "x2*x1*x2*x1", "--q-mod", "1e-200"],
+        ["norm", "x1^10", "--rho", "1e100"],
         ["jsr", "--family", "ball", "--n", "2", "--q-mod", "1e-300"],
         ["jsr", "--family", "polydisk", "--n", "2", "--q-mod", "1e-300"],
     ],
@@ -253,3 +256,40 @@ def test_fock_norm_without_arpack_convergence_exits_one(runner, monkeypatch):
     assert r.exit_code == 1
     assert "ARPACK" in r.output
     assert not isinstance(r.exception, scipy.sparse.linalg.ArpackNoConvergence)
+
+
+def printed_value(r):
+    # "name[family] = value  [flags]"
+    return float(r.output.strip().splitlines()[-1].split(" = ")[1].split()[0])
+
+
+@pytest.mark.parametrize(
+    "expression, want", [("x1", 1.0), ("x2", 1.0), ("x1*x2", 1e-200)]
+)
+def test_ball_norm_at_extreme_modulus(runner, expression, want):
+    q_mod = "1e-320" if want == 1.0 else "1e-200"
+    r = invoke(runner, ["norm", expression, "--family", "ball", "--q-mod", q_mod])
+    assert printed_value(r) == pytest.approx(want, rel=1e-13)
+
+
+EXTREME_RUNS = (
+    ["norm", "x1*x2 + 0.5*x2^2", "--family", "polydisk"],
+    ["norm", "x2*x1 + x1^3*x2^2", "--family", "ball"],
+    ["norm", "x3*x1*x2 - 2*x2", "--family", "ball", "--n", "3"],
+    ["quotient-norm", "z2*z1 + z1*z2*z1", "--family", "free-ball"],
+    ["jsr", "--family", "ball", "--dmax", "20"],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    args=st.sampled_from(EXTREME_RUNS),
+    log_mod=st.floats(min_value=math.log(1e-300), max_value=math.log(1e300)),
+)
+def test_extreme_moduli_give_a_value_or_a_clean_error(args, log_mod):
+    r = CliRunner().invoke(main, [*args, "--q-mod", repr(math.exp(log_mod))])
+    assert "Traceback" not in r.output
+    if r.exit_code == 0:
+        assert math.isfinite(printed_value(r)), r.output
+    else:
+        assert_clean_error(r)

@@ -3,6 +3,7 @@
 import math
 from itertools import permutations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,15 +23,13 @@ from qdomains.qcombinatorics import (
     inv_count,
     log_ball_weight,
     log_convolution_power,
-    log_q_factorial,
-    log_q_int,
-    log_q_multinomial,
+    log_pochhammer_table,
+    log_q_factorial_table,
     log_w_q,
     monomial_sup,
     multi_indices_of_degree,
     multi_indices_up_to,
     p_proj,
-    q_factorial,
     q_int,
     s_stat,
     sampled_monomial_sup,
@@ -38,6 +37,38 @@ from qdomains.qcombinatorics import (
     w_q,
     words_of_degree,
 )
+
+
+def log_q_int(m, t):
+    """Oracle: log [m]_t one q-integer at a time, from (1 - t^m) / (1 - t)."""
+    if m == 0:
+        return -math.inf
+    if t == 1.0:
+        return math.log(m)
+    if t < 1.0:
+        return math.log1p(-t ** m) - math.log1p(-t)
+    # t > 1: [m]_t = t^(m-1) (1 - t^-m) / (1 - 1/t)
+    return (m - 1) * math.log(t) + math.log1p(-t ** -m) - math.log1p(-1.0 / t)
+
+
+def log_q_factorial(k, t):
+    """Oracle: log of the coordinatewise q-factorial prod_i [k_i]_t!, k an int or a tuple."""
+    kk = (k,) if isinstance(k, int) else tuple(k)
+    return math.fsum(log_q_int(j, t) for e in kk for j in range(1, e + 1))
+
+
+def kernel_log_q_factorial(m, t):
+    """log [m]_t! read off log_pochhammer_table at |q| = t^(-1/2).
+
+    With s = min(t, 1/t): [m]_s! = (s; s)_m / (1 - s)^m, and
+    [m]_(1/s)! = s^(-m(m-1)/2) [m]_s!; at t = 1 the table holds log m!.
+    """
+    table = log_pochhammer_table(m, t ** -0.5)
+    if t == 1.0:
+        return table[m]
+    s = min(t, 1.0 / t)
+    out = table[m] - m * math.log1p(-s)
+    return out + m * (m - 1) / 2 * math.log(t) if t > 1.0 else out
 
 
 def brute_inversions(word):
@@ -109,24 +140,32 @@ def test_q_int_spots():
 
 
 def test_q_factorial_integer_spots():
-    assert q_factorial(3, 2.0) == 21.0   # 1 * 3 * 7
-    assert q_factorial(0, 0.3) == 1.0
+    assert math.prod(q_int(j, 2.0) for j in range(1, 4)) == 21.0   # 1 * 3 * 7
+    assert math.exp(kernel_log_q_factorial(3, 2.0)) == pytest.approx(21.0, rel=1e-14)
+    assert kernel_log_q_factorial(0, 0.3) == 0.0
     # [2]_{1/4} = 1.25, and (2,2) takes the product of both coordinate factorials
-    assert q_factorial((2, 2), 0.25) == 1.5625
+    assert q_int(2, 0.25) ** 2 == 1.5625
+    assert math.exp(2 * kernel_log_q_factorial(2, 0.25)) == pytest.approx(1.5625, rel=1e-14)
+    # at |q| = 1 the table holds log m!
+    assert np.exp(log_pochhammer_table(5, 1.0)) == pytest.approx([1, 1, 2, 6, 24, 120], rel=1e-14)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 0.9, 1.0, 2.0, 5.0])
 @pytest.mark.parametrize("m", [1, 2, 7, 40])
 def test_log_q_int_consistent_with_linear(m, t):
     assert math.exp(log_q_int(m, t)) == pytest.approx(q_int(m, t), rel=1e-12)
+    kernel = kernel_log_q_factorial(m, t) - kernel_log_q_factorial(m - 1, t)
+    assert math.exp(kernel) == pytest.approx(q_int(m, t), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.8])
 def test_log_q_factorial_across_degree_switch(t):
-    # the linear product is still exact at m ~ 150 for t < 1; the log path must agree
+    # at degrees in the hundreds the table must still match the term-by-term sum
     for m in [140, 150, 151, 170]:
         direct = math.fsum(math.log(q_int(j, t)) for j in range(1, m + 1))
         assert log_q_factorial(m, t) == pytest.approx(direct, rel=1e-12, abs=1e-10)
+        assert kernel_log_q_factorial(m, t) == pytest.approx(direct, rel=1e-12, abs=1e-10)
+        assert log_q_factorial_table(m, t)[m] == pytest.approx(direct, rel=1e-12, abs=1e-10)
 
 
 def test_w_q_exponent_and_trivial_regime():
@@ -144,9 +183,40 @@ def test_ball_weight_spot_and_multinomial_identity():
     for k in [(2, 1), (1, 1, 1), (3, 2)]:
         for mod in (0.5, 2.0, 3.0):
             t = mod ** -2
+            log_multinomial = log_q_factorial(degree(k), t) - log_q_factorial(k, t)
             assert log_ball_weight(k, mod) == pytest.approx(
-                -0.5 * log_q_multinomial(k, t), rel=1e-12, abs=1e-14
+                -0.5 * log_multinomial, rel=1e-12, abs=1e-14
             )
+            # the inversion generating function sums t^inv over the fiber
+            inversions = math.fsum(t ** inv_count(w) for w in fiber_words(k))
+            assert log_ball_weight(k, mod) == pytest.approx(
+                -0.5 * math.log(inversions), rel=1e-12, abs=1e-14
+            )
+
+
+def mp_ball_weight(k, q_mod):
+    """Oracle: ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(q_mod) ** -2
+
+        def fact(m):
+            return mpmath.fprod((1 - t ** j) / (1 - t) for j in range(1, m + 1))
+
+        return float(mpmath.sqrt(mpmath.fprod(fact(e) for e in k) / fact(sum(k))))
+
+
+@pytest.mark.parametrize("q_mod", [1 + 1e-14, 1 - 1e-13, 1 + 1e-10, 1 - 1e-8, 1 + 1e-7])
+@pytest.mark.parametrize("k", [(1, 1), (3, 2), (5, 5, 4), (10, 3), (20, 20)])
+def test_ball_weight_near_unit_modulus_matches_mpmath(k, q_mod):
+    assert ball_weight(k, q_mod) == pytest.approx(mp_ball_weight(k, q_mod), rel=1e-12)
+
+
+def test_ball_weight_at_extreme_moduli():
+    # w_q(k) carries the whole weight once s = min(|q|, 1/|q|)^2 underflows
+    assert ball_weight((1, 0), 1e-320) == 1.0
+    assert ball_weight((1, 1), 1e-200) == pytest.approx(1e-200, rel=1e-13)
+    assert ball_weight((2, 3), 1e300) == 1.0
+    assert ball_weight((1, 1), 1e-100) == pytest.approx(mp_ball_weight((1, 1), 1e-100), rel=1e-13)
 
 
 def test_ball_weight_inversion_symmetry():

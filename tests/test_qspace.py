@@ -4,6 +4,7 @@ import cmath
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +13,11 @@ from qdomains.qcombinatorics import (
     cross_degree_sum,
     degree,
     inv_count,
-    log_ball_weight,
     log_w_q,
     multi_indices_up_to,
     words_of_degree,
 )
+from test_qcombinatorics import log_q_factorial
 from qdomains.qspace import (
     IncompatibilityError,
     QElement,
@@ -175,6 +176,59 @@ def test_ball_norm_value():
     assert ball_norm(b, spec) == pytest.approx(0.8944271909999159, rel=1e-13)
 
 
+def scalar_norm(a, family, rho):
+    """Oracle: sum_k |c_k| weight(k) rho^|k| term by term, ball weights from scalar q-factorials."""
+    mod = a.q.modulus
+    total = []
+    for k, c in a.coefficients.items():
+        if family == "ball":
+            t = mod ** -2
+            w = math.exp(0.5 * (log_q_factorial(k, t) - log_q_factorial(degree(k), t)))
+        else:
+            w = mod ** cross_degree_sum(k) if mod < 1.0 else 1.0
+        total.append(abs(c) * w * rho ** degree(k))
+    return math.fsum(total)
+
+
+# |q| = 1 and log-uniform |q| in [0.25, 0.8] and [1.25, 4], as for the ratio scan
+@settings(max_examples=40, deadline=None)
+@given(
+    log_mod=st.one_of(st.just(0.0), st.floats(min_value=math.log(1.25), max_value=math.log(4.0))),
+    invert=st.booleans(),
+    n=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_norms_match_term_by_term_oracle(log_mod, invert, n, seed):
+    rng = np.random.default_rng(seed)
+    q = QParameter(math.exp(-log_mod if invert else log_mod), float(rng.uniform(0.0, 6.0)))
+    terms = {
+        tuple(int(e) for e in rng.integers(0, 6, size=n)): complex(*rng.standard_normal(2))
+        for _ in range(int(rng.integers(1, 12)))
+    }
+    a = QElement(n, q, terms, cap=5 * n)
+    rho = float(rng.uniform(0.3, 1.5))
+    assert polydisk_norm(a, SeminormSpec("polydisk", rho)) == pytest.approx(
+        scalar_norm(a, "polydisk", rho), rel=1e-13
+    )
+    assert ball_norm(a, SeminormSpec("ball", rho)) == pytest.approx(
+        scalar_norm(a, "ball", rho), rel=1e-13
+    )
+
+
+def test_norms_keep_their_range():
+    # (x2 x1)^2 = q^-3 x1^2 x2^2: a coefficient 1e300 against the weight
+    # |q|^4 = 1e-400 leaves 1e-100 for both families
+    tiny = QParameter(1e-100, 0.0)
+    x1, x2 = (QElement.generator(2, tiny, i, cap=4) for i in (1, 2))
+    sq = (x2 * x1) * (x2 * x1)
+    assert polydisk_norm(sq, SeminormSpec("polydisk", 1.0)) == pytest.approx(1e-100, rel=1e-12)
+    assert ball_norm(sq, SeminormSpec("ball", 1.0)) == pytest.approx(1e-100, rel=1e-12)
+    assert ball_norm(QElement.zero(2, tiny, cap=4), SeminormSpec("ball", 1.0)) == 0.0
+    high = QElement(1, Q_HALF, {(10,): 1.0}, cap=10)
+    with pytest.raises(ValueError, match="double range"):
+        polydisk_norm(high, SeminormSpec("polydisk", 1e100))
+
+
 def test_scale_auto_moves_rho():
     a = QElement(2, Q_BIG, {(1, 1): 2.0, (2, 0): -1j, (0, 0): 3.0}, cap=8)
     for rho in (0.3, 0.9, 1.7):
@@ -233,11 +287,13 @@ def test_weight_ratio_scan_small_modulus_via_reversal_regime():
 
 
 def scalar_ratio(k, q_mod):
-    return math.exp(log_ball_weight(k, q_mod) - log_w_q(k, q_mod))
+    t = q_mod ** -2
+    log_ball = 0.5 * (log_q_factorial(k, t) - log_q_factorial(degree(k), t))
+    return math.exp(log_ball - log_w_q(k, q_mod))
 
 
 def scalar_weight_ratio_scan(q_mod, n, d_max):
-    """Oracle: one multi-index at a time from the scalar weight helpers."""
+    """Oracle: one multi-index at a time from scalar q-factorials."""
     best_min, best_max = math.inf, -math.inf
     min_at = max_at = (0,) * n
     for k in multi_indices_up_to(n, d_max):

@@ -3,6 +3,7 @@
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -233,6 +234,24 @@ def test_extreme_modulus_keeps_the_value():
         q = QParameter(q_mod, 0.0)
         assert quotient_norm_l1(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12)
         assert quotient_norm_l2(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12)
+
+
+def mp_sorted_word_l2_quotient(k, q_mod, rho):
+    """Oracle: rho^|k| (sum of |q|^(-2 inv(w)) over the fiber of k)^(-1/2), in 50 digits.
+
+    The l2 coset norm of the sorted word, whose image y_k is 1.
+    """
+    with mpmath.workdps(50):
+        u = mpmath.mpf(q_mod) ** -2
+        g2 = mpmath.fsum(u ** inv_count(w) for w in fiber_words(k))
+        return float(mpmath.mpf(rho) ** degree(k) / mpmath.sqrt(g2))
+
+
+@pytest.mark.parametrize("q_mod", [1 + 1e-10, 1 - 1e-8])
+@pytest.mark.parametrize("k", [(3, 2), (5, 5)])
+def test_l2_quotient_near_unit_modulus_matches_mpmath(k, q_mod):
+    got = quotient_norm_l2(canonical_lift(k), 0.9, q=QParameter(q_mod, 0.0)).value
+    assert got == pytest.approx(mp_sorted_word_l2_quotient(k, q_mod, 0.9), rel=1e-12)
 
 
 def test_out_of_range_values_raise():
