@@ -258,26 +258,22 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_pat
 @click.option("--r", type=float, default=1.0, show_default=True)
 @click.option("--dmax", type=int, default=200, show_default=True)
 @click.option("--tau", type=float, default=1.0, show_default=True)
-@click.option("--grid", type=int, default=12, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
-def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, grid, json_path, csv_path):
+def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
     """Joint l^p spectral radius estimate for the canonical generators."""
     internal = family.replace("-", "_")
-    q = QParameter(q_mod, q_phase) if family in _Q_FAMILIES else None
     try:
-        est = estimate_canonical_jsr(internal, n, q, p, r, d_max=dmax, tau=tau, grid_size=grid)
+        q = QParameter(q_mod, q_phase) if family in _Q_FAMILIES else None
+        est = estimate_canonical_jsr(internal, n, q, p, r, d_max=dmax, tau=tau)
     except ValueError as exc:
         _fail(exc)
-    results = [_result("jsr-extrapolated", est.extrapolated, tuple(est.flags))]
-    for rho in est.rho_grid:
-        results.append(
-            _result(
-                f"limit-rho={rho!r}",
-                est.per_rho_limit[rho],
-                detail=f"fit residual {est.residuals[rho]:.3e}",
-            )
-        )
+    flags = tuple(est.flags)
+    results = [
+        _result("jsr-extrapolated", est.extrapolated, flags, detail=f"fit residual {est.residual:.3e}"),
+        _result("jsr-lower", est.lower),
+        _result("jsr-upper", est.upper),
+    ]
     params = {
         "family": family,
         "n": n,
@@ -287,15 +283,12 @@ def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, grid, json_path, csv_path):
         "r": r,
         "dmax": dmax,
         "tau": tau,
-        "grid": grid,
     }
     report = _report("jsr", params, results)
     if csv_path:
-        rows = ["rho,d,R_d"]
-        for (rho, d), v in sorted(est.partials.items()):
-            rows.append(f"{rho!r},{d},{v!r}")
+        rows = ["d,R_d"] + [f"{d},{v!r}" for (_, d), v in sorted(est.partials.items())]
         Path(csv_path).write_text("\n".join(rows) + "\n")
-    suffix = f"  [{', '.join(est.flags)}]" if est.flags else ""
+    suffix = f"  [{', '.join(flags)}]" if flags else ""
     _emit(report, json_path, [f"jsr[{family}] = {est.extrapolated!r}{suffix}"])
 
 

@@ -2,8 +2,7 @@
 
 Basis words are tuples over 1..n; multiplication is concatenation.  The
 module also carries the operator-tuple machinery used to evaluate free
-polynomials on matrix tuples (row norm, sampled sup over contractive
-tuples) and the projection onto the q-commuting algebra.
+polynomials on matrix tuples (row norm, evaluation).
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from .qcombinatorics import (
     Word,
     as_word,
     degree,
-    inv_count,
     p_proj,
     s_stat,
 )
-from .qspace import IncompatibilityError, QElement, QParameter, check_finite_coefficients
+from .qspace import IncompatibilityError, check_finite_coefficients
 
 
 class FreeElement:
@@ -319,59 +317,3 @@ def evaluate(a: FreeElement, T: OperatorTuple) -> np.ndarray:
     for w, c in a.items():
         acc += c * word_matrix(w)
     return acc
-
-
-def popescu_norm_lower(
-    a: FreeElement,
-    rho: float,
-    trials: int = 200,
-    m: int = 4,
-    seed: int = 0,
-) -> float:
-    """Sampled lower bound for sup ||a(T)|| over row-contractive tuples.
-
-    Maximizes over n deterministic single-shift tuples (T_i = rho E_12)
-    plus ``trials`` Ginibre tuples rescaled to row norm exactly rho.  The
-    returned value never exceeds the true supremum; it is NOT an estimate
-    of it in any quantified sense.
-    """
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
-    if m < 2:
-        raise ValueError("matrix size m must be >= 2")
-    n = a.n
-    best = 0.0
-    single = np.zeros((m, m), dtype=complex)
-    single[0, 1] = rho
-    zero = np.zeros((m, m), dtype=complex)
-    for i in range(n):
-        mats = tuple(single if j == i else zero for j in range(n))
-        best = max(best, float(np.linalg.norm(evaluate(a, OperatorTuple(mats)), 2)))
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        g = (rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))) / math.sqrt(2.0)
-        T = OperatorTuple(tuple(g))
-        rn = row_norm(T)
-        if rn == 0.0:
-            continue
-        T = OperatorTuple(tuple((rho / rn) * mat for mat in g))
-        best = max(best, float(np.linalg.norm(evaluate(a, T), 2)))
-    return best
-
-
-def normal_order_project(a: FreeElement, q: QParameter) -> QElement:
-    """Quotient projection onto the q-commuting algebra.
-
-    Each word w maps to q^(-inv_count(w)) x^(p(w)); the sign of the
-    exponent matches the rewriting oracle, so the ideal generators
-    z_i z_j - q z_j z_i (i < j) map to zero.
-    """
-    out: dict[MultiIndex, complex] = {}
-    for w, c in a.coefficients.items():
-        k = p_proj(w, a.n)
-        acc = out.get(k, 0j) + c * q.power(-inv_count(w))
-        if acc == 0:
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    return QElement(a.n, q, out, cap=a.cap, saturated=a.saturated)

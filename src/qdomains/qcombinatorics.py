@@ -119,13 +119,19 @@ def log_q_factorial_table(d_max: int, t: float) -> np.ndarray:
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     j = np.arange(1, d_max + 1, dtype=float)
-    # log [j]_t, from [j]_t = (1 - t^j) / (1 - t) on the side where t^j stays small
     if t == 1.0:
         log_q_ints = np.log(j)
-    elif t < 1.0:
-        log_q_ints = np.log1p(-(t ** j)) - math.log1p(-t)
     else:
-        log_q_ints = (j - 1.0) * math.log(t) + np.log1p(-(t ** (-j))) - math.log1p(-1.0 / t)
+        # log [j]_t from [j]_t = t^(j-1) [j]_(1/t) and [j]_s = (1 - s^j) / (1 - s)
+        # at s = min(t, 1/t), with 1 - s^j = -expm1(j log s): no digits are
+        # lost to cancellation as t -> 1
+        log_t = math.log(t)
+        log_s = -abs(log_t)
+        log_q_ints = (
+            (j - 1.0) * max(log_t, 0.0)
+            + np.log(-np.expm1(j * log_s))
+            - math.log(-math.expm1(log_s))
+        )
     return np.concatenate(([0.0], np.cumsum(log_q_ints)))
 
 
@@ -357,25 +363,3 @@ def composition_array(n: int, d: int) -> np.ndarray:
 def words_of_degree(n: int, d: int) -> Iterator[Word]:
     """All n^d words of length d over 1..n, lexicographic."""
     return itertools.product(range(1, n + 1), repeat=d)
-
-
-def fiber_words(k: Sequence[int]) -> Iterator[Word]:
-    """All distinct rearrangements of the sorted word with letter counts k."""
-    kk = as_multi_index(k)
-    counts = list(kk)
-    d = degree(kk)
-    word: list[int] = []
-
-    def rec() -> Iterator[Word]:
-        if len(word) == d:
-            yield tuple(word)
-            return
-        for a in range(len(counts)):
-            if counts[a] > 0:
-                counts[a] -= 1
-                word.append(a + 1)
-                yield from rec()
-                word.pop()
-                counts[a] += 1
-
-    return rec()

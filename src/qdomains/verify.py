@@ -357,7 +357,7 @@ def _suite_quotient_ball(rng: np.random.Generator) -> Iterator[Check]:
 
 def _suite_jsr_separation(rng: np.random.Generator) -> Iterator[Check]:
     q = QParameter(1.0, math.pi / 4)
-    detail = "|q|=1 (phase pi/4), p=2, r=1, d <= 200, 12-point rho grid"
+    detail = "|q|=1 (phase pi/4), p=2, r=1, d <= 200, tail fit at rho = r"
     poly2 = estimate_canonical_jsr("polydisk", 2, q, p=2.0, r=1.0, d_max=200)
     yield _window("jsr-polydisk-n2", poly2.extrapolated, 1.40, 1.43, detail)
     ball2 = estimate_canonical_jsr("ball", 2, q, p=2.0, r=1.0, d_max=200)
@@ -370,8 +370,22 @@ def _suite_jsr_separation(rng: np.random.Generator) -> Iterator[Check]:
     )
     poly3 = estimate_canonical_jsr("polydisk", 3, q, p=2.0, r=1.0, d_max=200)
     yield _window("jsr-polydisk-n3", poly3.extrapolated, 1.70, 1.77, detail)
-    worst_resid = max(max(e.residuals.values()) for e in (poly2, ball2, poly3))
+    worst_resid = max(e.residual for e in (poly2, ball2, poly3))
     yield _le("jsr-fit-residual", worst_resid, 1e-3, "worst tail-fit residual")
+    # the isomorphism half: off |q| = 1 both families have joint spectral radius r
+    off_unit = [
+        estimate_canonical_jsr(family, 2, QParameter(q_mod, 0.3), p, 1.0, d_max=200)
+        for family in ("polydisk", "ball")
+        for q_mod in (0.5, 2.0)
+        for p in (1.0, 2.0)
+    ]
+    gap = max(abs(e.extrapolated - 1.0) for e in off_unit)
+    yield _le(
+        "jsr-family-coincidence",
+        gap,
+        1e-3,
+        "max |estimate - 1| over both families, |q| in {0.5, 2}, p in {1, 2}, n=2, d <= 200",
+    )
 
 
 def _euler_product(t: float) -> float:

@@ -131,13 +131,34 @@ def test_jsr_csv_and_json(runner, tmp_path):
          "--json", str(out), "--csv", str(csv)],
     )
     lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "rho,d,R_d"
-    assert len(lines) == 1 + 12 * 60
+    assert lines[0] == "d,R_d"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 61))
+    # p = 2 ball partials at |q| = 1: (d + 1)^(1/(2d))
+    assert float(lines[-1].split(",")[1]) == pytest.approx(61.0 ** (1.0 / 120), rel=1e-12)
     report = json.loads(out.read_text())
-    by_name = {e["name"]: e for e in report["results"]}
-    est = by_name["jsr-extrapolated"]["value"]
+    assert "grid" not in report["params"]
+    results = report["results"]
+    assert [e["name"] for e in results] == ["jsr-extrapolated", "jsr-lower", "jsr-upper"]
+    est, lower, upper = (e["value"] for e in results)
     assert 0.98 <= est <= 1.02
-    assert any(name.startswith("limit-rho=") for name in by_name)
+    assert lower <= est <= upper
+    assert results[0]["detail"].startswith("fit residual ")
+
+
+def test_jsr_fit_below_radius_is_clamped_and_flagged(runner):
+    # the tail model misses the crossover near d ~ 1/(1 - |q|) and fits
+    # 0.975, under the certified lower end: R_d >= r = 1 for every d
+    r = invoke(runner, ["jsr", "--family", "polydisk", "--n", "3", "--q-mod", "0.9", "--p", "1"])
+    assert printed_value(r) >= 1.0
+    assert "fit-outside-bracket" in r.output
+
+
+def test_jsr_refuses_bad_input_cleanly(runner):
+    r = invoke(runner, ["jsr", "--family", "ball", "--dmax", "100000"], ok=False)
+    assert_clean_error(r)
+    assert "exceeds" in r.output
+    assert_clean_error(invoke(runner, ["jsr", "--q-mod", "0"], ok=False))
+    assert invoke(runner, ["jsr", "--grid", "12"], ok=False).exit_code == 2
 
 
 def test_fock_norm_power(runner, tmp_path):

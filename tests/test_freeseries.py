@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdomains.qspace import IncompatibilityError, QParameter, multiply
+from qdomains.qspace import IncompatibilityError
 from qdomains.freeseries import (
     FreeElement,
     OperatorTuple,
@@ -16,8 +16,6 @@ from qdomains.freeseries import (
     evaluate,
     free_ball_norm,
     free_polydisk_norm,
-    normal_order_project,
-    popescu_norm_lower,
     radius_partials,
     row_norm,
     taylor_norm,
@@ -184,42 +182,3 @@ def test_operator_tuple_validation():
         OperatorTuple((np.zeros((2, 3)),))
     with pytest.raises(ValueError):
         OperatorTuple((np.zeros((2, 2)), np.zeros((3, 3))))
-
-
-def test_popescu_lower_bound_hits_single_generator():
-    # the deterministic rho E_12 tuple realises the supremum for one letter
-    z1 = FreeElement.generator(2, 1, cap=4)
-    assert popescu_norm_lower(z1, 0.7, trials=8) == pytest.approx(0.7, rel=1e-14)
-
-
-def test_popescu_lower_bound_below_taylor_norm():
-    rng = np.random.default_rng(5)
-    coeffs = {}
-    for w in [(1,), (2,), (1, 2), (2, 2), (1, 1, 2)]:
-        coeffs[w] = complex(rng.standard_normal(), rng.standard_normal())
-    a = FreeElement(2, coeffs, cap=6)
-    rho = 0.8
-    lower = popescu_norm_lower(a, rho, trials=40, seed=2)
-    # row-contractive evaluations cannot exceed the weighted l1 bound
-    assert lower <= taylor_norm(a, rho) + 1e-10
-
-
-def test_normal_order_project_kills_relations():
-    q = QParameter(0.5, 0.0)
-    rel = FreeElement(2, {(1, 2): 1.0, (2, 1): -q.power(1)}, cap=4)
-    assert normal_order_project(rel, q).is_zero()
-    # complex phase: exact cancellation only up to 2*pi reduction rounding
-    qc = QParameter(0.5, 0.3)
-    relc = FreeElement(2, {(1, 2): 1.0, (2, 1): -qc.power(1)}, cap=4)
-    imgc = normal_order_project(relc, qc)
-    assert all(abs(c) < 1e-15 for c in imgc.coefficients.values())
-
-
-def test_normal_order_project_is_multiplicative():
-    q = QParameter(2.0, 0.9)
-    a = FreeElement(2, {(2, 1): 1.5, (1,): 1j}, cap=8)
-    b = FreeElement(2, {(1, 2): -1.0, (): 0.5}, cap=8)
-    lhs = normal_order_project(concat_multiply(a, b), q)
-    rhs = multiply(normal_order_project(a, q), normal_order_project(b, q))
-    for k in set(lhs.coefficients) | set(rhs.coefficients):
-        assert lhs.coefficient(k) == pytest.approx(rhs.coefficient(k), rel=1e-12, abs=1e-12)

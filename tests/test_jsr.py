@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +10,11 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from qdomains.jsr import (
+    CONVOLUTION_DEGREE_LIMIT,
     ENUMERATION_LIMIT,
-    JsrEstimate,
     canonical_partials,
-    default_rho_grid,
     estimate_canonical_jsr,
     jsr_extrapolate,
-    jsr_monotone_check,
     jsr_partials,
 )
 from qdomains.qcombinatorics import composition_array, log_q_factorial_table
@@ -112,14 +111,69 @@ def test_polydisk_partials_unit_modulus_are_constant():
 
 
 def test_ball_partials_unit_modulus_closed_form():
-    # p=2 collapses to the count of degree-d indices: (d+1 choose 1) for n=2
-    seq = canonical_partials("ball", 2, Q_UNIT, 2.0, 24)
-    for d, v in seq:
-        assert v == pytest.approx((d + 1.0) ** (1.0 / (2 * d)), rel=1e-12)
-    seq3 = canonical_partials("ball", 3, Q_UNIT, 2.0, 12)
-    for d, v in seq3:
-        count = math.comb(d + 2, 2)
-        assert v == pytest.approx(count ** (1.0 / (2 * d)), rel=1e-12)
+    # p=2 collapses to the count of degree-d indices, (d+n-1 choose n-1), for
+    # every |q|: the q-multinomial sum of a fiber cancels its squared weight
+    for q in (Q_UNIT, Q_HALF, Q_TWO):
+        seq = canonical_partials("ball", 2, q, 2.0, 24)
+        for d, v in seq:
+            assert v == pytest.approx((d + 1.0) ** (1.0 / (2 * d)), rel=1e-12)
+        seq3 = canonical_partials("ball", 3, q, 2.0, 12)
+        for d, v in seq3:
+            count = math.comb(d + 2, 2)
+            assert v == pytest.approx(count ** (1.0 / (2 * d)), rel=1e-12)
+
+
+def mp_partials(family, q_mod, p, d_max):
+    """Oracle: R_d at n = 2 from the fiber sums in 60-digit arithmetic.
+
+    Fiber (k1, k2) contributes [d]_u! / ([k1]_u! [k2]_u!), u = |q|^-p, times
+    the p-th power of its weight: |q|^(k1 k2) (1 for |q| >= 1) for the
+    polydisk, ([k1]_t! [k2]_t! / [d]_t!)^(1/2), t = |q|^-2, for the ball.
+    """
+    with mpmath.workdps(60):
+        mod, p = mpmath.mpf(q_mod), mpmath.mpf(p)
+
+        def factorials(x):
+            out = [mpmath.mpf(1)]
+            for j in range(1, d_max + 1):
+                out.append(out[-1] * (1 - x ** j) / (1 - x))
+            return out
+
+        fu, ft = factorials(mod ** -p), factorials(mod ** -2)
+        out = []
+        for d in range(1, d_max + 1):
+            total = mpmath.mpf(0)
+            for k1 in range(d + 1):
+                k2 = d - k1
+                if family == "polydisk":
+                    weight = mod ** (k1 * k2) if mod < 1 else mpmath.mpf(1)
+                else:
+                    weight = mpmath.sqrt(ft[k1] * ft[k2] / ft[d])
+                total += fu[d] / (fu[k1] * fu[k2]) * weight ** p
+            out.append((d, float(total ** (1 / (p * d)))))
+        return out
+
+
+@pytest.mark.parametrize("family", ["polydisk", "ball"])
+@pytest.mark.parametrize("q_mod", [1.0 + 1e-10, 1.0 - 1e-8])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_partials_near_unit_modulus_match_mpmath(family, q_mod, p):
+    assert_partials_match(
+        canonical_partials(family, 2, QParameter(q_mod, 0.4), p, 30),
+        mp_partials(family, q_mod, p, 30),
+        rel=1e-12,
+    )
+
+
+def test_oversized_degree_is_refused():
+    # refused before any table is built: the convolution would need
+    # (d_max + 1)^2 arrays
+    for family in ("polydisk", "ball"):
+        with pytest.raises(ValueError, match=f"exceeds {CONVOLUTION_DEGREE_LIMIT}"):
+            canonical_partials(family, 2, Q_HALF, 2.0, CONVOLUTION_DEGREE_LIMIT + 1)
+    # the free families sum in closed form, one term per degree
+    seq = canonical_partials("free_taylor", 2, None, 2.0, CONVOLUTION_DEGREE_LIMIT + 1)
+    assert len(seq) == CONVOLUTION_DEGREE_LIMIT + 1
 
 
 @pytest.mark.parametrize("q", [Q_HALF, Q_UNIT, Q_TWO])
@@ -203,65 +257,114 @@ def test_free_ball_partials_match_brute_sum():
         assert v == pytest.approx(math.sqrt(3.0), rel=1e-12)
 
 
-def test_default_rho_grid():
-    grid = default_rho_grid(1.0, 4)
-    assert grid == [0.5, 0.75, 0.875, 0.9375]
-    with pytest.raises(ValueError):
-        default_rho_grid(math.inf)
-
-
 def test_extrapolate_recovers_constant_sequences():
-    seqs = {rho: [(d, rho * 2.0) for d in range(1, 30)] for rho in (0.5, 0.75)}
-    est = jsr_extrapolate(seqs, 1.0, 2.0)
-    assert est.extrapolated == pytest.approx(1.5, rel=1e-9)
-    assert est.per_rho_limit[0.5] == pytest.approx(1.0, rel=1e-9)
-    assert max(est.residuals.values()) < 1e-9
+    seq = [(d, 2.0) for d in range(1, 30)]
+    est = jsr_extrapolate(seq, 1.5, 2.0)
+    assert est.extrapolated == pytest.approx(2.0, rel=1e-9)
+    assert (est.lower, est.upper) == (1.5, 2.0)
+    assert est.residual < 1e-9
     assert est.flags == []
-    assert est.partials[(0.75, 7)] == pytest.approx(1.5)
+    assert est.partials[(1.5, 7)] == 2.0
 
 
 def test_extrapolate_flags_bad_fits():
     # oscillation that the smooth model cannot absorb
-    seq = {0.5: [(d, 2.0 + 0.5 * (-1) ** d) for d in range(1, 30)]}
+    seq = [(d, 2.0 + 0.5 * (-1) ** d) for d in range(1, 30)]
     est = jsr_extrapolate(seq, 1.0, 2.0)
     assert any(f.startswith("poor-fit") for f in est.flags)
+    assert est.lower <= est.extrapolated <= est.upper == 1.5
 
 
 def test_extrapolate_needs_enough_points():
     with pytest.raises(ValueError):
-        jsr_extrapolate({0.5: [(d, 1.0) for d in range(1, 5)]}, 1.0, 2.0)
+        jsr_extrapolate([(d, 1.0) for d in range(1, 5)], 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "seq, want",
+    [
+        # the tail model misses the crossover near d ~ 1/(1 - |q|) and fits
+        # 0.975: the certified lower end r = 1 wins
+        (canonical_partials("polydisk", 3, QParameter(0.9), 1.0, 200), 1.0),
+        # partials that fall steeply: the fit lands above their minimum
+        ([(d, 1.5 + 40.0 / d ** 3) for d in range(1, 40)], 1.5 + 40.0 / 39 ** 3),
+    ],
+)
+def test_extrapolate_clamps_into_the_bracket(seq, want):
+    est = jsr_extrapolate(seq, 1.0, 2.0)
+    assert est.extrapolated == pytest.approx(want, rel=1e-15)
+    assert any(f.startswith("fit-outside-bracket") for f in est.flags)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["polydisk", "ball"]),
+    n=st.integers(min_value=1, max_value=3),
+    p=st.sampled_from([1.0, 2.0, 3.5, math.inf]),
+    log_mod=st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
+    r=st.floats(min_value=0.1, max_value=3.0),
+)
+def test_estimate_lies_in_its_certified_bracket(family, n, p, log_mod, r):
+    q = QParameter(math.exp(log_mod), 0.2)
+    est = estimate_canonical_jsr(family, n, q, p, r, d_max=60)
+    assert est.lower == r
+    assert est.upper == pytest.approx(min(est.partials.values()), rel=1e-15)
+    assert est.lower <= est.extrapolated <= est.upper
+    assert set(est.partials) == {(r, d) for d in range(1, 61)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+def test_polydisk_estimate_unit_modulus_is_exact(n, p):
+    # every word has norm 1, so R_d = n^(1/p) at every degree
+    est = estimate_canonical_jsr("polydisk", n, Q_UNIT, p, 1.0, d_max=200)
+    assert est.extrapolated == pytest.approx(n ** (1.0 / p), rel=1e-12)
+    assert est.flags == []
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_ball_estimate_unit_modulus_closed_form(n, p):
+    want = max(1.0, n ** (1.0 / p - 0.5))
+    est = estimate_canonical_jsr("ball", n, Q_UNIT, p, 1.0, d_max=200)
+    assert est.lower <= want <= est.upper
+    assert est.extrapolated == pytest.approx(want, abs=1e-4)
+
+
+@pytest.mark.parametrize("family", ["polydisk", "ball"])
+@pytest.mark.parametrize("q", [Q_HALF, Q_TWO])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_families_coincide_off_unit_modulus(family, q, p):
+    # the isomorphism half of the dichotomy: both radii are r = 1
+    est = estimate_canonical_jsr(family, 2, q, p, 1.0, d_max=200)
+    assert est.lower <= 1.0 <= est.upper
+    assert est.extrapolated == pytest.approx(1.0, abs=1e-3)
 
 
 def test_estimate_unit_ball_value():
     est = estimate_canonical_jsr("ball", 2, Q_UNIT, 2.0, 1.0, d_max=120)
     assert est.family == "ball" and est.n == 2
-    # (d+1)^(1/(2d)) -> 1, so the sup over rho < 1 is 1
+    # (d+1)^(1/(2d)) -> 1
     assert 0.99 <= est.extrapolated <= 1.01
-    assert max(est.residuals.values()) <= 1e-3
+    assert est.residual <= 1e-3
+    assert est.lower == 1.0 and est.upper == pytest.approx(121.0 ** (1.0 / 240), rel=1e-12)
 
 
 def test_estimate_divergent_on_infinite_radius():
     est = estimate_canonical_jsr("polydisk", 2, Q_UNIT, 2.0, math.inf)
     assert math.isinf(est.extrapolated)
     assert any("divergent" in f for f in est.flags)
-    assert est.rho_grid == []
-
-
-def test_monotone_check_contract():
-    a = estimate_canonical_jsr("polydisk", 2, Q_UNIT, 2.0, 1.0, d_max=60)
-    b = estimate_canonical_jsr("ball", 2, Q_UNIT, 2.0, 1.0, d_max=60)
-    chk = jsr_monotone_check(a, b)
-    assert chk.passed  # ball partials sit below the polydisk ones
-    assert chk.image_value <= chk.source_value * 1.01
-    with pytest.raises(ValueError):
-        jsr_monotone_check(a, estimate_canonical_jsr("ball", 2, Q_UNIT, 4.0, 1.0, d_max=60))
-    with pytest.raises(ValueError):
-        jsr_monotone_check(a, estimate_canonical_jsr("ball", 3, Q_UNIT, 2.0, 1.0, d_max=60))
+    assert est.partials == {}
+    assert est.lower == est.upper == math.inf
 
 
 def test_family_and_argument_validation():
     with pytest.raises(ValueError):
         canonical_partials("cube", 2, Q_UNIT, 2.0, 5)
+    for family in ("polydisk", "free_taylor", "free_ball", "free_polydisk"):
+        for p in (2.0, math.inf):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                canonical_partials(family, 0, Q_UNIT, p, 5)
     with pytest.raises(ValueError):
         jsr_partials((), 2.0, SeminormSpec("polydisk", 1.0), 5)
     with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from qdomains.qcombinatorics import (
     composition_array,
     cross_degree_sum,
     degree,
-    fiber_words,
     inv_count,
     log_ball_weight,
     log_convolution_power,
@@ -49,6 +48,27 @@ def log_q_int(m, t):
         return math.log1p(-t ** m) - math.log1p(-t)
     # t > 1: [m]_t = t^(m-1) (1 - t^-m) / (1 - 1/t)
     return (m - 1) * math.log(t) + math.log1p(-t ** -m) - math.log1p(-1.0 / t)
+
+
+def fiber_words(k):
+    """Oracle: all distinct rearrangements of the sorted word with letter counts k."""
+    counts = list(as_multi_index(k))
+    d = degree(counts)
+    word = []
+
+    def rec():
+        if len(word) == d:
+            yield tuple(word)
+            return
+        for a in range(len(counts)):
+            if counts[a] > 0:
+                counts[a] -= 1
+                word.append(a + 1)
+                yield from rec()
+                word.pop()
+                counts[a] += 1
+
+    return rec()
 
 
 def log_q_factorial(k, t):

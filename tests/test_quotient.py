@@ -12,7 +12,6 @@ from qdomains.qcombinatorics import (
     ball_weight,
     cross_degree_sum,
     degree,
-    fiber_words,
     inv_count,
     multi_indices_up_to,
     s_stat,
@@ -31,6 +30,7 @@ from qdomains.quotient import (
     slice_rank,
     theoretical_slice_rank,
 )
+from test_qcombinatorics import fiber_words
 
 QS = (QParameter(0.5, 0.0), QParameter(1.0, math.pi / 4), QParameter(2.0, 0.7))
 
