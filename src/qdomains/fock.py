@@ -10,6 +10,17 @@ total degree K keeps every matrix entry exact; only columns within the
 validity window |k| <= K - deg(element) represent the untruncated
 operator faithfully, so norms are computed on that column block B.
 
+Applying the generators of x^k = x_1^(k_1) ... x_n^(k_n) with x_n first
+and x_1 last, and sqrt(1 - q^2) sqrt([m]_{q^2}) = sqrt(1 - q^(2m)), gives
+x^k e_l = c e_{l+k} with
+
+    log c = sum_j [ (P[l_j + k_j] - P[l_j]) / 2 + k_j (sum_{i>j} (l_i + k_i)) log q ],
+
+P[m] = log (q^2; q^2)_m.  Every matrix is built from that closed form, one
+q-Pochhammer log table and one integer power of q per entry, with no
+matrix product: the entries keep their digits near q = 1 and underflow
+cleanly to 0 at tiny q.
+
 A monomial x^k sends e_l to a multiple of e_{l+k}, so column l of B lives
 on the rows l + k, k in the support.  Columns l and l' share a row only
 when l - l' is a difference of two support indices; the connected
@@ -25,11 +36,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .qcombinatorics import MultiIndex, multi_indices_up_to, q_int
+from .qcombinatorics import MultiIndex, log_pochhammer_table, multi_indices_up_to
 from .qspace import QElement, QParameter, scale_auto
 
 # Window components with more columns than this get ARPACK instead of a dense
@@ -89,15 +101,6 @@ class FockTruncation:
             dtype=np.int64,
         )
 
-    @functools.cached_property
-    def _shift_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """sqrt(1 - q^2) sqrt([m]_{q^2}) and q^m for m = 0..cap."""
-        q = self.q
-        amp = math.sqrt(1.0 - q * q)
-        shift = np.array([amp * math.sqrt(q_int(m, q * q)) for m in range(self.cap + 1)])
-        powers = np.array([q ** m for m in range(self.cap + 1)])
-        return shift, powers
-
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, q={self.q:g}, cap={self.cap}, size={self.size})"
 
@@ -114,26 +117,48 @@ class RepMatrix:
         return np.nonzero(self.fock.degrees <= self.valid_degree)[0]
 
 
+def _rep_terms(
+    terms: Sequence[tuple[MultiIndex, complex]], fock: FockTruncation, valid_degree: int
+) -> RepMatrix:
+    """Sum of c_k pi(x)^k over (k, c_k) in ``terms``, one closed form per term.
+
+    Term k fills the columns |l| <= cap - |k|, a prefix of the graded
+    basis: column l gets c_k times the amplitude of x^k e_l (the module
+    docstring's c) in row l + k.
+    """
+    P = log_pochhammer_table(fock.cap, fock.q)
+    # int32 column indices and row pointers, which scipy would otherwise
+    # scan and copy down to int32 itself
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
+    data = [np.zeros(0, dtype=complex)]
+    for k, c in terms:
+        k = np.array(k, dtype=np.int64)
+        width = int(np.searchsorted(fock.degrees, fock.cap - k.sum(), side="right"))
+        l = fock.exponents[:width]
+        target = l + k
+        # sum_j k_j sum_{i>j} target_i = sum_i target_i (k_1 + ... + k_{i-1})
+        q_power = target @ (np.cumsum(k) - k)
+        amp = np.exp(0.5 * (P[target] - P[l]).sum(axis=1)) * fock.q ** q_power
+        rows.append(fock.positions(target))
+        cols.append(np.arange(width, dtype=np.int32))
+        data.append(c * amp)
+    row = np.concatenate(rows)
+    order = np.argsort(row, kind="stable")
+    indptr = np.zeros(fock.size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=fock.size), out=indptr[1:])
+    mat = sp.csr_matrix(
+        (np.concatenate(data)[order], np.concatenate(cols)[order], indptr),
+        shape=(fock.size, fock.size),
+    )
+    return RepMatrix(mat, fock, valid_degree)
+
+
 def rep_generator(j: int, fock: FockTruncation) -> RepMatrix:
     """Matrix of the j-th generator (1-based); exact on columns |k| <= cap-1."""
     if not 1 <= j <= fock.n:
         raise ValueError(f"generator index {j} outside 1..{fock.n}")
-    # columns of degree cap have their image outside the truncation and stay zero
-    cols = np.nonzero(fock.degrees < fock.cap)[0]
-    k = fock.exponents[cols]
-    shift, powers = fock._shift_tables
-    data = shift[k[:, j - 1] + 1] * powers[k[:, j:].sum(axis=1)]  # tail k_{j+1} + ... + k_n
-    target = k.copy()
-    target[:, j - 1] += 1
-    rows = fock.positions(target)  # distinct: one entry per row at most
-    order = np.argsort(rows)
-    indptr = np.zeros(fock.size + 1, dtype=np.int64)
-    indptr[rows + 1] = 1
-    mat = sp.csr_matrix(
-        (data[order].astype(complex), cols[order], np.cumsum(indptr)),
-        shape=(fock.size, fock.size),
-    )
-    return RepMatrix(mat, fock, fock.cap - 1)
+    delta = tuple(int(i == j - 1) for i in range(fock.n))
+    return _rep_terms([(delta, 1.0)], fock, fock.cap - 1)
 
 
 def _check_element(a: QElement, fock: FockTruncation) -> None:
@@ -148,24 +173,7 @@ def _check_element(a: QElement, fock: FockTruncation) -> None:
 def rep_element(a: QElement, fock: FockTruncation) -> RepMatrix:
     """Sum of c_k pi(x)^k over the stored support; window K - deg(a)."""
     _check_element(a, fock)
-    gens = [rep_generator(j, fock).matrix for j in range(1, fock.n + 1)]
-    cache: dict[MultiIndex, sp.csr_matrix] = {
-        (0,) * fock.n: sp.identity(fock.size, dtype=complex, format="csr")
-    }
-
-    def monomial(k: MultiIndex) -> sp.csr_matrix:
-        mat = cache.get(k)
-        if mat is None:
-            j = max(i for i, e in enumerate(k) if e > 0)  # last nonzero coordinate
-            prev = tuple(e - 1 if i == j else e for i, e in enumerate(k))
-            mat = monomial(prev) @ gens[j]
-            cache[k] = mat
-        return mat
-
-    acc = sp.csr_matrix((fock.size, fock.size), dtype=complex)
-    for k, c in a.items():
-        acc = acc + c * monomial(k)
-    return RepMatrix(acc.tocsr(), fock, fock.cap - a.degree())
+    return _rep_terms(a.items(), fock, fock.cap - a.degree())
 
 
 def op_norm(M: RepMatrix) -> float:
@@ -256,15 +264,13 @@ def verify_tw_ccr(fock: FockTruncation, include_boundary: bool = False) -> float
     n, q = fock.n, fock.q
     X = [rep_generator(j, fock).matrix for j in range(1, n + 1)]
     Xs = [x.conj().T.tocsr() for x in X]
-    eye = sp.identity(fock.size, dtype=complex, format="csr")
-    if include_boundary:
-        cols = np.arange(fock.size)
-    else:
-        cols = np.nonzero(fock.degrees <= fock.cap - 2)[0]
+    eye = _rep_terms([((0,) * n, 1.0)], fock, fock.cap).matrix  # pi(1)
+    # the basis is graded, so the checked columns are a prefix
+    width = fock.size if include_boundary else int(np.count_nonzero(fock.degrees <= fock.cap - 2))
 
     def residual(mat: sp.spmatrix) -> float:
-        block = mat.tocsc()[:, cols]
-        return float(np.max(np.abs(block.data))) if block.nnz else 0.0
+        mat = mat.tocsr()
+        return float(np.abs(mat.data[mat.indices < width]).max(initial=0.0))
 
     worst = 0.0
     for i in range(n):

@@ -278,7 +278,7 @@ class OperatorTuple:
         return self.matrices[0].shape[0]
 
 
-def row_norm(T: OperatorTuple) -> float:
+def _row_norm(T: OperatorTuple) -> float:
     """Norm of the row operator: ||sum_i T_i T_i^*||^(1/2)."""
     acc = np.zeros((T.dim, T.dim), dtype=complex)
     for m in T.matrices:
@@ -296,7 +296,7 @@ def evaluate(a: FreeElement, T: OperatorTuple) -> np.ndarray:
     """
     if T.n != a.n:
         raise IncompatibilityError(f"dimension mismatch: element n={a.n}, tuple n={T.n}")
-    if a.saturated and row_norm(T) >= estimated_radius(a):
+    if a.saturated and _row_norm(T) >= estimated_radius(a):
         warnings.warn(
             "evaluating a truncated series at a tuple outside its estimated "
             "radius of convergence; result ignores the dropped tail",

@@ -151,52 +151,29 @@ def _free_canonical_partials(
     return out
 
 
-def _is_canonical(generators: Sequence[QElement]) -> bool:
-    n = generators[0].n
-    if len(generators) != n:
-        return False
-    q = generators[0].q
-    cap = generators[0].cap
-    for i, g in enumerate(generators):
-        if g.n != n or g.q != q or g.cap != cap:
-            return False
-        k = tuple(1 if j == i else 0 for j in range(n))
-        if g.coefficients != {k: 1.0 + 0.0j}:
-            return False
-    return True
-
-
 def jsr_partials(
     generators: Sequence[QElement],
     p: float,
     spec: SeminormSpec,
     d_max: int,
-    *,
-    force_enumeration: bool = False,
 ) -> tuple[list[tuple[int, float]], list[str]]:
     """Partial sequence for an arbitrary generator tuple, with flags.
 
-    The canonical tuple routes to :func:`canonical_partials`; anything else
-    multiplies out all n^d word products (flagged, size-guarded) and stops
-    early if truncation saturates the products.
+    Multiplies out all n^d word products (flagged, size-guarded) and stops
+    early if truncation saturates the products; the canonical tuple's
+    partials come in closed form from :func:`canonical_partials`.
     """
     if not generators:
         raise ValueError("need at least one generator")
     if spec.family not in Q_FAMILIES:
         raise ValueError(f"spec family must be one of {Q_FAMILIES}")
     norm = polydisk_norm if spec.family == "polydisk" else ball_norm
-    if _is_canonical(generators) and not force_enumeration:
-        q = generators[0].q
-        return (
-            canonical_partials(spec.family, generators[0].n, q, p, d_max, spec.rho),
-            [],
-        )
     flags = ["general-tuple-enumeration"]
     count = len(generators)
     if count ** d_max > ENUMERATION_LIMIT:
         raise ValueError(
             f"{count}^{d_max} word products exceed the enumeration limit; "
-            "reduce d_max or use the canonical tuple"
+            "reduce d_max, or use canonical_partials for the canonical tuple"
         )
     out: list[tuple[int, float]] = []
     level = list(generators)
@@ -300,19 +277,8 @@ def estimate_canonical_jsr(
     R_d(rho) = rho R_d(1), so the sup over rho < r of the limits is the
     limit at rho = r: one sequence, one fit.
     """
-    if math.isinf(r):
-        return JsrEstimate(
-            p=p,
-            r=r,
-            partials={},
-            residual=math.nan,
-            extrapolated=math.inf,
-            lower=math.inf,
-            upper=math.inf,
-            flags=["divergent: seminorm family unbounded, sup over rho is +inf"],
-            family=family,
-            n=n,
-        )
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
     est = jsr_extrapolate(canonical_partials(family, n, q, p, d_max, rho=r, tau=tau), r, p)
     est.family = family
     est.n = n

@@ -90,22 +90,7 @@ def cross_degree_sum(k: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# q-integers and graded log tables
-
-
-def q_int(m: int, t: float) -> float:
-    """q-integer [m]_t = 1 + t + ... + t^(m-1), [0]_t = 0.
-
-    Summed with compensated (exactly rounded) addition; may overflow to inf
-    for large m and t > 1.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError("t must be positive and finite")
-    if t == 1.0:
-        return float(m)
-    return math.fsum(t ** j for j in range(m))
+# graded log tables
 
 
 def log_q_factorial_table(d_max: int, t: float) -> np.ndarray:
@@ -120,19 +105,19 @@ def log_q_factorial_table(d_max: int, t: float) -> np.ndarray:
         raise ValueError("d_max must be >= 0")
     j = np.arange(1, d_max + 1, dtype=float)
     if t == 1.0:
-        log_q_ints = np.log(j)
+        terms = np.log(j)
     else:
         # log [j]_t from [j]_t = t^(j-1) [j]_(1/t) and [j]_s = (1 - s^j) / (1 - s)
         # at s = min(t, 1/t), with 1 - s^j = -expm1(j log s): no digits are
         # lost to cancellation as t -> 1
         log_t = math.log(t)
         log_s = -abs(log_t)
-        log_q_ints = (
+        terms = (
             (j - 1.0) * max(log_t, 0.0)
             + np.log(-np.expm1(j * log_s))
             - math.log(-math.expm1(log_s))
         )
-    return np.concatenate(([0.0], np.cumsum(log_q_ints)))
+    return np.concatenate(([0.0], np.cumsum(terms)))
 
 
 def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:

@@ -330,15 +330,12 @@ class SeminormSpec:
     family: str
     rho: float
     tau: float = 1.0
-    radius: float = math.inf
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError("rho must be positive and finite")
-        if self.rho >= self.radius:
-            raise ValueError("rho must be < radius")
         if self.tau < 1.0:
             raise ValueError("tau must be >= 1")
 

@@ -3,6 +3,8 @@
 import gc
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -114,7 +116,7 @@ def test_quotient_norm_at_extreme_scales(runner, tmp_path):
         out = tmp_path / "extreme.json"
         invoke(runner, ["quotient-norm", *args, "--json", str(out)])
         value = json.loads(out.read_text())["results"][0]["value"]
-        assert value == pytest.approx(want, rel=1e-3 if want < 1e-300 else 1e-12)
+        assert value == pytest.approx(want, rel=1e-3 if want < 1e-300 else 1e-12, abs=0)
     # rho^2 tau^2 = 1e800 leaves double range: a clean error, no traceback
     r = invoke(runner, ["quotient-norm", "x1*x2", "--family", "free-polydisk",
                         "--tau", "1e200", "--rho", "1e200"], ok=False)
@@ -158,6 +160,9 @@ def test_jsr_refuses_bad_input_cleanly(runner):
     assert_clean_error(r)
     assert "exceeds" in r.output
     assert_clean_error(invoke(runner, ["jsr", "--q-mod", "0"], ok=False))
+    r = invoke(runner, ["jsr", "--r", "inf"], ok=False)
+    assert_clean_error(r)
+    assert "r must be positive and finite" in r.output
     assert invoke(runner, ["jsr", "--grid", "12"], ok=False).exit_code == 2
 
 
@@ -290,7 +295,7 @@ def printed_value(r):
 def test_ball_norm_at_extreme_modulus(runner, expression, want):
     q_mod = "1e-320" if want == 1.0 else "1e-200"
     r = invoke(runner, ["norm", expression, "--family", "ball", "--q-mod", q_mod])
-    assert printed_value(r) == pytest.approx(want, rel=1e-13)
+    assert printed_value(r) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 EXTREME_RUNS = (
@@ -298,19 +303,54 @@ EXTREME_RUNS = (
     ["norm", "x2*x1 + x1^3*x2^2", "--family", "ball"],
     ["norm", "x3*x1*x2 - 2*x2", "--family", "ball", "--n", "3"],
     ["quotient-norm", "z2*z1 + z1*z2*z1", "--family", "free-ball"],
+    ["quotient-norm", "z2*z1 + z1*z2*z1", "--family", "free-taylor"],
+    ["quotient-norm", "z2*z1 - 2*z1*z2*z1", "--family", "free-polydisk", "--tau", "2"],
+    ["multiply", "x2*x1 + x1", "x1*x2 - 0.5*x2^2"],
     ["jsr", "--family", "ball", "--dmax", "20"],
 )
 
 
-@settings(max_examples=60, deadline=None)
+def reported_values(json_path):
+    """Every result value of a run, from its JSON report; multiply prints an
+    expression, so its coefficients are checked in the reported expression."""
+    report = json.loads(json_path.read_text())
+    if report["command"] == "multiply":
+        assert "inf" not in report["expression"] and "nan" not in report["expression"]
+    return [e["value"] for e in report["results"]]
+
+
+@settings(max_examples=80, deadline=None)
 @given(
     args=st.sampled_from(EXTREME_RUNS),
     log_mod=st.floats(min_value=math.log(1e-300), max_value=math.log(1e300)),
 )
 def test_extreme_moduli_give_a_value_or_a_clean_error(args, log_mod):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        r = CliRunner().invoke(main, [*args, "--q-mod", repr(math.exp(log_mod)), "--json", str(out)])
+        assert "Traceback" not in r.output
+        if r.exit_code == 0:
+            values = reported_values(out)
+            assert values and all(isinstance(v, float) and math.isfinite(v) for v in values), values
+        else:
+            assert_clean_error(r)
+
+
+FOCK_RUNS = (
+    ["fock-norm", "x1^2*x2 + 0.5*x2", "--n", "2", "--fock-cap", "12"],
+    ["fock-norm", "x1^3 - 2*x1", "--rho", "0.5"],
+    ["norm", "x1*x2 + x2^3 + 0.25", "--family", "vaksman", "--fock-cap", "10"],
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    args=st.sampled_from(FOCK_RUNS),
+    log_mod=st.floats(min_value=math.log(1e-300), max_value=-1e-15),
+)
+def test_fock_norms_are_finite_at_every_q_below_one(args, log_mod):
+    # normal-ordered elements carry no power of 1/q, and every Fock matrix
+    # entry is at most |c_k|: there is always a value to report
     r = CliRunner().invoke(main, [*args, "--q-mod", repr(math.exp(log_mod))])
-    assert "Traceback" not in r.output
-    if r.exit_code == 0:
-        assert math.isfinite(printed_value(r)), r.output
-    else:
-        assert_clean_error(r)
+    assert r.exit_code == 0, r.output
+    assert math.isfinite(printed_value(r))

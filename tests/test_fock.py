@@ -20,7 +20,8 @@ from qdomains.fock import (
     vaksman_norm,
     verify_tw_ccr,
 )
-from qdomains.qcombinatorics import multi_indices_up_to, q_int
+from qdomains.parsing import parse_qelement
+from qdomains.qcombinatorics import multi_indices_up_to
 from qdomains.qspace import QElement, QParameter
 
 
@@ -47,7 +48,7 @@ def test_generator_entry_spot():
     # x_2 sees no letters to its right: no q factor
     X2 = rep_generator(2, fock)
     assert X2.matrix[fock.index[(0, 2)], fock.index[(0, 1)]] == pytest.approx(
-        math.sqrt(0.75) * math.sqrt(q_int(2, 0.25)), rel=1e-14
+        math.sqrt(0.75) * math.sqrt(1.0 + 0.25), rel=1e-14  # [2]_{1/4} = 1 + 1/4
     )
 
 
@@ -63,18 +64,17 @@ def test_generator_column_structure():
 
 
 def test_rep_element_matches_generator_products():
-    fock = FockTruncation(2, 0.5, 5)
-    X1 = rep_generator(1, fock).matrix
-    X2 = rep_generator(2, fock).matrix
-    a = element_for(fock, {(2, 1): 1.5, (0, 1): -1j})
-    R = rep_element(a, fock)
-    # normal order: x^(2,1) acts as X1 X1 X2
-    want = 1.5 * (X1 @ X1 @ X2) - 1j * X2
-    diff = (R.matrix - want).toarray()
-    # exact equality only inside the window; compare there
-    cols = R.window_columns()
-    assert np.max(np.abs(diff[:, cols])) < 1e-14
-    assert R.valid_degree == fock.cap - 3
+    for q in (0.5, 0.9):
+        fock = FockTruncation(3, q, 6)
+        X1, X2, X3 = (rep_generator(j, fock).matrix for j in (1, 2, 3))
+        a = element_for(fock, {(2, 0, 1): 1.5, (0, 1, 0): -1j, (1, 1, 1): 0.25})
+        R = rep_element(a, fock)
+        # normal order: x^(2,0,1) acts as X1 X1 X3, x^(1,1,1) as X1 X2 X3
+        want = 1.5 * (X1 @ X1 @ X3) - 1j * X2 + 0.25 * (X1 @ X2 @ X3)
+        # a product of truncated generators vanishes on the columns whose image
+        # leaves the truncation, as the closed form does: compare on every column
+        assert np.max(np.abs((R.matrix - want).toarray())) < 1e-14
+        assert R.valid_degree == fock.cap - 3
 
 
 def test_rep_element_rejects_mismatches():
@@ -248,6 +248,53 @@ def test_window_norms_converge_upward():
     assert vals[0] <= vals[1] + 1e-9 and vals[1] <= vals[2] + 1e-9
     assert vals[2] - vals[1] < vals[1] - vals[0]
     assert vals[2] - vals[1] < 1e-2
+
+
+def _mp_window_norm(n, q, cap, coeffs):
+    """Oracle: window norm from 50-digit entries, one generator at a time.
+
+    Each letter of x^k = x_1^(k_1) ... x_n^(k_n), x_n first, multiplies by
+    sqrt(1 - q^2) sqrt([m_j + 1]_{q^2}) q^(m_{j+1} + ... + m_n) at the
+    current occupation m; the rounded window block gets a dense SVD.
+    """
+    degree = max(sum(k) for k in coeffs)
+    basis = list(multi_indices_up_to(n, cap))
+    row_of = {k: i for i, k in enumerate(basis)}
+    cols = [l for l in basis if sum(l) <= cap - degree]
+    block = np.zeros((len(basis), len(cols)), dtype=complex)
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        for col, l in enumerate(cols):
+            for k, c in coeffs.items():
+                m, amp = list(l), mpmath.mpf(1)
+                for j in reversed(range(n)):
+                    for _ in range(k[j]):
+                        q_int = mpmath.fsum(qm ** (2 * i) for i in range(m[j] + 1))
+                        amp *= mpmath.sqrt((1 - qm ** 2) * q_int) * qm ** sum(m[j + 1:])
+                        m[j] += 1
+                block[row_of[tuple(m)], col] += c * complex(amp)
+    return float(np.linalg.svd(block, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("q", [0.999999, 1 - 1e-10])
+def test_window_norm_near_one_matches_mpmath(q):
+    # near q = 1 every entry is a ratio of vanishing q-Pochhammer factors;
+    # the closed form reads them off one log table without cancellation
+    coeffs = {(2, 1): 1.0, (0, 1): 0.5}
+    fock = FockTruncation(2, q, 12)
+    a = parse_qelement("x1^2*x2 + 0.5*x2", 2, QParameter(q, 0.0), 12)
+    assert a.coefficients == coeffs
+    got = vaksman_norm(a, 1.0, fock)
+    assert got == pytest.approx(_mp_window_norm(2, q, 12, coeffs), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("q", [1e-170, 1e-300])
+def test_vaksman_norm_at_tiny_q(q):
+    # q^2 underflows; the x1^2*x2 entries carry q^2 at least and vanish,
+    # so the norm is that of 0.5 x2 on its window, 0.5 sqrt(1 - q^2) = 0.5
+    fock = FockTruncation(2, q, 12)
+    a = element_for(fock, {(2, 1): 1.0, (0, 1): 0.5})
+    assert vaksman_norm(a, 1.0, fock) == 0.5
 
 
 def test_ccr_requires_room():

@@ -190,19 +190,13 @@ def test_enumeration_agrees_with_collapse(family, q):
     # the n^d brute force and the fiber-collapsed sums are the same numbers
     spec = SeminormSpec(family, 0.9)
     gens = canonical_tuple(2, q, cap=6)
-    brute, flags = jsr_partials(gens, 2.0, spec, 5, force_enumeration=True)
+    brute, flags = jsr_partials(gens, 2.0, spec, 5)
     assert "general-tuple-enumeration" in flags
     collapsed = canonical_partials(family, 2, q, 2.0, 5, rho=0.9)
     assert len(brute) == len(collapsed) == 5
     for (d1, v1), (d2, v2) in zip(brute, collapsed):
         assert d1 == d2
         assert v1 == pytest.approx(v2, rel=1e-10)
-
-
-def test_canonical_tuple_routes_to_collapse():
-    gens = canonical_tuple(2, Q_HALF, cap=4)
-    _, flags = jsr_partials(gens, 2.0, SeminormSpec("polydisk", 1.0), 3)
-    assert flags == []
 
 
 def test_general_tuple_is_flagged_and_guarded():
@@ -351,11 +345,10 @@ def test_estimate_unit_ball_value():
 
 
 def test_estimate_divergent_on_infinite_radius():
-    est = estimate_canonical_jsr("polydisk", 2, Q_UNIT, 2.0, math.inf)
-    assert math.isinf(est.extrapolated)
-    assert any("divergent" in f for f in est.flags)
-    assert est.partials == {}
-    assert est.lower == est.upper == math.inf
+    # the family is unbounded on an infinite radius: no number to report
+    for r in (math.inf, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            estimate_canonical_jsr("polydisk", 2, Q_UNIT, 2.0, r)
 
 
 def test_family_and_argument_validation():

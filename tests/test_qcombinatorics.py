@@ -29,13 +29,19 @@ from qdomains.qcombinatorics import (
     multi_indices_of_degree,
     multi_indices_up_to,
     p_proj,
-    q_int,
     s_stat,
     sampled_monomial_sup,
     stirling_ratio,
     w_q,
     words_of_degree,
 )
+
+
+def q_int(m, t):
+    """Oracle: the q-integer [m]_t = 1 + t + ... + t^(m-1), summed exactly rounded."""
+    if t == 1.0:
+        return float(m)
+    return math.fsum(t ** j for j in range(m))
 
 
 def log_q_int(m, t):

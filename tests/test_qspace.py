@@ -152,8 +152,6 @@ def test_seminorm_spec_validation():
     with pytest.raises(ValueError):
         SeminormSpec("polydisk", -1.0)
     with pytest.raises(ValueError):
-        SeminormSpec("polydisk", 2.0, radius=1.0)
-    with pytest.raises(ValueError):
         SeminormSpec("polydisk", 1.0, tau=0.5)
     with pytest.raises(ValueError):
         polydisk_norm(QElement.unit(1, Q_HALF, cap=2), SeminormSpec("ball", 1.0))
@@ -221,8 +219,8 @@ def test_norms_keep_their_range():
     tiny = QParameter(1e-100, 0.0)
     x1, x2 = (QElement.generator(2, tiny, i, cap=4) for i in (1, 2))
     sq = (x2 * x1) * (x2 * x1)
-    assert polydisk_norm(sq, SeminormSpec("polydisk", 1.0)) == pytest.approx(1e-100, rel=1e-12)
-    assert ball_norm(sq, SeminormSpec("ball", 1.0)) == pytest.approx(1e-100, rel=1e-12)
+    assert polydisk_norm(sq, SeminormSpec("polydisk", 1.0)) == pytest.approx(1e-100, rel=1e-12, abs=0)
+    assert ball_norm(sq, SeminormSpec("ball", 1.0)) == pytest.approx(1e-100, rel=1e-12, abs=0)
     assert ball_norm(QElement.zero(2, tiny, cap=4), SeminormSpec("ball", 1.0)) == 0.0
     high = QElement(1, Q_HALF, {(10,): 1.0}, cap=10)
     with pytest.raises(ValueError, match="double range"):

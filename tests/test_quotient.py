@@ -232,8 +232,8 @@ def test_extreme_modulus_keeps_the_value():
     rev = FreeElement(2, {(2, 1): 1.0}, cap=2)
     for q_mod, want in ((1e-200, 1.0), (1e100, 1e-100)):
         q = QParameter(q_mod, 0.0)
-        assert quotient_norm_l1(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12)
-        assert quotient_norm_l2(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12)
+        assert quotient_norm_l1(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12, abs=0)
+        assert quotient_norm_l2(rev, 1.0, q=q).value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def mp_sorted_word_l2_quotient(k, q_mod, rho):
