@@ -29,18 +29,24 @@ from .freeseries import (
 )
 from .jsr import estimate_canonical_jsr
 from .parsing import (
-    ParseError,
     format_free_element,
     format_qelement,
     parse_free_element,
     parse_qelement,
 )
-from .qspace import QParameter, SeminormSpec, ball_norm, multiply, polydisk_norm
+from .qspace import (
+    FAMILIES as _Q_FAMILIES,
+    QParameter,
+    SeminormSpec,
+    ball_norm,
+    multiply,
+    polydisk_norm,
+)
 from .quotient import quotient_norm_l1, quotient_norm_l2
 from .verify import SUITES, run_suites
 
-_Q_FAMILIES = ("polydisk", "ball")
 _FREE_FAMILIES = ("free-polydisk", "free-taylor", "free-ball")
+_UNREPORTED = ("json_path", "csv_path", "list_only")
 
 
 def _jsonable(v):
@@ -61,9 +67,17 @@ def _result(name, value, flags=(), assert_=None, detail=None) -> dict:
     return out
 
 
-def _report(command: str, params: dict, results: list[dict]) -> dict:
+def _report(results: list[dict], **overrides) -> dict:
+    """Report of the running command.
+
+    Its params are click's parsed options, less the output paths and
+    ``verify --list``, updated by ``overrides``.
+    """
+    ctx = click.get_current_context()
+    params = {k: v for k, v in ctx.params.items() if k not in _UNREPORTED}
+    params.update(overrides)
     return {
-        "command": command,
+        "command": ctx.command.name,
         "params": {k: _jsonable(v) for k, v in params.items()},
         "results": results,
         "provenance": {"package": "qdomains", "version": __version__},
@@ -144,20 +158,9 @@ def norm(expression, family, n, q_mod, q_phase, rho, tau, cap, fock_cap, json_pa
         else:
             value, a = _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap)
             flags = ("lower-bound",) + _element_flags(a.saturated)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(exc)
-    params = {
-        "expression": expression,
-        "family": family,
-        "n": n,
-        "q_mod": q_mod,
-        "q_phase": q_phase,
-        "rho": rho,
-        "tau": tau,
-        "cap": cap,
-        "fock_cap": fock_cap,
-    }
-    report = _report("norm", params, [_result("norm", value, flags)])
+    report = _report([_result("norm", value, flags)])
     suffix = f"  [{', '.join(flags)}]" if flags else ""
     _emit(report, json_path, [f"norm[{family}] = {value!r}{suffix}"])
 
@@ -185,23 +188,14 @@ def multiply_cmd(expr_a, expr_b, mode, n, q_mod, q_phase, cap, json_path):
                 parse_free_element(expr_a, n, cap), parse_free_element(expr_b, n, cap)
             )
             text = format_free_element(prod)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(exc)
     flags = _element_flags(prod.saturated)
-    params = {
-        "expr_a": expr_a,
-        "expr_b": expr_b,
-        "mode": mode,
-        "n": n,
-        "q_mod": q_mod,
-        "q_phase": q_phase,
-        "cap": cap,
-    }
     results = [
         _result("terms", float(len(prod.coefficients)), flags),
         _result("degree", float(prod.degree()), flags),
     ]
-    report = _report("multiply", params, results)
+    report = _report(results)
     report["expression"] = text
     suffix = f"  [{', '.join(flags)}]" if flags else ""
     _emit(report, json_path, [text + suffix])
@@ -228,23 +222,13 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_pat
             res = quotient_norm_l1(target, rho, tau, q=q)
         else:
             res = quotient_norm_l2(target, rho, q=q)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(exc)
     flags = tuple(res.flags)
     results = [_result("quotient-norm", res.value, flags)]
     for d, v in sorted(res.per_degree.items()):
         results.append(_result(f"degree-{d}", v, flags))
-    params = {
-        "expression": expression,
-        "family": family,
-        "n": n,
-        "q_mod": q_mod,
-        "q_phase": q_phase,
-        "rho": rho,
-        "tau": tau,
-        "cap": cap,
-    }
-    report = _report("quotient-norm", params, results)
+    report = _report(results)
     suffix = f"  [{', '.join(flags)}]" if flags else ""
     _emit(report, json_path, [f"quotient-norm[{family}] = {res.value!r}{suffix}"])
 
@@ -274,17 +258,7 @@ def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
         _result("jsr-lower", est.lower),
         _result("jsr-upper", est.upper),
     ]
-    params = {
-        "family": family,
-        "n": n,
-        "q_mod": q_mod,
-        "q_phase": q_phase,
-        "p": p,
-        "r": r,
-        "dmax": dmax,
-        "tau": tau,
-    }
-    report = _report("jsr", params, results)
+    report = _report(results)
     if csv_path:
         rows = ["d,R_d"] + [f"{d},{v!r}" for (_, d), v in sorted(est.partials.items())]
         Path(csv_path).write_text("\n".join(rows) + "\n")
@@ -303,17 +277,10 @@ def fock_norm(expression, n, q_mod, rho, fock_cap, json_path):
     """Sup-style norm of EXPRESSION via the truncated shift representation."""
     try:
         value, a = _vaksman_value(expression, n, q_mod, 0.0, rho, fock_cap)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(exc)
     flags = ("lower-bound",) + _element_flags(a.saturated)
-    params = {
-        "expression": expression,
-        "n": n,
-        "q_mod": q_mod,
-        "rho": rho,
-        "fock_cap": fock_cap,
-    }
-    report = _report("fock-norm", params, [_result("fock-norm", value, flags)])
+    report = _report([_result("fock-norm", value, flags)])
     _emit(report, json_path, [f"fock-norm = {value!r}  [{', '.join(flags)}]"])
 
 
@@ -330,13 +297,12 @@ def radius(expression, n, cap, dmax, json_path, csv_path):
         a = parse_free_element(expression, n, cap)
         partials = radius_partials(a, dmax)
         est = estimated_radius(a)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         _fail(exc)
     flags = ("saturated",) if a.saturated else ()
     results = [_result(f"partial-d={d}", v, flags) for d, v in partials]
     results.append(_result("radius-estimate", est, flags))
-    params = {"expression": expression, "n": n, "cap": cap, "dmax": dmax}
-    report = _report("radius", params, results)
+    report = _report(results)
     if csv_path:
         rows = ["d,partial"] + [f"{d},{v!r}" for d, v in partials]
         Path(csv_path).write_text("\n".join(rows) + "\n")
@@ -390,12 +356,7 @@ def verify(suites, seed, budget, list_only, json_path):
     for name in partial_suites:
         human.append(f"[PARTIAL] {name}: budget exhausted, remaining checks skipped")
     human.append(f"{n_pass}/{n_total} checks passed")
-    params = {
-        "suites": list(suites) if suites else list(SUITES),
-        "seed": seed,
-        "budget": budget,
-    }
-    report = _report("verify", params, results)
+    report = _report(results, suites=list(suites) if suites else list(SUITES))
     report["partial_suites"] = partial_suites
     _emit(report, json_path, human)
     if n_pass < n_total or partial_suites:

@@ -7,11 +7,10 @@ polynomials on matrix tuples (row norm, evaluation).
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -23,45 +22,21 @@ from .qcombinatorics import (
     p_proj,
     s_stat,
 )
-from .qspace import IncompatibilityError, check_finite_coefficients
+from .qspace import IncompatibilityError, _TruncatedSeries, check_tau
 
 
-class FreeElement:
+class FreeElement(_TruncatedSeries):
     """Degree-truncated series on the word basis of the free algebra.
 
-    Same container conventions as QElement: immutable by convention,
-    sticky ``saturated`` flag once concatenation has dropped a word past
-    the cap.
+    Same container as QElement (see ``qspace._TruncatedSeries``): the
+    sticky ``saturated`` flag marks a concatenation that dropped a word
+    past the cap.
     """
 
-    __slots__ = ("n", "cap", "coefficients", "saturated")
-
-    def __init__(
-        self,
-        n: int,
-        coefficients: Mapping[Word, complex] | None = None,
-        *,
-        cap: int,
-        saturated: bool = False,
-    ) -> None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
-        coeffs: dict[Word, complex] = {}
-        for key, c in (coefficients or {}).items():
-            w = as_word(key, n)
-            if len(w) > cap:
-                raise ValueError(f"word {w} exceeds degree cap {cap}")
-            cc = complex(c)
-            if not cmath.isfinite(cc):
-                raise ValueError(f"coefficient of {w} is not finite: {cc!r}")
-            if cc != 0:
-                coeffs[w] = cc
-        self.n = n
-        self.cap = cap
-        self.coefficients = coeffs
-        self.saturated = bool(saturated)
+    __slots__ = ()
+    _key = staticmethod(as_word)
+    _key_degree = staticmethod(len)
+    _key_name = "word"
 
     # -- constructors ------------------------------------------------------
 
@@ -83,28 +58,8 @@ class FreeElement:
             raise ValueError(f"generator index {i} outside 1..{n}")
         return cls(n, {(i,): 1.0}, cap=cap)
 
-    # -- basics ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def degree(self) -> int:
-        return max((len(w) for w in self.coefficients), default=0)
-
-    def coefficient(self, letters: Iterable[int]) -> complex:
-        return self.coefficients.get(as_word(letters, self.n), 0j)
-
-    def items(self) -> list[tuple[Word, complex]]:
-        return sorted(self.coefficients.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def _with(self, coefficients: dict[Word, complex], saturated: bool) -> "FreeElement":
-        check_finite_coefficients(coefficients)
-        out = FreeElement.__new__(FreeElement)
-        out.n = self.n
-        out.cap = self.cap
-        out.coefficients = coefficients
-        out.saturated = saturated
-        return out
+    def _product(self, other: "FreeElement") -> "FreeElement":
+        return concat_multiply(self, other)
 
     def __repr__(self) -> str:
         return (
@@ -112,52 +67,10 @@ class FreeElement:
             f"cap={self.cap}, saturated={self.saturated})"
         )
 
-    def __add__(self, other: "FreeElement") -> "FreeElement":
-        _check_compatible(self, other)
-        out = dict(self.coefficients)
-        for w, c in other.coefficients.items():
-            acc = out.get(w, 0j) + c
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-        return self._with(out, self.saturated or other.saturated)
-
-    def __neg__(self) -> "FreeElement":
-        return self._with({w: -c for w, c in self.coefficients.items()}, self.saturated)
-
-    def __sub__(self, other: "FreeElement") -> "FreeElement":
-        return self + (-other)
-
-    def scaled(self, c: complex) -> "FreeElement":
-        c = complex(c)
-        if c == 0:
-            return self._with({}, self.saturated)
-        return self._with({w: v * c for w, v in self.coefficients.items()}, self.saturated)
-
-    def __mul__(self, other):
-        if isinstance(other, FreeElement):
-            return concat_multiply(self, other)
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
-
-
-def _check_compatible(a: FreeElement, b: FreeElement) -> None:
-    if a.n != b.n:
-        raise IncompatibilityError(f"dimension mismatch: {a.n} vs {b.n}")
-    if a.cap != b.cap:
-        raise IncompatibilityError(f"cap mismatch: {a.cap} vs {b.cap}")
-
 
 def concat_multiply(a: FreeElement, b: FreeElement) -> FreeElement:
     """Concatenation product, truncated at the cap with the sticky flag."""
-    _check_compatible(a, b)
+    a._check_compatible(b)
     out: dict[Word, complex] = {}
     truncated = False
     for wa, ca in a.coefficients.items():
@@ -178,15 +91,31 @@ def concat_multiply(a: FreeElement, b: FreeElement) -> FreeElement:
 # seminorms on the free algebra
 
 
+def _exp_sum(log_terms: Iterable[float]) -> float:
+    """fsum of exp over the terms' logs; ValueError when it leaves double range."""
+    try:
+        value = math.fsum(map(math.exp, log_terms))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("norm leaves the double range")
+    return value
+
+
 def free_polydisk_norm(a: FreeElement, rho: float, tau: float) -> float:
-    """sum |c_w| rho^|w| tau^(s(w)+1); tau >= 1 grades by block count."""
+    """sum |c_w| rho^|w| tau^(s(w)+1); tau >= 1 grades by block count.
+
+    Each term is formed from its logs, as are those of the two norms
+    below, so a large coefficient against a small weight stays in range.
+    """
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError("rho must be positive and finite")
-    if tau < 1.0:
-        raise ValueError("tau must be >= 1")
-    return math.fsum(
-        abs(c) * rho ** len(w) * tau ** (s_stat(w) + 1)
+    check_tau(tau)
+    log_rho, log_tau = math.log(rho), math.log(tau)
+    return _exp_sum(
+        math.log(abs(c)) + len(w) * log_rho + (s_stat(w) + 1) * log_tau
         for w, c in a.coefficients.items()
+        if c
     )
 
 
@@ -194,18 +123,23 @@ def taylor_norm(a: FreeElement, rho: float) -> float:
     """Plain weighted coefficient sum, i.e. the tau = 1 polydisk norm."""
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError("rho must be positive and finite")
-    return math.fsum(abs(c) * rho ** len(w) for w, c in a.coefficients.items())
+    log_rho = math.log(rho)
+    return _exp_sum(math.log(abs(c)) + len(w) * log_rho for w, c in a.coefficients.items() if c)
 
 
 def free_ball_norm(a: FreeElement, rho: float) -> float:
     """l2 over each letter-count fiber, then weighted l1 across fibers."""
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError("rho must be positive and finite")
-    fibers: dict[MultiIndex, float] = {}
+    fibers: dict[MultiIndex, list[float]] = {}
     for w, c in a.coefficients.items():
-        k = p_proj(w, a.n)
-        fibers[k] = fibers.get(k, 0.0) + abs(c) ** 2
-    return math.fsum(math.sqrt(v) * rho ** degree(k) for k, v in fibers.items())
+        if c:
+            fibers.setdefault(p_proj(w, a.n), []).append(abs(c))
+    log_rho = math.log(rho)
+    # hypot scales internally, so no square leaves double range
+    return _exp_sum(
+        math.log(math.hypot(*moduli)) + degree(k) * log_rho for k, moduli in fibers.items()
+    )
 
 
 def radius_partials(a: FreeElement, d_max: int | None = None) -> list[tuple[int, float]]:

@@ -32,15 +32,16 @@ from .qcombinatorics import (
     log_q_factorial_table,
 )
 from .qspace import (
+    FAMILIES as Q_FAMILIES,
     QElement,
     QParameter,
     SeminormSpec,
     ball_norm,
+    check_tau,
     multiply,
     polydisk_norm,
 )
 
-Q_FAMILIES = ("polydisk", "ball")
 FREE_FAMILIES = ("free_taylor", "free_ball", "free_polydisk")
 
 #: refuse general-tuple enumeration beyond this many word products
@@ -76,6 +77,9 @@ def canonical_partials(
         raise ValueError("n must be >= 1")
     if not (rho > 0 and math.isfinite(rho)):
         raise ValueError("rho must be positive and finite")
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
+    check_tau(tau)
     if family in FREE_FAMILIES:
         return _free_canonical_partials(family, n, p, d_max, rho, tau)
     if family not in Q_FAMILIES:
@@ -89,8 +93,6 @@ def canonical_partials(
         )
     mod = q.modulus
     finite_p = math.isfinite(p)
-    if finite_p and p < 1:
-        raise ValueError("p must be >= 1")
     log_mod = math.log(mod)
     j = np.arange(d_max + 1, dtype=float)
     # the weight of a fiber k of degree d is exp(a(d) + sum_i h(k_i)):
@@ -125,11 +127,7 @@ def canonical_partials(
 def _free_canonical_partials(
     family: str, n: int, p: float, d_max: int, rho: float, tau: float
 ) -> list[tuple[int, float]]:
-    if tau < 1.0:
-        raise ValueError("tau must be >= 1")
     finite_p = math.isfinite(p)
-    if finite_p and p < 1:
-        raise ValueError("p must be >= 1")
     out: list[tuple[int, float]] = []
     for d in range(1, d_max + 1):
         if family in ("free_taylor", "free_ball"):
@@ -165,8 +163,8 @@ def jsr_partials(
     """
     if not generators:
         raise ValueError("need at least one generator")
-    if spec.family not in Q_FAMILIES:
-        raise ValueError(f"spec family must be one of {Q_FAMILIES}")
+    if not p >= 1:
+        raise ValueError("p must be >= 1")
     norm = polydisk_norm if spec.family == "polydisk" else ball_norm
     flags = ["general-tuple-enumeration"]
     count = len(generators)

@@ -107,15 +107,128 @@ def normal_order_word(word: Word, q: QParameter, n: int) -> tuple[complex, Multi
     return coeff, p_proj(tuple(letters), n)
 
 
-class QElement:
-    """Degree-truncated series on the normal-ordered monomial basis.
+def check_finite_coefficients(coefficients: Mapping[object, complex]) -> None:
+    """Raise ValueError when arithmetic has left double range (inf or nan)."""
+    # a non-finite entry makes the sum non-finite; finite entries can also
+    # overflow the sum, so only then are they looked at one by one
+    values = coefficients.values()
+    if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
+        raise ValueError("coefficient overflow: a result leaves the double range")
+
+
+class _TruncatedSeries:
+    """Degree-truncated coefficient map: the container behind QElement and FreeElement.
 
     Treat instances as immutable: all arithmetic returns new elements.
     ``saturated`` is sticky; once a product has dropped a term past the
     cap the flag propagates to everything computed from the result.
+    Subclasses supply the key normaliser ``_key``, the key degree
+    ``_key_degree``, the noun ``_key_name`` for error messages and the
+    product ``_product``.
     """
 
-    __slots__ = ("n", "q", "cap", "coefficients", "saturated")
+    __slots__ = ("n", "cap", "coefficients", "saturated")
+
+    def __init__(
+        self,
+        n: int,
+        coefficients: Mapping[tuple[int, ...], complex] | None = None,
+        *,
+        cap: int,
+        saturated: bool = False,
+    ) -> None:
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if cap < 0:
+            raise ValueError("cap must be >= 0")
+        key_of, degree_of = self._key, self._key_degree
+        coeffs: dict[tuple[int, ...], complex] = {}
+        for key, c in (coefficients or {}).items():
+            kk = key_of(key, n)
+            if degree_of(kk) > cap:
+                raise ValueError(f"{self._key_name} {kk} exceeds degree cap {cap}")
+            cc = complex(c)
+            if not cmath.isfinite(cc):
+                raise ValueError(f"coefficient of {kk} is not finite: {cc!r}")
+            if cc != 0:
+                coeffs[kk] = cc
+        self.n = n
+        self.cap = cap
+        self.coefficients = coeffs
+        self.saturated = bool(saturated)
+
+    def is_zero(self) -> bool:
+        return not self.coefficients
+
+    def degree(self) -> int:
+        return max(map(self._key_degree, self.coefficients), default=0)
+
+    def coefficient(self, key: Iterable[int]) -> complex:
+        return self.coefficients.get(self._key(key, self.n), 0j)
+
+    def items(self) -> list[tuple[tuple[int, ...], complex]]:
+        """Coefficients sorted by (degree, key) for deterministic output."""
+        degree_of = self._key_degree
+        return sorted(self.coefficients.items(), key=lambda kv: (degree_of(kv[0]), kv[0]))
+
+    def _with(self, coefficients: dict, saturated: bool):
+        check_finite_coefficients(coefficients)
+        out = object.__new__(type(self))
+        out.n = self.n
+        out.cap = self.cap
+        out.coefficients = coefficients
+        out.saturated = saturated
+        return out
+
+    def _check_compatible(self, other) -> None:
+        if self.n != other.n:
+            raise IncompatibilityError(f"dimension mismatch: {self.n} vs {other.n}")
+        if self.cap != other.cap:
+            raise IncompatibilityError(f"cap mismatch: {self.cap} vs {other.cap}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = dict(self.coefficients)
+        for k, c in other.coefficients.items():
+            acc = out.get(k, 0j) + c
+            if acc == 0:
+                out.pop(k, None)
+            else:
+                out[k] = acc
+        return self._with(out, self.saturated or other.saturated)
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.coefficients.items()}, self.saturated)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, c: complex):
+        c = complex(c)
+        if c == 0:
+            return self._with({}, self.saturated)
+        return self._with({k: v * c for k, v in self.coefficients.items()}, self.saturated)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._product(other)
+        if isinstance(other, (int, float, complex)):
+            return self.scaled(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return self.scaled(other)
+        return NotImplemented
+
+
+class QElement(_TruncatedSeries):
+    """Degree-truncated series on the normal-ordered monomial basis."""
+
+    __slots__ = ("q",)
+    _key = staticmethod(as_multi_index)
+    _key_degree = staticmethod(degree)
+    _key_name = "monomial"
 
     def __init__(
         self,
@@ -126,27 +239,10 @@ class QElement:
         cap: int,
         saturated: bool = False,
     ) -> None:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if cap < 0:
-            raise ValueError("cap must be >= 0")
         if not isinstance(q, QParameter):
             raise TypeError("q must be a QParameter")
-        coeffs: dict[MultiIndex, complex] = {}
-        for key, c in (coefficients or {}).items():
-            kk = as_multi_index(key, n)
-            if degree(kk) > cap:
-                raise ValueError(f"monomial {kk} exceeds degree cap {cap}")
-            cc = complex(c)
-            if not cmath.isfinite(cc):
-                raise ValueError(f"coefficient of {kk} is not finite: {cc!r}")
-            if cc != 0:
-                coeffs[kk] = cc
-        self.n = n
         self.q = q
-        self.cap = cap
-        self.coefficients = coeffs
-        self.saturated = bool(saturated)
+        _TruncatedSeries.__init__(self, n, coefficients, cap=cap, saturated=saturated)
 
     # -- constructors ------------------------------------------------------
 
@@ -172,91 +268,28 @@ class QElement:
         k = tuple(1 if j == i - 1 else 0 for j in range(n))
         return cls(n, q, {k: 1.0}, cap=cap)
 
-    # -- basics ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def degree(self) -> int:
-        return max((degree(k) for k in self.coefficients), default=0)
-
-    def coefficient(self, k: Iterable[int]) -> complex:
-        return self.coefficients.get(as_multi_index(k, self.n), 0j)
-
-    def items(self) -> list[tuple[MultiIndex, complex]]:
-        """Coefficients sorted by (degree, index) for deterministic output."""
-        return sorted(self.coefficients.items(), key=lambda kv: (degree(kv[0]), kv[0]))
+    # -- container hooks ---------------------------------------------------
+    # On every short arithmetic call: the base class is called by name, and
+    # q by identity first, both cheaper than super() and the dataclass __eq__.
 
     def _with(self, coefficients: dict[MultiIndex, complex], saturated: bool) -> "QElement":
-        check_finite_coefficients(coefficients)
-        out = QElement.__new__(QElement)
-        out.n = self.n
+        out = _TruncatedSeries._with(self, coefficients, saturated)
         out.q = self.q
-        out.cap = self.cap
-        out.coefficients = coefficients
-        out.saturated = saturated
         return out
+
+    def _check_compatible(self, other: "QElement") -> None:
+        _TruncatedSeries._check_compatible(self, other)
+        if self.q is not other.q and self.q != other.q:
+            raise IncompatibilityError(f"parameter mismatch: {self.q} vs {other.q}")
+
+    def _product(self, other: "QElement") -> "QElement":
+        return multiply(self, other)
 
     def __repr__(self) -> str:
         return (
             f"QElement(n={self.n}, |q|={self.q.modulus:g}, arg q={self.q.phase:g}, "
             f"terms={len(self.coefficients)}, cap={self.cap}, saturated={self.saturated})"
         )
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "QElement") -> "QElement":
-        _check_compatible(self, other)
-        out = dict(self.coefficients)
-        for k, c in other.coefficients.items():
-            acc = out.get(k, 0j) + c
-            if acc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return self._with(out, self.saturated or other.saturated)
-
-    def __neg__(self) -> "QElement":
-        return self._with({k: -c for k, c in self.coefficients.items()}, self.saturated)
-
-    def __sub__(self, other: "QElement") -> "QElement":
-        return self + (-other)
-
-    def scaled(self, c: complex) -> "QElement":
-        c = complex(c)
-        if c == 0:
-            return self._with({}, self.saturated)
-        return self._with({k: v * c for k, v in self.coefficients.items()}, self.saturated)
-
-    def __mul__(self, other):
-        if isinstance(other, QElement):
-            return multiply(self, other)
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
-
-
-def check_finite_coefficients(coefficients: Mapping[object, complex]) -> None:
-    """Raise ValueError when arithmetic has left double range (inf or nan)."""
-    # a non-finite entry makes the sum non-finite; finite entries can also
-    # overflow the sum, so only then are they looked at one by one
-    values = coefficients.values()
-    if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
-        raise ValueError("coefficient overflow: a result leaves the double range")
-
-
-def _check_compatible(a: QElement, b: QElement) -> None:
-    if a.n != b.n:
-        raise IncompatibilityError(f"dimension mismatch: {a.n} vs {b.n}")
-    if a.q != b.q:
-        raise IncompatibilityError(f"parameter mismatch: {a.q} vs {b.q}")
-    if a.cap != b.cap:
-        raise IncompatibilityError(f"cap mismatch: {a.cap} vs {b.cap}")
 
 
 def multiply(a: QElement, b: QElement) -> QElement:
@@ -266,7 +299,7 @@ def multiply(a: QElement, b: QElement) -> QElement:
     e(k,m) = -sum_{i<j} k_j m_i, whose sign is pinned down by the
     rewriting oracle :func:`normal_order_word`.
     """
-    _check_compatible(a, b)
+    a._check_compatible(b)
     out: dict[MultiIndex, complex] = {}
     truncated = False
     q = a.q
@@ -312,15 +345,13 @@ def reversal_iso(a: QElement) -> QElement:
 # ---------------------------------------------------------------------------
 # seminorms
 
-FAMILIES = (
-    "polydisk",
-    "ball",
-    "free_polydisk",
-    "free_taylor",
-    "free_ball",
-    "vaksman",
-    "popescu",
-)
+FAMILIES = ("polydisk", "ball")
+
+
+def check_tau(tau: float) -> None:
+    """Raise ValueError unless the block weight satisfies 1 <= tau < inf (nan fails)."""
+    if not 1.0 <= tau < math.inf:
+        raise ValueError("tau must be >= 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -336,8 +367,7 @@ class SeminormSpec:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if not (self.rho > 0 and math.isfinite(self.rho)):
             raise ValueError("rho must be positive and finite")
-        if self.tau < 1.0:
-            raise ValueError("tau must be >= 1")
+        check_tau(self.tau)
 
 
 def _coefficient_norm(a: QElement, rho: float, ball: bool) -> float:

@@ -31,7 +31,6 @@ their rank and the tests solve the quotient problems on them directly.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -50,7 +49,7 @@ from .qcombinatorics import (
     p_proj,
     words_of_degree,
 )
-from .qspace import QParameter
+from .qspace import QParameter, check_tau
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,6 @@ def _fiber_log_images(target: FreeElement, q: QParameter) -> dict[MultiIndex, fl
     phase = QParameter(1.0, q.phase)
     terms: dict[MultiIndex, list[tuple[float, complex]]] = {}
     for w, c in target.coefficients.items():
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient {c!r} of {w} is not finite")
         k = p_proj(w, target.n)
         shift = cross_degree_sum(k) if log_q < 0.0 else 0
         inv = inv_count(w)
@@ -191,8 +188,7 @@ def quotient_norm_l1(
     """
     if tau is None:
         return _quotient(target, q, rho, lambda k: 0.0)
-    if tau < 1.0:
-        raise ValueError("tau must be >= 1")
+    check_tau(tau)
     log_tau = math.log(tau)
     return _quotient(target, q, rho, lambda k: log_tau * sum(1 for e in k if e))
 

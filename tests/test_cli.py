@@ -241,10 +241,40 @@ def assert_clean_error(r):
         ["norm", "x1^10", "--rho", "1e100"],
         ["jsr", "--family", "ball", "--n", "2", "--q-mod", "1e-300"],
         ["jsr", "--family", "polydisk", "--n", "2", "--q-mod", "1e-300"],
+        ["norm", "z1^10", "--family", "free-taylor", "--rho", "1e100"],
+        ["norm", "z1^10", "--family", "free-ball", "--rho", "1e100"],
+        ["norm", "z1^10", "--family", "free-polydisk", "--rho", "1e100"],
+        ["norm", "z1*z2", "--family", "free-polydisk", "--tau", "1e200"],
+        ["norm", "z1", "--family", "free-polydisk", "--tau", "nan"],
+        ["norm", "z1", "--family", "free-polydisk", "--tau", "inf"],
+        ["norm", "x1", "--family", "polydisk", "--tau", "nan"],
+        ["quotient-norm", "z1", "--family", "free-polydisk", "--tau", "inf"],
+        ["jsr", "--family", "free-polydisk", "--tau", "nan"],
+        ["jsr", "--family", "free-polydisk", "--tau", "inf"],
+        ["jsr", "--family", "polydisk", "--tau", "nan"],
+        ["jsr", "--p", "nan"],
+        ["jsr", "--p", "-inf"],
+        ["jsr", "--family", "free-taylor", "--p", "nan"],
     ],
 )
 def test_values_outside_double_range_are_clean_errors(runner, args):
     assert_clean_error(invoke(runner, args, ok=False))
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        # each term is formed from its logs: 1e300 * (1e-200)^2, and a
+        # coefficient whose square is no double
+        (["norm", "1e300*z1*z2", "--family", "free-taylor", "--rho", "1e-200"], 1e-100),
+        (["norm", "1e300*z1*z2", "--family", "free-ball"], 1e300),
+    ],
+)
+def test_free_norms_keep_extreme_values(runner, tmp_path, args, want):
+    out = tmp_path / "r.json"
+    invoke(runner, args + ["--json", str(out)])
+    value = json.loads(out.read_text())["results"][0]["value"]
+    assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_radius_of_huge_coefficients(runner, tmp_path):

@@ -362,3 +362,10 @@ def test_family_and_argument_validation():
         jsr_partials((), 2.0, SeminormSpec("polydisk", 1.0), 5)
     with pytest.raises(ValueError):
         jsr_partials(canonical_tuple(2, Q_UNIT, 4), 2.0, SeminormSpec("free_ball", 1.0), 3)
+    # p >= 1 fails for nan, so neither a nan nor a negative p runs as p = inf
+    for p in (0.5, math.nan, -math.inf):
+        for family in ("polydisk", "ball", "free_taylor", "free_polydisk"):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                canonical_partials(family, 2, Q_UNIT, p, 5)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            jsr_partials(canonical_tuple(2, Q_UNIT, 4), p, SeminormSpec("polydisk", 1.0), 3)

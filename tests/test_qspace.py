@@ -18,6 +18,9 @@ from qdomains.qcombinatorics import (
     words_of_degree,
 )
 from test_qcombinatorics import log_q_factorial
+from qdomains.freeseries import FreeElement, concat_multiply, free_polydisk_norm
+from qdomains.jsr import canonical_partials
+from qdomains.quotient import quotient_norm_l1
 from qdomains.qspace import (
     IncompatibilityError,
     QElement,
@@ -136,14 +139,61 @@ def test_cap_truncation_is_sticky():
     assert back.saturated  # flag survives later arithmetic
 
 
-def test_incompatible_operands_rejected():
-    a = QElement.unit(2, Q_HALF, cap=4)
-    b = QElement.unit(2, Q_BIG, cap=4)
-    c = QElement.unit(3, Q_HALF, cap=4)
-    with pytest.raises(IncompatibilityError):
-        multiply(a, b)
-    with pytest.raises(IncompatibilityError):
-        a + c
+def make_qelement(coefficients, *, n=2, cap=4, q=Q_HALF, saturated=False):
+    return QElement(n, q, coefficients, cap=cap, saturated=saturated)
+
+
+def make_free_element(coefficients, *, n=2, cap=4, q=None, saturated=False):
+    return FreeElement(n, coefficients, cap=cap, saturated=saturated)
+
+
+@pytest.mark.parametrize(
+    "make, key, other_key, product",
+    [
+        (make_qelement, (1, 0), (0, 1), multiply),
+        (make_free_element, (1,), (2,), concat_multiply),
+    ],
+    ids=["QElement", "FreeElement"],
+)
+def test_series_container_contract(make, key, other_key, product):
+    a = make({key: 2.0, other_key: 1j})
+    # a sum that cancels drops the key
+    assert (a + make({key: -2.0})).coefficients == {other_key: 1j}
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+    # saturated is sticky through +, - and scaled, from either side
+    sat = make({key: 1.0}, saturated=True)
+    for out in (a + sat, sat + a, a - sat, sat - a, -sat, sat.scaled(3.0), sat.scaled(0)):
+        assert out.saturated and type(out) is type(a)
+    assert not (a + a).saturated and not a.scaled(2.0).saturated
+    # operands must share n and cap (and q for QElement)
+    mismatched = [make({}, n=3), make({}, cap=5)]
+    if isinstance(a, QElement):
+        mismatched.append(make({}, q=Q_BIG))
+        assert (a + a).q is a.q and a.scaled(2.0).q is a.q
+    for b in mismatched:
+        for op in (lambda x, y: x + y, lambda x, y: x - y, product, lambda x, y: x * y):
+            with pytest.raises(IncompatibilityError):
+                op(a, b)
+    # non-finite coefficients are rejected, given or computed
+    for bad in (math.inf, math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            make({key: bad})
+    big = make({key: 1e308})
+    with pytest.raises(ValueError, match="double range"):
+        big + big
+    with pytest.raises(ValueError, match="double range"):
+        big.scaled(10.0)
+    # * multiplies two elements of the class and scales by a number from either side
+    b = make({other_key: 3.0, key: -1.0})
+    assert (a * b).coefficients == product(a, b).coefficients
+    for c in (2, 1.5, 0.5j):
+        assert (a * c).coefficients == (c * a).coefficients == a.scaled(c).coefficients
+    other = make_free_element({}) if isinstance(a, QElement) else make_qelement({})
+    for operand in (other, "x", None):
+        with pytest.raises(TypeError):
+            a * operand
+        with pytest.raises(TypeError):
+            operand * a
 
 
 def test_seminorm_spec_validation():
@@ -157,6 +207,22 @@ def test_seminorm_spec_validation():
         polydisk_norm(QElement.unit(1, Q_HALF, cap=2), SeminormSpec("ball", 1.0))
     with pytest.raises(ValueError):
         ball_norm(QElement.unit(1, Q_HALF, cap=2), SeminormSpec("polydisk", 1.0))
+    for family in ("popescu", "vaksman", "free_ball"):
+        with pytest.raises(ValueError, match="unknown family"):
+            SeminormSpec(family, 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.5, math.nan, math.inf])
+def test_tau_must_be_finite_and_at_least_one(tau):
+    w = FreeElement.word(2, (1, 2), cap=4)
+    for check in (
+        lambda: SeminormSpec("polydisk", 1.0, tau),
+        lambda: free_polydisk_norm(w, 1.0, tau),
+        lambda: quotient_norm_l1(w, 1.0, tau, q=Q_HALF),
+        lambda: canonical_partials("free_polydisk", 2, None, 2.0, 5, tau=tau),
+    ):
+        with pytest.raises(ValueError, match="tau must be >= 1 and finite"):
+            check()
 
 
 def test_polydisk_norm_values():
@@ -332,12 +398,6 @@ def test_weight_ratio_scan_depends_on_min_of_q_and_inverse():
         assert (a.min_ratio, a.max_ratio, a.min_at, a.max_at) == (b.min_ratio, b.max_ratio, b.min_at, b.max_at)
 
 
-def test_non_finite_coefficients_are_rejected():
-    for bad in (math.inf, math.nan, complex(1.0, math.inf)):
-        with pytest.raises(ValueError, match="not finite"):
-            QElement(2, Q_HALF, {(1, 0): bad}, cap=4)
-
-
 def test_overflowing_arithmetic_raises():
     tiny = QParameter(1e-200, 0.0)
     with pytest.raises(ValueError, match="double range"):
@@ -345,8 +405,3 @@ def test_overflowing_arithmetic_raises():
     x2x1 = QElement(2, tiny, {(1, 1): 1e200}, cap=4)  # x2*x1 = q^-1 x1*x2
     with pytest.raises(ValueError, match="double range"):
         multiply(x2x1, x2x1)
-    big = QElement(2, Q_HALF, {(1, 0): 1e308}, cap=4)
-    with pytest.raises(ValueError, match="double range"):
-        big + big
-    with pytest.raises(ValueError, match="double range"):
-        big.scaled(10.0)
