@@ -139,6 +139,22 @@ def test_cap_truncation_is_sticky():
     assert back.saturated  # flag survives later arithmetic
 
 
+def test_incompatible_operands_rejected():
+    a = QElement.unit(2, Q_HALF, cap=4)
+    b = QElement.unit(2, Q_BIG, cap=4)
+    c = QElement.unit(3, Q_HALF, cap=4)
+    with pytest.raises(IncompatibilityError):
+        multiply(a, b)
+    with pytest.raises(IncompatibilityError):
+        a + c
+
+
+def test_non_finite_coefficients_are_rejected():
+    for bad in (math.inf, math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="not finite"):
+            QElement(2, Q_HALF, {(1, 0): bad}, cap=4)
+
+
 def make_qelement(coefficients, *, n=2, cap=4, q=Q_HALF, saturated=False):
     return QElement(n, q, coefficients, cap=cap, saturated=saturated)
 
