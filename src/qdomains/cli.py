@@ -37,8 +37,8 @@ from .parsing import (
 from .qspace import (
     FAMILIES as _Q_FAMILIES,
     QParameter,
-    SeminormSpec,
     ball_norm,
+    check_tau,
     multiply,
     polydisk_norm,
 )
@@ -141,10 +141,11 @@ def norm(expression, family, n, q_mod, q_phase, rho, tau, cap, fock_cap, json_pa
     """Seminorm of EXPRESSION in the selected family."""
     flags: tuple[str, ...] = ()
     try:
+        if family not in _FREE_FAMILIES:
+            check_tau(tau, unweighted=family)
         if family in _Q_FAMILIES:
             a = parse_qelement(expression, n, QParameter(q_mod, q_phase), cap)
-            spec = SeminormSpec(family, rho, tau)
-            value = (polydisk_norm if family == "polydisk" else ball_norm)(a, spec)
+            value = (polydisk_norm if family == "polydisk" else ball_norm)(a, rho)
             flags = _element_flags(a.saturated)
         elif family in _FREE_FAMILIES:
             a = parse_free_element(expression, n, cap)
@@ -214,14 +215,14 @@ def multiply_cmd(expr_a, expr_b, mode, n, q_mod, q_phase, cap, json_path):
 def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_path):
     """Norm of the coset of EXPRESSION modulo the commutation ideal."""
     try:
+        if family != "free-polydisk":
+            check_tau(tau, unweighted=family)
         target = parse_free_element(expression, n, cap)
         q = QParameter(q_mod, q_phase)
-        if family == "free-taylor":
-            res = quotient_norm_l1(target, rho, q=q)
-        elif family == "free-polydisk":
-            res = quotient_norm_l1(target, rho, tau, q=q)
-        else:
+        if family == "free-ball":
             res = quotient_norm_l2(target, rho, q=q)
+        else:  # free-taylor is the l1 family at tau = 1
+            res = quotient_norm_l1(target, rho, tau, q=q)
     except ValueError as exc:
         _fail(exc)
     flags = tuple(res.flags)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .qcombinatorics import MultiIndex, log_pochhammer_table, multi_indices_up_to
+from .qcombinatorics import MultiIndex, check_positive, log_pochhammer_table, multi_indices_up_to
 from .qspace import QElement, QParameter, scale_auto
 
 # Window components with more columns than this get ARPACK instead of a dense
@@ -244,8 +244,7 @@ def vaksman_norm(a: QElement, rho: float, fock: FockTruncation) -> float:
     Increasing the truncation cap can only refine the value; the window
     restriction keeps truncation artifacts out of the returned number.
     """
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
+    check_positive("rho", rho)
     return op_norm(rep_element(scale_auto(a, rho), fock))
 
 

@@ -18,9 +18,11 @@ from .qcombinatorics import (
     MultiIndex,
     Word,
     as_word,
+    check_positive,
     degree,
     p_proj,
     s_stat,
+    sum_of_terms,
 )
 from .qspace import IncompatibilityError, _TruncatedSeries, check_tau
 
@@ -91,55 +93,36 @@ def concat_multiply(a: FreeElement, b: FreeElement) -> FreeElement:
 # seminorms on the free algebra
 
 
-def _exp_sum(log_terms: Iterable[float]) -> float:
-    """fsum of exp over the terms' logs; ValueError when it leaves double range."""
-    try:
-        value = math.fsum(map(math.exp, log_terms))
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError("norm leaves the double range")
-    return value
-
-
 def free_polydisk_norm(a: FreeElement, rho: float, tau: float) -> float:
     """sum |c_w| rho^|w| tau^(s(w)+1); tau >= 1 grades by block count.
 
-    Each term is formed from its logs, as are those of the two norms
-    below, so a large coefficient against a small weight stays in range.
+    Each weight is formed from its logs and summed against |c_w| by
+    :func:`sum_of_terms`, as in the two norms below, so a large
+    coefficient against a small weight stays in range.
     """
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
+    check_positive("rho", rho)
     check_tau(tau)
     log_rho, log_tau = math.log(rho), math.log(tau)
-    return _exp_sum(
-        math.log(abs(c)) + len(w) * log_rho + (s_stat(w) + 1) * log_tau
-        for w, c in a.coefficients.items()
-        if c
+    return sum_of_terms(
+        (abs(c), len(w) * log_rho + (s_stat(w) + 1) * log_tau) for w, c in a.coefficients.items()
     )
 
 
 def taylor_norm(a: FreeElement, rho: float) -> float:
     """Plain weighted coefficient sum, i.e. the tau = 1 polydisk norm."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
-    log_rho = math.log(rho)
-    return _exp_sum(math.log(abs(c)) + len(w) * log_rho for w, c in a.coefficients.items() if c)
+    return free_polydisk_norm(a, rho, 1.0)
 
 
 def free_ball_norm(a: FreeElement, rho: float) -> float:
     """l2 over each letter-count fiber, then weighted l1 across fibers."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
-    fibers: dict[MultiIndex, list[float]] = {}
+    check_positive("rho", rho)
+    fibers: dict[MultiIndex, list[complex]] = {}
     for w, c in a.coefficients.items():
-        if c:
-            fibers.setdefault(p_proj(w, a.n), []).append(abs(c))
+        fibers.setdefault(p_proj(w, a.n), []).append(c)
     log_rho = math.log(rho)
-    # hypot scales internally, so no square leaves double range
-    return _exp_sum(
-        math.log(math.hypot(*moduli)) + degree(k) * log_rho for k, moduli in fibers.items()
-    )
+    # hypot scales internally, so no square leaves double range; the moduli are
+    # taken inside sum_of_terms, so one past double range is a ValueError
+    return sum_of_terms((math.hypot(*map(abs, cs)), degree(k) * log_rho) for k, cs in fibers.items())
 
 
 def radius_partials(a: FreeElement, d_max: int | None = None) -> list[tuple[int, float]]:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .qcombinatorics import (
+    check_positive,
     checked_power,
     log_convolution_power,
     log_pochhammer_table,
@@ -35,11 +36,8 @@ from .qspace import (
     FAMILIES as Q_FAMILIES,
     QElement,
     QParameter,
-    SeminormSpec,
-    ball_norm,
     check_tau,
     multiply,
-    polydisk_norm,
 )
 
 FREE_FAMILIES = ("free_taylor", "free_ball", "free_polydisk")
@@ -68,18 +66,18 @@ def canonical_partials(
     families; closed word-count sums for the free families (both
     cross-checked against brute-force enumeration in the tests).  R_d is
     degree-homogeneous in rho: R_d(rho) = rho R_d(1).  Raises ValueError
-    when a weight table or a partial leaves double range, or when a q-side
-    d_max exceeds :data:`CONVOLUTION_DEGREE_LIMIT`.
+    when a weight table or a partial leaves double range, when a q-side
+    d_max exceeds :data:`CONVOLUTION_DEGREE_LIMIT`, or when tau is not 1
+    for a family other than free_polydisk, the one with block weights.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
+    check_positive("rho", rho)
     if not p >= 1:
         raise ValueError("p must be >= 1")
-    check_tau(tau)
+    check_tau(tau, unweighted=None if family == "free_polydisk" else family)
     if family in FREE_FAMILIES:
         return _free_canonical_partials(family, n, p, d_max, rho, tau)
     if family not in Q_FAMILIES:
@@ -152,11 +150,12 @@ def _free_canonical_partials(
 def jsr_partials(
     generators: Sequence[QElement],
     p: float,
-    spec: SeminormSpec,
+    norm: Callable[[QElement], float],
     d_max: int,
 ) -> tuple[list[tuple[int, float]], list[str]]:
-    """Partial sequence for an arbitrary generator tuple, with flags.
+    """Partial sequence for an arbitrary generator tuple under ``norm``, with flags.
 
+    ``norm`` takes an element alone, e.g. ``lambda a: ball_norm(a, rho)``.
     Multiplies out all n^d word products (flagged, size-guarded) and stops
     early if truncation saturates the products; the canonical tuple's
     partials come in closed form from :func:`canonical_partials`.
@@ -165,7 +164,6 @@ def jsr_partials(
         raise ValueError("need at least one generator")
     if not p >= 1:
         raise ValueError("p must be >= 1")
-    norm = polydisk_norm if spec.family == "polydisk" else ball_norm
     flags = ["general-tuple-enumeration"]
     count = len(generators)
     if count ** d_max > ENUMERATION_LIMIT:
@@ -180,7 +178,7 @@ def jsr_partials(
         if any(e.saturated for e in level):
             flags.append(f"saturated-at-d={d}")
             break
-        values = [norm(e, spec) for e in level]
+        values = [norm(e) for e in level]
         if math.isfinite(p):
             s = math.fsum(v ** p for v in values)
             out.append((d, s ** (1.0 / (p * d))))
@@ -275,8 +273,7 @@ def estimate_canonical_jsr(
     R_d(rho) = rho R_d(1), so the sup over rho < r of the limits is the
     limit at rho = r: one sequence, one fit.
     """
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    check_positive("r", r)
     est = jsr_extrapolate(canonical_partials(family, n, q, p, d_max, rho=r, tau=tau), r, p)
     est.family = family
     est.n = n

@@ -7,7 +7,8 @@ log q-Pochhammer table behind every ball and q-multinomial weight, the log
 q-factorial table of the JSR's inversion sums, the log-domain convolution
 power that sums a letter-separable term over every multi-index of each
 degree at once, and the Sobol sample behind the sampled suprema, drawn once
-per (domain, n, point count, seed) and kept read-only.  Everything in this
+per (domain, n, point count, seed) and kept read-only.  :func:`sum_of_terms`
+is the one term sum behind every coefficient seminorm.  Everything in this
 module is a pure function of its arguments; the stateful containers live in
 :mod:`qdomains.qspace` and :mod:`qdomains.freeseries`.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 from scipy.stats import qmc
@@ -132,8 +133,7 @@ def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    if not (q_mod > 0 and math.isfinite(q_mod)):
-        raise ValueError("q_mod must be positive and finite")
+    check_positive("q_mod", q_mod)
     j = np.arange(1, d_max + 1, dtype=float)
     if q_mod == 1.0:
         terms = np.log(j)
@@ -145,12 +145,43 @@ def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(terms)))
 
 
+def check_positive(name: str, x: float) -> None:
+    """Raise ValueError unless 0 < x < inf (nan fails)."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 def checked_power(x: float, e: float) -> float:
     """x**e for x > 0, raising ValueError where the value leaves double range."""
     try:
         return float(x) ** e
     except OverflowError:
         raise ValueError(f"{x!r}**{e!r} leaves the double range") from None
+
+
+_LN2 = math.log(2.0)
+
+
+def sum_of_terms(pairs: Iterable[tuple[float, float]]) -> float:
+    """Sum of m exp(w) over (modulus m >= 0, log weight w) pairs, behind every seminorm.
+
+    A term is ldexp(f exp(w - j ln 2), e + j), m = f 2^e, j = round(w / ln 2):
+    m keeps all its digits, so the term is right to a few ulps times
+    max(1, |w|), where exp(log m + w) would lose |log m| ulps.  Whatever
+    leaves double range, a modulus, a term or the sum, raises ValueError.
+    """
+    try:
+        terms = []
+        for m, w in pairs:
+            f, e = math.frexp(m)
+            j = round(w / _LN2)
+            terms.append(math.ldexp(f * math.exp(w - j * _LN2), e + j))
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("norm leaves the double range")
+    return total
 
 
 def log_convolution_power(g: np.ndarray, n: int, *, maxplus: bool = False) -> np.ndarray:
@@ -182,16 +213,14 @@ def log_convolution_power(g: np.ndarray, n: int, *, maxplus: bool = False) -> np
 
 def w_q(k: Sequence[int], q_mod: float) -> float:
     """Polydisk weight: 1 for |q| >= 1, else |q|^(sum_{i<j} k_i k_j)."""
-    if not (q_mod > 0 and math.isfinite(q_mod)):
-        raise ValueError("q_mod must be positive and finite")
+    check_positive("q_mod", q_mod)
     if q_mod >= 1.0:
         return 1.0
     return q_mod ** cross_degree_sum(as_multi_index(k))
 
 
 def log_w_q(k: Sequence[int], q_mod: float) -> float:
-    if not (q_mod > 0 and math.isfinite(q_mod)):
-        raise ValueError("q_mod must be positive and finite")
+    check_positive("q_mod", q_mod)
     if q_mod >= 1.0:
         return 0.0
     return cross_degree_sum(as_multi_index(k)) * math.log(q_mod)
@@ -225,8 +254,7 @@ def monomial_sup(k: Sequence[int], domain: Domain, r: float) -> float:
 
     polydisk: r^|k|; ball: (k^k / |k|^|k|)^(1/2) r^|k| with 0^0 = 1.
     """
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    check_positive("r", r)
     kk = as_multi_index(k)
     d = degree(kk)
     if domain == "polydisk":
@@ -292,8 +320,7 @@ def sampled_monomial_sup(
     sample for the unit domain is drawn once per (domain, n, point count,
     seed) and kept, so each call is one matrix-vector product.
     """
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    check_positive("r", r)
     if domain not in ("polydisk", "ball"):
         raise ValueError(f"unknown domain {domain!r}")
     kk = as_multi_index(k)

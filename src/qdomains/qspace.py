@@ -20,12 +20,14 @@ from .qcombinatorics import (
     MultiIndex,
     Word,
     as_multi_index,
+    check_positive,
     checked_power,
     composition_array,
     cross_degree_sum,
     degree,
     log_pochhammer_table,
     p_proj,
+    sum_of_terms,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -48,8 +50,7 @@ class QParameter:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.modulus > 0 and math.isfinite(self.modulus)):
-            raise ValueError("modulus must be positive and finite")
+        check_positive("modulus", self.modulus)
         if not math.isfinite(self.phase):
             raise ValueError("phase must be finite")
         object.__setattr__(self, "modulus", float(self.modulus))
@@ -205,9 +206,10 @@ class _TruncatedSeries:
 
     def scaled(self, c: complex):
         c = complex(c)
-        if c == 0:
-            return self._with({}, self.saturated)
-        return self._with({k: v * c for k, v in self.coefficients.items()}, self.saturated)
+        # a product that underflows to zero is dropped, as in __add__
+        return self._with(
+            {k: p for k, v in self.coefficients.items() if (p := v * c)}, self.saturated
+        )
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
@@ -321,10 +323,10 @@ def multiply(a: QElement, b: QElement) -> QElement:
 
 def scale_auto(a: QElement, rho: float) -> QElement:
     """Automorphism-style rescaling x_i -> rho x_i: multiplies c_k by rho^|k|."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
+    check_positive("rho", rho)
     return a._with(
-        {k: c * rho ** degree(k) for k, c in a.coefficients.items()}, a.saturated
+        {k: p for k, c in a.coefficients.items() if (p := c * checked_power(rho, degree(k)))},
+        a.saturated,
     )
 
 
@@ -348,26 +350,12 @@ def reversal_iso(a: QElement) -> QElement:
 FAMILIES = ("polydisk", "ball")
 
 
-def check_tau(tau: float) -> None:
-    """Raise ValueError unless the block weight satisfies 1 <= tau < inf (nan fails)."""
+def check_tau(tau: float, unweighted: str | None = None) -> None:
+    """Raise ValueError unless 1 <= tau < inf, or tau = 1 for an ``unweighted`` family (nan fails)."""
+    if unweighted is not None and tau != 1.0:
+        raise ValueError(f"the {unweighted} family has no block weight: tau must be 1, got {tau!r}")
     if not 1.0 <= tau < math.inf:
         raise ValueError("tau must be >= 1 and finite")
-
-
-@dataclass(frozen=True)
-class SeminormSpec:
-    """Which seminorm to evaluate: family name plus its shape parameters."""
-
-    family: str
-    rho: float
-    tau: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if not (self.rho > 0 and math.isfinite(self.rho)):
-            raise ValueError("rho must be positive and finite")
-        check_tau(self.tau)
 
 
 def _coefficient_norm(a: QElement, rho: float, ball: bool) -> float:
@@ -375,45 +363,38 @@ def _coefficient_norm(a: QElement, rho: float, ball: bool) -> float:
 
     The ball weight is w_q(k) exp((sum_i P[k_i] - P[|k|]) / 2), one log
     q-Pochhammer table P up to the element's degree serving every term
-    (see :func:`qdomains.qcombinatorics.log_ball_weight`).  Each term is
-    formed from its logs, so a large coefficient against a small weight
-    stays in range; a sum that leaves double range raises ValueError.
+    (see :func:`qdomains.qcombinatorics.log_ball_weight`).  Each weight is
+    formed from its logs and summed against |c_k| by :func:`sum_of_terms`, so a
+    large coefficient against a small weight stays in range.
     """
-    if not a.coefficients:
-        return 0.0
-    K = np.array(list(a.coefficients), dtype=np.int64)
-    d = K.sum(axis=1)
-    c = np.fromiter(a.coefficients.values(), dtype=complex, count=len(K))
-    log_terms = np.log(np.abs(c)) + d * math.log(rho)
+    check_positive("rho", rho)
+    log_rho = math.log(rho)
     mod = a.q.modulus
-    if mod < 1.0:
-        log_terms += (d * d - np.sum(K * K, axis=1)) // 2 * math.log(mod)
-    if ball:
-        pochhammer = log_pochhammer_table(int(d.max()), mod)
-        log_terms += 0.5 * (np.sum(pochhammer[K], axis=1) - pochhammer[d])
-    with np.errstate(over="ignore"):
-        value = math.fsum(np.exp(log_terms))
-    if not math.isfinite(value):
-        raise ValueError("norm leaves the double range")
-    return value
+    log_w = math.log(mod) if mod < 1.0 else 0.0  # w_q(k) = exp(cross(k) log_w)
+    pochhammer = log_pochhammer_table(a.degree(), mod).tolist() if ball else []
+
+    def log_weight(k: MultiIndex) -> float:
+        d = sum(k)
+        w = d * log_rho + cross_degree_sum(k) * log_w
+        if ball:
+            w += 0.5 * (sum(pochhammer[e] for e in k) - pochhammer[d])
+        return w
+
+    return sum_of_terms((abs(c), log_weight(k)) for k, c in a.coefficients.items())
 
 
-def polydisk_norm(a: QElement, spec: SeminormSpec) -> float:
+def polydisk_norm(a: QElement, rho: float) -> float:
     """Weighted coefficient norm sum |c_k| w_q(k) rho^|k|.
 
     For saturated elements the value is a lower bound of the untruncated
     norm (dropped tail terms are nonnegative contributions).
     """
-    if spec.family != "polydisk":
-        raise ValueError(f"spec family {spec.family!r}, expected 'polydisk'")
-    return _coefficient_norm(a, spec.rho, ball=False)
+    return _coefficient_norm(a, rho, ball=False)
 
 
-def ball_norm(a: QElement, spec: SeminormSpec) -> float:
+def ball_norm(a: QElement, rho: float) -> float:
     """Weighted coefficient norm sum |c_k| ball_weight(k) rho^|k| (lower bound when saturated)."""
-    if spec.family != "ball":
-        raise ValueError(f"spec family {spec.family!r}, expected 'ball'")
-    return _coefficient_norm(a, spec.rho, ball=True)
+    return _coefficient_norm(a, rho, ball=True)
 
 
 @dataclass(frozen=True)
@@ -446,8 +427,7 @@ def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
     """
     if q_mod == 1.0:
         raise ValueError("weight ratio scan requires |q| != 1")
-    if not (q_mod > 0 and math.isfinite(q_mod)):
-        raise ValueError("q_mod must be positive and finite")
+    check_positive("q_mod", q_mod)
     pochhammer = log_pochhammer_table(d_max, q_mod)
     best_min = math.inf
     best_max = -math.inf

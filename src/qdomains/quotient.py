@@ -20,9 +20,9 @@ with u = |q|^-2.  With w(k) = min(1, |q|^cross(k)), cross(k) = sum_{i<j} k_i k_j
 
 The l2 form uses [m]_u = u^(m-1) [m]_(1/u) to keep t <= 1, and
 [m]_t! = (t; t)_m / (1 - t)^m to read the q-multinomial off one log
-q-Pochhammer table (Andrews, The Theory of Partitions, ch. 3).  Everything is
-summed in the log domain, so no power of |q| leaves double range on the way;
-a result that does raises ValueError.
+q-Pochhammer table (Andrews, The Theory of Partitions, ch. 3).  Every weight is
+formed in the log domain and summed by ``sum_of_terms``, so no power of |q|
+leaves double range on the way; a result that does raises ValueError.
 
 The explicit slices (``build_slice``, ``slice_matrix``, ``slice_rank``) stay
 as the independent description of the ideal: the slice-rank suite counts
@@ -42,11 +42,13 @@ from .qcombinatorics import (
     MultiIndex,
     Word,
     as_multi_index,
+    check_positive,
     cross_degree_sum,
     degree,
     inv_count,
     log_pochhammer_table,
     p_proj,
+    sum_of_terms,
     words_of_degree,
 )
 from .qspace import QParameter, check_tau
@@ -129,28 +131,33 @@ class QuotientResult:
     converged: bool = True
 
 
-def _fiber_log_images(target: FreeElement, q: QParameter) -> dict[MultiIndex, float]:
-    """log(|y_k| w(k)) for each letter-count fiber k of the target.
+def _fiber_log_images(target: FreeElement, q: QParameter) -> dict[MultiIndex, tuple[float, float]]:
+    """(m, g) with |y_k| w(k) = m exp(g), for each letter-count fiber k of the target.
 
     Each term t_w q^(-inv w) is scaled by q^cross(k) when |q| < 1, so no
-    power of |q| above 1 is formed, and a fiber is summed relative to its
-    largest term.  A fiber whose terms cancel gives -inf.
+    power of |q| above 1 is formed.  m is the modulus |t_w| of the fiber's
+    largest term and g that term's log weight plus the log of the fiber
+    sum relative to it, so m keeps all its digits.  A fiber whose terms
+    cancel is left out.
     """
     log_q = math.log(q.modulus)
     phase = QParameter(1.0, q.phase)
-    terms: dict[MultiIndex, list[tuple[float, complex]]] = {}
+    terms: dict[MultiIndex, list[tuple[float, float, float, complex]]] = {}
     for w, c in target.coefficients.items():
         k = p_proj(w, target.n)
         shift = cross_degree_sum(k) if log_q < 0.0 else 0
         inv = inv_count(w)
+        m = abs(c)
+        log_weight = (shift - inv) * log_q
         terms.setdefault(k, []).append(
-            (math.log(abs(c)) + (shift - inv) * log_q, c / abs(c) * phase.power(-inv))
+            (math.log(m) + log_weight, m, log_weight, c / m * phase.power(-inv))
         )
-    out: dict[MultiIndex, float] = {}
+    out: dict[MultiIndex, tuple[float, float]] = {}
     for k, fiber in terms.items():
-        top = max(lv for lv, _ in fiber)
-        s = abs(sum(u * math.exp(lv - top) for lv, u in fiber))
-        out[k] = top + math.log(s) if s > 0.0 else -math.inf
+        top, m, log_weight, _ = max(fiber, key=lambda term: term[0])
+        s = abs(sum(u * math.exp(lv - top) for lv, _, _, u in fiber))
+        if s > 0.0:
+            out[k] = (m, log_weight + math.log(s))
     return out
 
 
@@ -160,22 +167,19 @@ def _quotient(
     rho: float,
     log_factor: Callable[[MultiIndex], float],
 ) -> QuotientResult:
-    """Sum over fibers of exp(log(|y_k| w(k)) + |k| log rho + log_factor(k))."""
-    if not (rho > 0 and math.isfinite(rho)):
-        raise ValueError("rho must be positive and finite")
+    """Sum over fibers of |y_k| w(k) exp(|k| log rho + log_factor(k)), by degree."""
+    check_positive("rho", rho)
     log_rho = math.log(rho)
-    logs: dict[int, list[float]] = {len(w): [] for w in target.coefficients}
+    pairs: dict[int, list[tuple[float, float]]] = {len(w): [] for w in target.coefficients}
     try:
-        for k, log_y in _fiber_log_images(target, q).items():
-            d = degree(k)
-            logs[d].append(log_y + d * log_rho + log_factor(k))
-        per_degree = {d: math.fsum(map(math.exp, ls)) for d, ls in sorted(logs.items())}
-        value = math.fsum(per_degree.values())
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError("quotient norm leaves the double range")
-    return QuotientResult(value, per_degree)
+        images = _fiber_log_images(target, q)
+    except OverflowError:  # a coefficient modulus past double range
+        raise ValueError("norm leaves the double range") from None
+    for k, (m, log_y) in images.items():
+        d = degree(k)
+        pairs[d].append((m, log_y + d * log_rho + log_factor(k)))
+    per_degree = {d: sum_of_terms(ps) for d, ps in sorted(pairs.items())}
+    return QuotientResult(sum_of_terms((v, 0.0) for v in per_degree.values()), per_degree)
 
 
 def quotient_norm_l1(
@@ -195,10 +199,10 @@ def quotient_norm_l1(
 
 def quotient_norm_l2(target: FreeElement, rho: float, *, q: QParameter) -> QuotientResult:
     """Quotient of the fiberwise-l2 (free ball) norm by the commutation ideal."""
-    pochhammer = log_pochhammer_table(target.degree(), q.modulus)
+    pochhammer = log_pochhammer_table(target.degree(), q.modulus).tolist()
     return _quotient(
         target,
         q,
         rho,
-        lambda k: 0.5 * (math.fsum(pochhammer[list(k)]) - pochhammer[degree(k)]),
+        lambda k: 0.5 * (math.fsum(pochhammer[e] for e in k) - pochhammer[degree(k)]),
     )

@@ -50,7 +50,6 @@ from .qcombinatorics import (
 from .qspace import (
     QElement,
     QParameter,
-    SeminormSpec,
     ball_norm,
     multiply,
     normal_order_word,
@@ -183,44 +182,31 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
 def _suite_submultiplicativity(rng: np.random.Generator) -> Iterator[Check]:
     qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 4), QParameter(2.0, 1.0)]
     trials = 1000
-    for family in ("polydisk", "ball"):
-        norm = polydisk_norm if family == "polydisk" else ball_norm
-        worst = -math.inf
-        for t in range(trials):
-            q = qs[t % len(qs)]
-            spec = SeminormSpec(family, rho=0.7 if t % 2 else 1.3)
-            a = _random_qelement(rng, 2, q, cap=8, max_deg=4, terms=5)
-            b = _random_qelement(rng, 2, q, cap=8, max_deg=4, terms=5)
-            na, nb = norm(a, spec), norm(b, spec)
-            if na * nb == 0.0:
-                continue
-            worst = max(worst, (norm(multiply(a, b), spec) - na * nb) / (na * nb))
-        yield _le(
-            f"submultiplicative-{family}",
-            worst,
-            1e-9,
-            f"worst relative excess of |ab| over |a||b|, {trials} pairs, n=2",
-        )
-    free_norms: dict[str, Callable[[FreeElement, float], float]] = {
+    norms: dict[str, Callable[[QElement | FreeElement, float], float]] = {
+        "polydisk": polydisk_norm,
+        "ball": ball_norm,
         "free_polydisk": lambda a, rho: free_polydisk_norm(a, rho, 1.5),
         "free_taylor": taylor_norm,
         "free_ball": free_ball_norm,
     }
-    for family, norm_f in free_norms.items():
+    for family, norm in norms.items():
         worst = -math.inf
         for t in range(trials):
+            q = qs[t % len(qs)]
             rho = 0.7 if t % 2 else 1.3
-            a = _random_free(rng, 2, cap=8, max_deg=4, terms=5)
-            b = _random_free(rng, 2, cap=8, max_deg=4, terms=5)
-            na, nb = norm_f(a, rho), norm_f(b, rho)
+            if family.startswith("free"):
+                a, b = (_random_free(rng, 2, cap=8, max_deg=4, terms=5) for _ in range(2))
+            else:
+                a, b = (_random_qelement(rng, 2, q, cap=8, max_deg=4, terms=5) for _ in range(2))
+            na, nb = norm(a, rho), norm(b, rho)
             if na * nb == 0.0:
                 continue
-            worst = max(worst, (norm_f(a * b, rho) - na * nb) / (na * nb))
+            worst = max(worst, (norm(a * b, rho) - na * nb) / (na * nb))
         yield _le(
             f"submultiplicative-{family}",
             worst,
             1e-9,
-            f"worst relative excess, {trials} pairs, n=2"
+            f"worst relative excess of |ab| over |a||b|, {trials} pairs, n=2"
             + (", tau=1.5" if family == "free_polydisk" else ""),
         )
 
@@ -239,9 +225,8 @@ def _suite_reversal(rng: np.random.Generator) -> Iterator[Check]:
         n = 2 + t % 2
         a = _random_qelement(rng, n, q, cap=8, max_deg=4, terms=5)
         b = reversal_iso(a)
-        for family, norm in (("polydisk", polydisk_norm), ("ball", ball_norm)):
-            spec = SeminormSpec(family, rho=0.9)
-            na, nb = norm(a, spec), norm(b, spec)
+        for norm in (polydisk_norm, ball_norm):
+            na, nb = norm(a, 0.9), norm(b, 0.9)
             worst_norm = max(worst_norm, abs(na - nb) / max(na, 1.0))
     yield _le(
         "reversal-isometry",
@@ -466,9 +451,9 @@ def _suite_vaksman(rng: np.random.Generator) -> Iterator[Check]:
         for k in multi_indices_up_to(2, 4):
             a = element_for(fock2, {k: 1.0})
             v_small = vaksman_norm(a, rho_small, fock2)
-            p_big = polydisk_norm(a, SeminormSpec("polydisk", rho_big))
+            p_big = polydisk_norm(a, rho_big)
             c_upper = max(c_upper, v_small / p_big)
-            p_small = polydisk_norm(a, SeminormSpec("polydisk", rho_small))
+            p_small = polydisk_norm(a, rho_small)
             v_big = vaksman_norm(a, rho_big, fock2)
             c_lower = max(c_lower, p_small / v_big)
     yield _finite(

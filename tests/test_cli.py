@@ -255,6 +255,12 @@ def assert_clean_error(r):
         ["jsr", "--p", "nan"],
         ["jsr", "--p", "-inf"],
         ["jsr", "--family", "free-taylor", "--p", "nan"],
+        ["norm", "1e308*x1 + 1e308*x2", "--family", "polydisk"],
+        ["norm", "1e308*x1 + 1e308*x2", "--family", "ball"],
+        # a coefficient whose modulus is past double range, its parts not
+        ["norm", "1.5e308*z1 + 1.5e308i*z1", "--family", "free-ball"],
+        ["quotient-norm", "1.5e308*z1 + 1.5e308i*z1"],
+        ["fock-norm", "x1^2", "--rho", "1e200"],
     ],
 )
 def test_values_outside_double_range_are_clean_errors(runner, args):
@@ -275,6 +281,39 @@ def test_free_norms_keep_extreme_values(runner, tmp_path, args, want):
     invoke(runner, args + ["--json", str(out)])
     value = json.loads(out.read_text())["results"][0]["value"]
     assert value == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "1e300*z1*z2", "--family", "free-taylor"],
+        ["norm", "1e300*x1*x2"],
+        ["quotient-norm", "1e300*z1*z2"],
+    ],
+)
+def test_single_large_terms_print_exactly(runner, args):
+    # a term's modulus enters the sum with all its digits
+    assert invoke(runner, args).output.rstrip().endswith(" = 1e+300")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "x1", "--family", "polydisk", "--tau", "7"],
+        ["norm", "x1", "--family", "ball", "--tau", "7"],
+        ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5", "--tau", "7"],
+        ["jsr", "--family", "polydisk", "--tau", "5"],
+        ["jsr", "--family", "ball", "--tau", "5"],
+        ["jsr", "--family", "free-taylor", "--tau", "5"],
+        ["jsr", "--family", "free-ball", "--tau", "5"],
+        ["quotient-norm", "z1*z2", "--family", "free-taylor", "--tau", "5"],
+        ["quotient-norm", "z1*z2", "--family", "free-ball", "--tau", "5"],
+    ],
+)
+def test_tau_is_refused_where_no_block_weight_reads_it(runner, args):
+    r = invoke(runner, args, ok=False)
+    assert_clean_error(r)
+    assert "has no block weight" in r.output
 
 
 def test_radius_of_huge_coefficients(runner, tmp_path):

@@ -68,7 +68,7 @@ def test_norm_of_unit_is_one_in_every_family():
 
 def test_norms_skip_coefficients_that_underflowed_to_zero():
     tiny = FreeElement.word(2, (1, 2), 1e-300, cap=4).scaled(1e-300)
-    assert tiny.coefficients == {(1, 2): 0j}
+    assert tiny.is_zero()
     assert free_polydisk_norm(tiny, 0.5, 2.0) == taylor_norm(tiny, 0.5) == free_ball_norm(tiny, 0.5) == 0.0
 
 

@@ -18,11 +18,15 @@ from qdomains.jsr import (
     jsr_partials,
 )
 from qdomains.qcombinatorics import composition_array, log_q_factorial_table
-from qdomains.qspace import QElement, QParameter, SeminormSpec
+from qdomains.qspace import QElement, QParameter, ball_norm, polydisk_norm
 
 Q_UNIT = QParameter(1.0, math.pi / 4)
 Q_HALF = QParameter(0.5, 0.0)
 Q_TWO = QParameter(2.0, 0.3)
+
+
+def unit_polydisk_norm(a):
+    return polydisk_norm(a, 1.0)
 
 
 def canonical_tuple(n, q, cap):
@@ -188,9 +192,9 @@ def test_sup_partials_equal_rho_for_polydisk(q):
 @pytest.mark.parametrize("q", [Q_HALF, Q_TWO])
 def test_enumeration_agrees_with_collapse(family, q):
     # the n^d brute force and the fiber-collapsed sums are the same numbers
-    spec = SeminormSpec(family, 0.9)
+    norm = {"polydisk": polydisk_norm, "ball": ball_norm}[family]
     gens = canonical_tuple(2, q, cap=6)
-    brute, flags = jsr_partials(gens, 2.0, spec, 5)
+    brute, flags = jsr_partials(gens, 2.0, lambda a: norm(a, 0.9), 5)
     assert "general-tuple-enumeration" in flags
     collapsed = canonical_partials(family, 2, q, 2.0, 5, rho=0.9)
     assert len(brute) == len(collapsed) == 5
@@ -203,11 +207,11 @@ def test_general_tuple_is_flagged_and_guarded():
     q = Q_HALF
     g1 = QElement(2, q, {(1, 0): 0.5, (0, 1): 0.5}, cap=4)
     g2 = QElement.generator(2, q, 2, cap=4)
-    partials, flags = jsr_partials((g1, g2), 2.0, SeminormSpec("polydisk", 1.0), 3)
+    partials, flags = jsr_partials((g1, g2), 2.0, unit_polydisk_norm, 3)
     assert "general-tuple-enumeration" in flags
     assert len(partials) == 3
     with pytest.raises(ValueError):
-        jsr_partials((g1, g2), 2.0, SeminormSpec("polydisk", 1.0), 40)
+        jsr_partials((g1, g2), 2.0, unit_polydisk_norm, 40)
     assert 2 ** 40 > ENUMERATION_LIMIT
 
 
@@ -215,7 +219,7 @@ def test_saturation_stops_enumeration():
     q = Q_HALF
     g1 = QElement(2, q, {(1, 0): 0.5, (0, 1): 0.5}, cap=2)
     g2 = QElement.generator(2, q, 2, cap=2)
-    partials, flags = jsr_partials((g1, g2), 2.0, SeminormSpec("polydisk", 1.0), 6)
+    partials, flags = jsr_partials((g1, g2), 2.0, unit_polydisk_norm, 6)
     assert any(f.startswith("saturated-at-d=") for f in flags)
     assert len(partials) < 6
 
@@ -359,13 +363,20 @@ def test_family_and_argument_validation():
             with pytest.raises(ValueError, match="n must be >= 1"):
                 canonical_partials(family, 0, Q_UNIT, p, 5)
     with pytest.raises(ValueError):
-        jsr_partials((), 2.0, SeminormSpec("polydisk", 1.0), 5)
-    with pytest.raises(ValueError):
-        jsr_partials(canonical_tuple(2, Q_UNIT, 4), 2.0, SeminormSpec("free_ball", 1.0), 3)
+        jsr_partials((), 2.0, unit_polydisk_norm, 5)
     # p >= 1 fails for nan, so neither a nan nor a negative p runs as p = inf
     for p in (0.5, math.nan, -math.inf):
         for family in ("polydisk", "ball", "free_taylor", "free_polydisk"):
             with pytest.raises(ValueError, match="p must be >= 1"):
                 canonical_partials(family, 2, Q_UNIT, p, 5)
         with pytest.raises(ValueError, match="p must be >= 1"):
-            jsr_partials(canonical_tuple(2, Q_UNIT, 4), p, SeminormSpec("polydisk", 1.0), 3)
+            jsr_partials(canonical_tuple(2, Q_UNIT, 4), p, unit_polydisk_norm, 3)
+
+
+@pytest.mark.parametrize("family", ["polydisk", "ball", "free_taylor", "free_ball"])
+@pytest.mark.parametrize("tau", [5.0, 0.5, math.nan])
+def test_families_without_block_weights_refuse_tau(family, tau):
+    # only free_polydisk reads tau; elsewhere a tau other than 1 is an error
+    with pytest.raises(ValueError, match="has no block weight"):
+        canonical_partials(family, 2, Q_HALF, 2.0, 10, tau=tau)
+    assert canonical_partials(family, 2, Q_HALF, 2.0, 10, tau=1.0)

@@ -2,11 +2,14 @@
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import qdomains
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+README = ROOT / "README.md"
 
 
 def load_spans():
@@ -30,3 +33,10 @@ def test_tracer_targets_resolve():
 def test_all_names_resolve():
     assert len(qdomains.__all__) == len(set(qdomains.__all__))
     assert [name for name in qdomains.__all__ if not hasattr(qdomains, name)] == []
+
+
+def test_readme_library_tour_runs():
+    # the tour names only the public API as it is
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

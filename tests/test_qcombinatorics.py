@@ -32,6 +32,7 @@ from qdomains.qcombinatorics import (
     s_stat,
     sampled_monomial_sup,
     stirling_ratio,
+    sum_of_terms,
     w_q,
     words_of_degree,
 )
@@ -341,6 +342,50 @@ def test_checked_power_raises_outside_double_range():
         checked_power(1e-300, -2)
     with pytest.raises(ValueError, match="double range"):
         checked_power(1e200, 3.5)
+
+
+LOG_1E300 = math.log(1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-LOG_1E300, max_value=LOG_1E300),
+            st.floats(min_value=-700.0, max_value=700.0),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_sum_of_terms_matches_a_fifty_digit_sum(logs):
+    # m log-uniform in [1e-300, 1e300], w in [-700, 700], products in range
+    pairs = [(math.exp(log_m), w) for log_m, w in logs if abs(log_m + w) <= LOG_1E300]
+    with mpmath.workdps(50):
+        want = mpmath.fsum(mpmath.mpf(m) * mpmath.exp(mpmath.mpf(w)) for m, w in pairs)
+        got = sum_of_terms(pairs)
+        tol = 2 * math.ulp(1.0) * max([1.0] + [abs(w) for _, w in pairs])
+        assert abs(got - want) <= tol * want
+
+
+def test_sum_of_terms_keeps_digits_and_range():
+    assert sum_of_terms([]) == 0.0
+    assert sum_of_terms([(1e300, 0.0)]) == 1e300
+    assert sum_of_terms([(0.0, 3.0), (5e-324, 0.0)]) == 5e-324
+    assert sum_of_terms(iter([(1e300, -math.log(1e300)), (1.0, 0.0)])) == pytest.approx(2.0, rel=1e-15)
+    # a term, a modulus or the sum out of double range: ValueError, never OverflowError
+    for pairs in (
+        [(1e300, 50.0)],
+        [(1.0, 710.0)],
+        [(1.0, math.inf)],
+        [(math.inf, 0.0)],
+        [(1e308, 0.0), (1e308, 0.0)],
+        [(1.7e308, 0.0), (1.7e308, -1e-9)],
+    ):
+        with pytest.raises(ValueError, match="norm leaves the double range"):
+            sum_of_terms(pairs)
+    with pytest.raises(ValueError, match="norm leaves the double range"):
+        sum_of_terms((abs(c), 0.0) for c in [complex(1.7e308, 1.7e308)])
 
 
 def test_stirling_ratio_spots():

@@ -25,7 +25,6 @@ from qdomains.qspace import (
     IncompatibilityError,
     QElement,
     QParameter,
-    SeminormSpec,
     ball_norm,
     multiply,
     normal_order_exponent,
@@ -181,6 +180,12 @@ def test_series_container_contract(make, key, other_key, product):
     for out in (a + sat, sat + a, a - sat, sat - a, -sat, sat.scaled(3.0), sat.scaled(0)):
         assert out.saturated and type(out) is type(a)
     assert not (a + a).saturated and not a.scaled(2.0).saturated
+    # a coefficient that underflows to zero is dropped, as one that cancels
+    tiny = make({key: 1e-300, other_key: 1e-300}).scaled(1e-300)
+    assert tiny.coefficients == {} and tiny.is_zero() and tiny.degree() == 0
+    if isinstance(a, QElement):
+        tiny = scale_auto(QElement.monomial(2, Q_HALF, (3, 3), 1e-300, cap=8), 1e-10)
+        assert tiny.is_zero() and tiny.degree() == 0
     # operands must share n and cap (and q for QElement)
     mismatched = [make({}, n=3), make({}, cap=5)]
     if isinstance(a, QElement):
@@ -212,27 +217,19 @@ def test_series_container_contract(make, key, other_key, product):
             operand * a
 
 
-def test_seminorm_spec_validation():
-    with pytest.raises(ValueError):
-        SeminormSpec("cube", 1.0)
-    with pytest.raises(ValueError):
-        SeminormSpec("polydisk", -1.0)
-    with pytest.raises(ValueError):
-        SeminormSpec("polydisk", 1.0, tau=0.5)
-    with pytest.raises(ValueError):
-        polydisk_norm(QElement.unit(1, Q_HALF, cap=2), SeminormSpec("ball", 1.0))
-    with pytest.raises(ValueError):
-        ball_norm(QElement.unit(1, Q_HALF, cap=2), SeminormSpec("polydisk", 1.0))
-    for family in ("popescu", "vaksman", "free_ball"):
-        with pytest.raises(ValueError, match="unknown family"):
-            SeminormSpec(family, 1.0)
+def test_seminorm_rho_validation():
+    # rho is checked on the zero element too, where no term is summed
+    for a in (QElement.unit(1, Q_HALF, cap=2), QElement.zero(1, Q_HALF, cap=2)):
+        for norm in (polydisk_norm, ball_norm):
+            for rho in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="rho must be positive and finite"):
+                    norm(a, rho)
 
 
 @pytest.mark.parametrize("tau", [0.5, math.nan, math.inf])
 def test_tau_must_be_finite_and_at_least_one(tau):
     w = FreeElement.word(2, (1, 2), cap=4)
     for check in (
-        lambda: SeminormSpec("polydisk", 1.0, tau),
         lambda: free_polydisk_norm(w, 1.0, tau),
         lambda: quotient_norm_l1(w, 1.0, tau, q=Q_HALF),
         lambda: canonical_partials("free_polydisk", 2, None, 2.0, 5, tau=tau),
@@ -243,17 +240,15 @@ def test_tau_must_be_finite_and_at_least_one(tau):
 
 def test_polydisk_norm_values():
     a = QElement(2, Q_HALF, {(1, 1): 2.0, (0, 0): 1.0}, cap=8)
-    spec = SeminormSpec("polydisk", 0.5)
     # w((1,1)) = mod^1 = 0.5 at modulus 1/2; contribution 2 * 0.5 * 0.25
-    assert polydisk_norm(a, spec) == pytest.approx(1.0 + 0.25, rel=1e-14)
+    assert polydisk_norm(a, 0.5) == pytest.approx(1.0 + 0.25, rel=1e-14)
     b = QElement(2, Q_BIG, {(1, 1): 2.0, (0, 0): 1.0}, cap=8)
-    assert polydisk_norm(b, spec) == pytest.approx(1.0 + 0.5, rel=1e-14)
+    assert polydisk_norm(b, 0.5) == pytest.approx(1.0 + 0.5, rel=1e-14)
 
 
 def test_ball_norm_value():
     b = QElement(2, Q_BIG, {(1, 1): 1.0}, cap=8)
-    spec = SeminormSpec("ball", 1.0)
-    assert ball_norm(b, spec) == pytest.approx(0.8944271909999159, rel=1e-13)
+    assert ball_norm(b, 1.0) == pytest.approx(0.8944271909999159, rel=1e-13)
 
 
 def scalar_norm(a, family, rho):
@@ -287,12 +282,8 @@ def test_norms_match_term_by_term_oracle(log_mod, invert, n, seed):
     }
     a = QElement(n, q, terms, cap=5 * n)
     rho = float(rng.uniform(0.3, 1.5))
-    assert polydisk_norm(a, SeminormSpec("polydisk", rho)) == pytest.approx(
-        scalar_norm(a, "polydisk", rho), rel=1e-13
-    )
-    assert ball_norm(a, SeminormSpec("ball", rho)) == pytest.approx(
-        scalar_norm(a, "ball", rho), rel=1e-13
-    )
+    assert polydisk_norm(a, rho) == pytest.approx(scalar_norm(a, "polydisk", rho), rel=1e-13)
+    assert ball_norm(a, rho) == pytest.approx(scalar_norm(a, "ball", rho), rel=1e-13)
 
 
 def test_norms_keep_their_range():
@@ -301,20 +292,20 @@ def test_norms_keep_their_range():
     tiny = QParameter(1e-100, 0.0)
     x1, x2 = (QElement.generator(2, tiny, i, cap=4) for i in (1, 2))
     sq = (x2 * x1) * (x2 * x1)
-    assert polydisk_norm(sq, SeminormSpec("polydisk", 1.0)) == pytest.approx(1e-100, rel=1e-12, abs=0)
-    assert ball_norm(sq, SeminormSpec("ball", 1.0)) == pytest.approx(1e-100, rel=1e-12, abs=0)
-    assert ball_norm(QElement.zero(2, tiny, cap=4), SeminormSpec("ball", 1.0)) == 0.0
+    assert polydisk_norm(sq, 1.0) == pytest.approx(1e-100, rel=1e-12, abs=0)
+    assert ball_norm(sq, 1.0) == pytest.approx(1e-100, rel=1e-12, abs=0)
+    assert ball_norm(QElement.zero(2, tiny, cap=4), 1.0) == 0.0
     high = QElement(1, Q_HALF, {(10,): 1.0}, cap=10)
     with pytest.raises(ValueError, match="double range"):
-        polydisk_norm(high, SeminormSpec("polydisk", 1e100))
+        polydisk_norm(high, 1e100)
 
 
 def test_scale_auto_moves_rho():
     a = QElement(2, Q_BIG, {(1, 1): 2.0, (2, 0): -1j, (0, 0): 3.0}, cap=8)
     for rho in (0.3, 0.9, 1.7):
         scaled = scale_auto(a, rho)
-        assert polydisk_norm(scaled, SeminormSpec("polydisk", 1.0)) == pytest.approx(
-            polydisk_norm(a, SeminormSpec("polydisk", rho)), rel=1e-13
+        assert polydisk_norm(scaled, 1.0) == pytest.approx(
+            polydisk_norm(a, rho), rel=1e-13
         )
 
 
@@ -337,10 +328,9 @@ def test_reversal_involution_and_homomorphism(q):
 def test_reversal_is_isometric(q):
     a = QElement(3, q, {(2, 0, 1): 1.5, (0, 3, 0): -2j, (1, 1, 1): 0.25}, cap=10)
     ra = reversal_iso(a)
-    for family, norm in (("polydisk", polydisk_norm), ("ball", ball_norm)):
+    for norm in (polydisk_norm, ball_norm):
         for rho in (0.4, 1.0, 1.6):
-            spec = SeminormSpec(family, rho)
-            assert norm(ra, spec) == pytest.approx(norm(a, spec), rel=1e-12)
+            assert norm(ra, rho) == pytest.approx(norm(a, rho), rel=1e-12)
 
 
 def test_weight_ratio_scan_pinches():

@@ -1,11 +1,14 @@
 """Quotient seminorms on free-algebra slices of the commutation ideal."""
 
+import cmath
 import math
 from itertools import product
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from qdomains.qcombinatorics import (
@@ -18,7 +21,7 @@ from qdomains.qcombinatorics import (
     w_q,
 )
 from qdomains.freeseries import FreeElement
-from qdomains.qspace import QParameter
+from qdomains.qspace import QElement, QParameter, ball_norm, polydisk_norm
 from qdomains.quotient import (
     IdealSlice,
     QuotientResult,
@@ -307,3 +310,29 @@ def test_result_metadata():
         quotient_norm_l1(canonical_lift((1, 1)), -0.5, q=q)
     with pytest.raises(ValueError):
         quotient_norm_l1(canonical_lift((1, 1)), 0.5, tau=0.2, q=q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=3),
+    log_mod=st.floats(min_value=math.log(0.25), max_value=math.log(4.0)),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    rho=st.floats(min_value=0.3, max_value=1.5),
+)
+def test_coefficient_norms_are_quotient_norms_of_the_sorted_lift(data, n, log_mod, phase, rho):
+    # sum_k c_k x^k and its lift sum_k c_k (sorted word of k) have the same
+    # norm: the coefficient norms are the quotient norms of the free ones
+    q = QParameter(math.exp(log_mod), phase)
+    coefficient = st.builds(
+        cmath.rect, st.floats(min_value=0.1, max_value=2.0), st.floats(min_value=0.0, max_value=6.3)
+    )
+    terms = data.draw(
+        st.dictionaries(st.sampled_from(list(multi_indices_up_to(n, 6))), coefficient, min_size=1, max_size=8)
+    )
+    a = QElement(n, q, terms, cap=6)
+    lift = FreeElement.zero(n, cap=6)
+    for k, c in terms.items():
+        lift = lift + canonical_lift(k, cap=6).scaled(c)
+    assert polydisk_norm(a, rho) == pytest.approx(quotient_norm_l1(lift, rho, q=q).value, rel=1e-13)
+    assert ball_norm(a, rho) == pytest.approx(quotient_norm_l2(lift, rho, q=q).value, rel=1e-13)
