@@ -4,8 +4,8 @@ Every subcommand can write a machine-readable JSON report (``--json PATH``)
 with schema { command, params, results: [ {name, value, flags, assert} ] }.
 Reports are deterministic: identical command plus seed produces
 byte-identical JSON (floats serialized with full round-trip precision, no
-timestamps).  The only caveat is ``verify --budget``, where the wall clock
-decides how many checks fit.
+timestamps).  A ValueError from any subcommand is a one-line ``Error:``
+and exit status 1.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .qspace import (
     polydisk_norm,
 )
 from .quotient import quotient_norm_l1, quotient_norm_l2
-from .verify import SUITES, run_suites
+from .verify import SUITES, run_suite
 
 _FREE_FAMILIES = ("free-polydisk", "free-taylor", "free-ball")
 _UNREPORTED = ("json_path", "csv_path", "list_only")
@@ -99,10 +99,6 @@ def _emit(report: dict, json_path: str | None, human: list[str]) -> None:
         Path(json_path).write_text(text)
 
 
-def _fail(exc: Exception) -> None:
-    raise click.ClickException(str(exc))
-
-
 def _element_flags(saturated: bool) -> tuple[str, ...]:
     return ("saturated", "lower-bound") if saturated else ()
 
@@ -117,7 +113,17 @@ def _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap):
     return vaksman_norm(a, rho, fock), a
 
 
-@click.group()
+class _Main(click.Group):
+    """The one error boundary: a ValueError from any subcommand is a clean error."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="qdomains")
 def main() -> None:
     """Computable norms on deformed polydisk and ball function algebras."""
@@ -139,28 +145,24 @@ def main() -> None:
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def norm(expression, family, n, q_mod, q_phase, rho, tau, cap, fock_cap, json_path):
     """Seminorm of EXPRESSION in the selected family."""
-    flags: tuple[str, ...] = ()
-    try:
-        if family not in _FREE_FAMILIES:
-            check_tau(tau, unweighted=family)
-        if family in _Q_FAMILIES:
-            a = parse_qelement(expression, n, QParameter(q_mod, q_phase), cap)
-            value = (polydisk_norm if family == "polydisk" else ball_norm)(a, rho)
-            flags = _element_flags(a.saturated)
-        elif family in _FREE_FAMILIES:
-            a = parse_free_element(expression, n, cap)
-            if family == "free-polydisk":
-                value = free_polydisk_norm(a, rho, tau)
-            elif family == "free-taylor":
-                value = taylor_norm(a, rho)
-            else:
-                value = free_ball_norm(a, rho)
-            flags = _element_flags(a.saturated)
+    if family not in _FREE_FAMILIES:
+        check_tau(tau, unweighted=family)
+    if family in _Q_FAMILIES:
+        a = parse_qelement(expression, n, QParameter(q_mod, q_phase), cap)
+        value = (polydisk_norm if family == "polydisk" else ball_norm)(a, rho)
+        flags = _element_flags(a.saturated)
+    elif family in _FREE_FAMILIES:
+        a = parse_free_element(expression, n, cap)
+        if family == "free-polydisk":
+            value = free_polydisk_norm(a, rho, tau)
+        elif family == "free-taylor":
+            value = taylor_norm(a, rho)
         else:
-            value, a = _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap)
-            flags = ("lower-bound",) + _element_flags(a.saturated)
-    except ValueError as exc:
-        _fail(exc)
+            value = free_ball_norm(a, rho)
+        flags = _element_flags(a.saturated)
+    else:
+        value, a = _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap)
+        flags = ("lower-bound",) + _element_flags(a.saturated)
     report = _report([_result("norm", value, flags)])
     suffix = f"  [{', '.join(flags)}]" if flags else ""
     _emit(report, json_path, [f"norm[{family}] = {value!r}{suffix}"])
@@ -177,20 +179,17 @@ def norm(expression, family, n, q_mod, q_phase, rho, tau, cap, fock_cap, json_pa
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def multiply_cmd(expr_a, expr_b, mode, n, q_mod, q_phase, cap, json_path):
     """Product of EXPR_A and EXPR_B (normal-ordered in qspace mode)."""
-    try:
-        if mode == "qspace":
-            q = QParameter(q_mod, q_phase)
-            prod = multiply(
-                parse_qelement(expr_a, n, q, cap), parse_qelement(expr_b, n, q, cap)
-            )
-            text = format_qelement(prod)
-        else:
-            prod = concat_multiply(
-                parse_free_element(expr_a, n, cap), parse_free_element(expr_b, n, cap)
-            )
-            text = format_free_element(prod)
-    except ValueError as exc:
-        _fail(exc)
+    if mode == "qspace":
+        q = QParameter(q_mod, q_phase)
+        prod = multiply(
+            parse_qelement(expr_a, n, q, cap), parse_qelement(expr_b, n, q, cap)
+        )
+        text = format_qelement(prod)
+    else:
+        prod = concat_multiply(
+            parse_free_element(expr_a, n, cap), parse_free_element(expr_b, n, cap)
+        )
+        text = format_free_element(prod)
     flags = _element_flags(prod.saturated)
     results = [
         _result("terms", float(len(prod.coefficients)), flags),
@@ -214,17 +213,14 @@ def multiply_cmd(expr_a, expr_b, mode, n, q_mod, q_phase, cap, json_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_path):
     """Norm of the coset of EXPRESSION modulo the commutation ideal."""
-    try:
-        if family != "free-polydisk":
-            check_tau(tau, unweighted=family)
-        target = parse_free_element(expression, n, cap)
-        q = QParameter(q_mod, q_phase)
-        if family == "free-ball":
-            res = quotient_norm_l2(target, rho, q=q)
-        else:  # free-taylor is the l1 family at tau = 1
-            res = quotient_norm_l1(target, rho, tau, q=q)
-    except ValueError as exc:
-        _fail(exc)
+    if family != "free-polydisk":
+        check_tau(tau, unweighted=family)
+    target = parse_free_element(expression, n, cap)
+    q = QParameter(q_mod, q_phase)
+    if family == "free-ball":
+        res = quotient_norm_l2(target, rho, q=q)
+    else:  # free-taylor is the l1 family at tau = 1
+        res = quotient_norm_l1(target, rho, tau, q=q)
     flags = tuple(res.flags)
     results = [_result("quotient-norm", res.value, flags)]
     for d, v in sorted(res.per_degree.items()):
@@ -248,11 +244,8 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_pat
 def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
     """Joint l^p spectral radius estimate for the canonical generators."""
     internal = family.replace("-", "_")
-    try:
-        q = QParameter(q_mod, q_phase) if family in _Q_FAMILIES else None
-        est = estimate_canonical_jsr(internal, n, q, p, r, d_max=dmax, tau=tau)
-    except ValueError as exc:
-        _fail(exc)
+    q = QParameter(q_mod, q_phase) if family in _Q_FAMILIES else None
+    est = estimate_canonical_jsr(internal, n, q, p, r, d_max=dmax, tau=tau)
     flags = tuple(est.flags)
     results = [
         _result("jsr-extrapolated", est.extrapolated, flags, detail=f"fit residual {est.residual:.3e}"),
@@ -276,10 +269,7 @@ def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def fock_norm(expression, n, q_mod, rho, fock_cap, json_path):
     """Sup-style norm of EXPRESSION via the truncated shift representation."""
-    try:
-        value, a = _vaksman_value(expression, n, q_mod, 0.0, rho, fock_cap)
-    except ValueError as exc:
-        _fail(exc)
+    value, a = _vaksman_value(expression, n, q_mod, 0.0, rho, fock_cap)
     flags = ("lower-bound",) + _element_flags(a.saturated)
     report = _report([_result("fock-norm", value, flags)])
     _emit(report, json_path, [f"fock-norm = {value!r}  [{', '.join(flags)}]"])
@@ -289,17 +279,13 @@ def fock_norm(expression, n, q_mod, rho, fock_cap, json_path):
 @click.argument("expression")
 @click.option("--n", type=int, default=2, show_default=True)
 @click.option("--cap", type=int, default=16, show_default=True)
-@click.option("--dmax", type=int, default=None)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
-def radius(expression, n, cap, dmax, json_path, csv_path):
+def radius(expression, n, cap, json_path, csv_path):
     """Degree partials of the convergence-radius estimate for a free series."""
-    try:
-        a = parse_free_element(expression, n, cap)
-        partials = radius_partials(a, dmax)
-        est = estimated_radius(a)
-    except ValueError as exc:
-        _fail(exc)
+    a = parse_free_element(expression, n, cap)
+    partials = radius_partials(a)
+    est = estimated_radius(a)
     flags = ("saturated",) if a.saturated else ()
     results = [_result(f"partial-d={d}", v, flags) for d, v in partials]
     results.append(_result("radius-estimate", est, flags))
@@ -315,10 +301,9 @@ def radius(expression, n, cap, dmax, json_path, csv_path):
 @main.command()
 @click.argument("suites", nargs=-1)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=float, default=None, help="wall-clock seconds per suite")
 @click.option("--list", "list_only", is_flag=True, default=False)
 @click.option("--json", "json_path", type=click.Path(), default=None)
-def verify(suites, seed, budget, list_only, json_path):
+def verify(suites, seed, list_only, json_path):
     """Run verification suites (all of them when none are named)."""
     if list_only:
         for name in SUITES:
@@ -329,38 +314,30 @@ def verify(suites, seed, budget, list_only, json_path):
         raise click.ClickException(
             f"unknown suite(s) {unknown}; available: {', '.join(SUITES)}"
         )
-    outcomes = run_suites(suites or None, seed=seed, budget=budget)
+    suites = list(suites) or list(SUITES)
     human: list[str] = []
     results: list[dict] = []
-    partial_suites: list[str] = []
     n_pass = n_total = 0
-    for outcome in outcomes:
-        if outcome.partial:
-            partial_suites.append(outcome.suite)
-        for check in outcome.checks:
+    for name in suites:
+        for check in run_suite(name, seed).checks:
             n_total += 1
             n_pass += check.passed
             status = "PASS" if check.passed else "FAIL"
             human.append(
-                f"[{status}] {outcome.suite}:{check.name}  "
+                f"[{status}] {name}:{check.name}  "
                 f"value={check.value:.9g}  want {check.describe()}"
             )
             results.append(
                 _result(
-                    f"{outcome.suite}:{check.name}",
+                    f"{name}:{check.name}",
                     check.value,
-                    check.flags,
-                    check.assert_dict(),
-                    check.detail,
+                    assert_=check.assert_dict(),
+                    detail=check.detail,
                 )
             )
-    for name in partial_suites:
-        human.append(f"[PARTIAL] {name}: budget exhausted, remaining checks skipped")
     human.append(f"{n_pass}/{n_total} checks passed")
-    report = _report(results, suites=list(suites) if suites else list(SUITES))
-    report["partial_suites"] = partial_suites
-    _emit(report, json_path, human)
-    if n_pass < n_total or partial_suites:
+    _emit(_report(results, suites=suites), json_path, human)
+    if n_pass < n_total:
         sys.exit(1)
 
 

@@ -288,11 +288,6 @@ def verify_tw_ccr(fock: FockTruncation, include_boundary: bool = False) -> float
     return worst
 
 
-def element_for(fock: FockTruncation, coefficients, cap: int | None = None) -> QElement:
+def element_for(fock: FockTruncation, coefficients) -> QElement:
     """Convenience: a QElement with the matching real parameter q."""
-    return QElement(
-        fock.n,
-        QParameter(fock.q, 0.0),
-        coefficients,
-        cap=fock.cap if cap is None else cap,
-    )
+    return QElement(fock.n, QParameter(fock.q, 0.0), coefficients, cap=fock.cap)

@@ -1,18 +1,12 @@
-"""Truncated series over the free algebra on n letters, plus operator plumbing.
+"""Truncated series over the free algebra on n letters.
 
-Basis words are tuples over 1..n; multiplication is concatenation.  The
-module also carries the operator-tuple machinery used to evaluate free
-polynomials on matrix tuples (row norm, evaluation).
+Basis words are tuples over 1..n; multiplication is concatenation.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 from .qcombinatorics import (
     MultiIndex,
@@ -24,7 +18,7 @@ from .qcombinatorics import (
     s_stat,
     sum_of_terms,
 )
-from .qspace import IncompatibilityError, _TruncatedSeries, check_tau
+from .qspace import _TruncatedSeries, check_tau
 
 
 class FreeElement(_TruncatedSeries):
@@ -125,25 +119,28 @@ def free_ball_norm(a: FreeElement, rho: float) -> float:
     return sum_of_terms((math.hypot(*map(abs, cs)), degree(k) * log_rho) for k, cs in fibers.items())
 
 
-def radius_partials(a: FreeElement, d_max: int | None = None) -> list[tuple[int, float]]:
+def radius_partials(a: FreeElement) -> list[tuple[int, float]]:
     """Per-degree quantities (sum_{|w|=d} |c_w|^2)^(1/(2d)), empty degrees skipped.
 
     Their limsup is the reciprocal of the multi-variable radius of
     convergence; for the finitely supported elements stored here the
-    sequence is all the data there is.
+    sequence is all the data there is.  A partial past double range is a
+    ValueError.
     """
-    if d_max is None:
-        d_max = a.cap
-    moduli: dict[int, list[float]] = {}
+    parts: dict[int, list[float]] = {}
     for w, c in a.coefficients.items():
-        if 1 <= len(w) <= d_max:
-            moduli.setdefault(len(w), []).append(abs(c))
+        if w:
+            parts.setdefault(len(w), []).extend((c.real, c.imag))
     out = []
-    for d in sorted(moduli):
-        # scaled by the largest modulus so that no square leaves double range
-        top = max(moduli[d])
-        s = math.fsum((v / top) ** 2 for v in moduli[d])
-        out.append((d, top ** (1.0 / d) * s ** (0.5 / d)))
+    for d in sorted(parts):
+        # scaled by the power of two at the largest real or imaginary part
+        # before any modulus is taken: exact, and no modulus leaves double range
+        scale = math.ldexp(1.0, math.frexp(max(map(abs, parts[d])))[1] - 1)
+        norm = math.hypot(*(x / scale for x in parts[d]))
+        partial = scale ** (1.0 / d) * norm ** (1.0 / d)
+        if not math.isfinite(partial):
+            raise ValueError(f"radius partial of degree {d} leaves the double range")
+        out.append((d, partial))
     return out
 
 
@@ -159,78 +156,3 @@ def estimated_radius(a: FreeElement) -> float:
     top = max((v for _, v in partials), default=0.0)
     return math.inf if top == 0.0 else 1.0 / top
 
-
-# ---------------------------------------------------------------------------
-# operator tuples
-
-
-@dataclass(frozen=True)
-class OperatorTuple:
-    """A tuple of same-shape square complex matrices (one per letter)."""
-
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.matrices) < 1:
-            raise ValueError("need at least one matrix")
-        mats = []
-        shape = None
-        for m in self.matrices:
-            arr = np.asarray(m, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError("matrices must be square")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise ValueError("matrices must share one shape")
-            mats.append(arr)
-        object.__setattr__(self, "matrices", tuple(mats))
-
-    @property
-    def n(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def dim(self) -> int:
-        return self.matrices[0].shape[0]
-
-
-def _row_norm(T: OperatorTuple) -> float:
-    """Norm of the row operator: ||sum_i T_i T_i^*||^(1/2)."""
-    acc = np.zeros((T.dim, T.dim), dtype=complex)
-    for m in T.matrices:
-        acc += m @ m.conj().T
-    top = np.linalg.eigvalsh(acc)[-1]
-    return math.sqrt(max(float(top), 0.0))
-
-
-def evaluate(a: FreeElement, T: OperatorTuple) -> np.ndarray:
-    """Evaluate the stored polynomial at the matrix tuple, word by word.
-
-    Warns when a saturated element is evaluated at a tuple with row norm
-    at or beyond the Cauchy-Hadamard radius estimate: the dropped tail of
-    such a series need not be small there.
-    """
-    if T.n != a.n:
-        raise IncompatibilityError(f"dimension mismatch: element n={a.n}, tuple n={T.n}")
-    if a.saturated and _row_norm(T) >= estimated_radius(a):
-        warnings.warn(
-            "evaluating a truncated series at a tuple outside its estimated "
-            "radius of convergence; result ignores the dropped tail",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    dim = T.dim
-    cache: dict[Word, np.ndarray] = {(): np.eye(dim, dtype=complex)}
-
-    def word_matrix(w: Word) -> np.ndarray:
-        mat = cache.get(w)
-        if mat is None:
-            mat = word_matrix(w[:-1]) @ T.matrices[w[-1] - 1]
-            cache[w] = mat
-        return mat
-
-    acc = np.zeros((dim, dim), dtype=complex)
-    for w, c in a.items():
-        acc += c * word_matrix(w)
-    return acc

@@ -211,6 +211,22 @@ def test_verify_failing_suite_exit_one(runner):
     assert "[FAIL] quotient-polydisk:quotient-rho-tau-independence" in r.output
 
 
+def test_verify_reports_suites_in_the_named_order(runner, tmp_path):
+    out = tmp_path / "v.json"
+    invoke(runner, ["verify", "slice-rank", "quotient-ball", "--json", str(out)])
+    report = json.loads(out.read_text())
+    suites = [e["name"].split(":")[0] for e in report["results"]]
+    assert suites[0] == "slice-rank" and set(suites[1:]) == {"quotient-ball"}
+    assert report["params"]["suites"] == ["slice-rank", "quotient-ball"]
+
+
+def test_verify_json_is_byte_identical_across_runs(runner, tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        invoke(runner, ["verify", "slice-rank", "normal-ordering", "--seed", "3", "--json", str(path)])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_verify_unknown_suite_is_an_error(runner):
     r = invoke(runner, ["verify", "nonsense"], ok=False)
     assert r.exit_code != 0
@@ -261,6 +277,7 @@ def assert_clean_error(r):
         ["norm", "1.5e308*z1 + 1.5e308i*z1", "--family", "free-ball"],
         ["quotient-norm", "1.5e308*z1 + 1.5e308i*z1"],
         ["fock-norm", "x1^2", "--rho", "1e200"],
+        ["radius", "1.5e308*z1 + 1.5e308i*z1"],
     ],
 )
 def test_values_outside_double_range_are_clean_errors(runner, args):
@@ -321,6 +338,37 @@ def test_radius_of_huge_coefficients(runner, tmp_path):
     invoke(runner, ["radius", "z1 + 1e308*z1*z2", "--json", str(out)])
     values = {e["name"]: e["value"] for e in json.loads(out.read_text())["results"]}
     assert values["partial-d=2"] == pytest.approx(1e154, rel=1e-14)
+    # the modulus of this coefficient is past double range, its parts are not
+    invoke(runner, ["radius", "1.5e308*z1*z2 + 1.5e308i*z1*z2", "--json", str(out)])
+    values = {e["name"]: e["value"] for e in json.loads(out.read_text())["results"]}
+    assert values["partial-d=2"] == pytest.approx(1.4564753151219702e154, rel=1e-14)
+
+
+RADIUS_WORDS = ("z1", "z2", "z1*z2", "z2*z1", "z1*z2*z1")
+LOG_MODULI = st.floats(min_value=math.log(1e-300), max_value=math.log(1.7e308))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(LOG_MODULI, LOG_MODULI, st.sampled_from(RADIUS_WORDS)), min_size=1, max_size=4
+    )
+)
+def test_radius_gives_a_finite_value_or_a_clean_error(terms):
+    # complex coefficients whose parts are each in range, their moduli not always
+    expression = " + ".join(
+        f"({math.exp(log_re)!r} + {math.exp(log_im)!r}i)*{word}" for log_re, log_im, word in terms
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        r = CliRunner().invoke(main, ["radius", expression, "--json", str(out)])
+        assert "Traceback" not in r.output
+        if r.exit_code == 0:
+            report = json.loads(out.read_text())
+            values = [e["value"] for e in report["results"] if e["name"].startswith("partial-d=")]
+            assert values and all(isinstance(v, float) and math.isfinite(v) for v in values), values
+        else:
+            assert_clean_error(r)
 
 
 def test_repeated_in_process_runs_release_their_streams(runner):

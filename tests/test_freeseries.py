@@ -1,28 +1,20 @@
-"""Free-algebra series: arithmetic, norms, radius, operator evaluation."""
+"""Free-algebra series: arithmetic, norms, radius."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qdomains import freeseries
-from qdomains.qspace import IncompatibilityError
 from qdomains.freeseries import (
     FreeElement,
-    OperatorTuple,
     concat_multiply,
     estimated_radius,
-    evaluate,
     free_ball_norm,
     free_polydisk_norm,
     radius_partials,
     taylor_norm,
 )
-
-E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-E21 = E12.T.copy()
 
 
 def test_concat_multiply_assembles_words():
@@ -159,30 +151,3 @@ def test_non_finite_free_coefficients_are_rejected():
     big = FreeElement(2, {(1,): 1e300}, cap=4)
     with pytest.raises(ValueError, match="double range"):
         concat_multiply(big, big)
-
-
-def test_evaluate_matrix_units():
-    a = FreeElement.word(2, (1, 2), cap=4)
-    T = OperatorTuple((E12, E21))
-    out = evaluate(a, T)
-    assert np.allclose(out, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert freeseries._row_norm(T) == pytest.approx(1.0, rel=1e-14)
-    with pytest.raises(IncompatibilityError):
-        evaluate(FreeElement.unit(3, cap=2), T)
-
-
-def test_evaluate_warns_outside_radius():
-    coeffs = {tuple([1] * d): 2.0 ** d for d in range(1, 5)}
-    a = FreeElement(1, coeffs, cap=4, saturated=True)
-    T = OperatorTuple((np.eye(2, dtype=complex),))  # row norm 1 >= radius 0.5
-    with pytest.warns(RuntimeWarning):
-        evaluate(a, T)
-
-
-def test_operator_tuple_validation():
-    with pytest.raises(ValueError):
-        OperatorTuple(())
-    with pytest.raises(ValueError):
-        OperatorTuple((np.zeros((2, 3)),))
-    with pytest.raises(ValueError):
-        OperatorTuple((np.zeros((2, 2)), np.zeros((3, 3))))
