@@ -52,7 +52,7 @@ _DENSE_MAX_COLS = 160
 
 
 class FockTruncation:
-    """Graded basis e_k, |k| <= cap, with index lookup."""
+    """Graded basis e_k, |k| <= cap; ``positions`` finds multi-indices in it."""
 
     def __init__(self, n: int, q: float, cap: int) -> None:
         if n < 1:
@@ -71,11 +71,6 @@ class FockTruncation:
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    @functools.cached_property
-    def index(self) -> dict[MultiIndex, int]:
-        """Basis position of each multi-index, as ``positions`` ranks it."""
-        return dict(zip(self.basis, self.positions(self.exponents).tolist()))
 
     def positions(self, exponents: np.ndarray) -> np.ndarray:
         """Basis positions of the rows of an int array of multi-indices, |k| <= cap.

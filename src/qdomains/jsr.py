@@ -105,7 +105,10 @@ def canonical_partials(
         half = 0.5 * log_pochhammer_table(d_max, mod)
         h, a = h + half, a - half
     if finite_p:
-        u_table = log_q_factorial_table(d_max, checked_power(mod, -p))
+        base = checked_power(mod, -p)
+        if base == 0.0:  # underflow: its log below would be a bare math domain error
+            raise ValueError(f"{mod!r}**{-p!r} leaves the double range")
+        u_table = log_q_factorial_table(d_max, base)
         log_s = u_table + p * a + log_convolution_power(p * h - u_table, n)
         log_r = log_s[1:] / (p * j[1:])
     else:

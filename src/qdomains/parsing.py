@@ -1,18 +1,19 @@
 """Expression parsing for the CLI and the formatters inverse to it.
 
-Grammar (whitespace-insensitive):
+One regular expression cuts the text into tokens.  Whitespace may stand
+between tokens and, inside one, before 'i', around '^' and in parentheses:
 
-    expr   := ['+'|'-'] term (('+'|'-') term)*
-    term   := atom ('*' atom)*
-    atom   := coeff | var ['^' INT]
-    coeff  := NUMBER | NUMBER 'i' | 'i' | '(' signed [('+'|'-') NUMBER 'i'] ')'
-    var    := ('x'|'z') INT          indices are 1-based
+    var    ('x'|'z') INT ['^' INT]          1-based index, exponent >= 0
+    coeff  NUMBER ['i'] | 'i' | '(' ['+'|'-'] NUMBER ['i'] [('+'|'-') NUMBER 'i'] ')'
+    op     '+' | '-' | '*'                  any other character is an error
 
-Scalar atoms commute and multiply into the term coefficient; variable
-atoms keep their written order, which matters for both the q-commuting
-and the free product.  `format_qelement` / `format_free_element` emit
-strings that reparse to the identical element (coefficients printed via
-repr round-trip).
+NUMBER is a decimal with an optional exponent (2, 2.5, .5, 1e-3).  The
+tokens read as  expr := ['+'|'-'] term (('+'|'-') term)*  with
+term := (coeff | var) ('*' (coeff | var))*.  A term's coefficients commute
+into one; its variables keep their written order, the term's word.  The
+free algebra takes the word as it stands, the q-commuting algebra its normal
+form q^(-inv w) x^(p(w)).  The formatters print coefficients by repr, so
+their output reparses to the identical element.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 from itertools import groupby
 
 from .freeseries import FreeElement
-from .qspace import QElement, QParameter, multiply
+from .qspace import QElement, QParameter
 
 
 class ParseError(ValueError):
@@ -35,209 +35,140 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "var" | "number" | "op"
-    text: str
-    pos: int
-
-
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# each alternative is one outer group, so ``lastgroup`` names the token kind;
+# '(' opens a coefficient only if it closes, '^' an exponent only if no '.',
+# 'e' or digit follows the integer (x1^2.5 is an error, not x1^2 times .5)
 _TOKEN_RE = re.compile(
-    r"(?P<var>[xz]\d+)"
-    r"|(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<op>[-+*^()i])"
+    rf"(?P<var>[xz](?P<index>\d+)(?:\s*\^\s*(?P<exp>\d+)(?![\d.eE]))?)"
+    rf"|(?P<coeff>(?P<open>\(\s*(?P<sign>[+-]?)\s*)?(?P<first>{_NUMBER})(?P<first_i>\s*i)?"
+    rf"(?(open)(?:\s*(?P<sign2>[+-])\s*(?P<second>{_NUMBER})\s*i)?\s*\))|i)"
+    r"|(?P<op>[-+*])"
+    r"|(?P<bad>\S)"
 )
+_HINTS = {
+    "(": ": parentheses hold one coefficient, (a), (ai), (a+bi) or (a-bi)",
+    "^": ": an exponent is a nonnegative integer",
+}
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+def _real(m: re.Match, group: str, sign: str) -> float:
+    value = float(m.group(group))
+    if not math.isfinite(value):
+        raise ParseError(f"number {m.group(group)!r} leaves the double range", m.start(group))
+    return -value if m.group(sign) == "-" else value
+
+
+def _coefficient(m: re.Match) -> complex:
+    if m.group("first") is None:
+        return 1j
+    first = _real(m, "first", "sign")
+    second = _real(m, "second", "sign2") if m.group("second") else 0.0
+    return complex(0.0, first + second) if m.group("first_i") else complex(first, second)
+
+
+def _terms(text: str, n: int) -> list[tuple[complex, list[int]]]:
+    """(coefficient, letters of the word in written order) of each term."""
+    tokens = list(_TOKEN_RE.finditer(text))
+    bad = next((m for m in tokens if m.lastgroup == "bad"), None)
+    if bad is not None:
+        char = bad.group()
+        raise ParseError(f"unexpected character {char!r}{_HINTS.get(char, '')}", bad.start())
+    terms = []
+    coeff, word = 1.0 + 0j, []
+    atom_next = True  # at the start, after a sign and after '*'
+    for at, m in enumerate(tokens):
+        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        if kind == "op":
+            if atom_next and (at or tok == "*"):  # only the first token may be a bare sign
+                raise ParseError(f"unexpected token {tok!r}", pos)
+            if tok != "*":
+                if at:
+                    terms.append((coeff, word))
+                coeff, word = (-1.0 + 0j if tok == "-" else 1.0 + 0j), []
+            atom_next = True
             continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    return tokens
+        if not atom_next:
+            raise ParseError(f"unexpected token {tok!r}", pos)
+        atom_next = False
+        if kind == "var":
+            index = int(m.group("index"))
+            if not 1 <= index <= n:
+                raise ParseError(f"variable {text[pos:m.end('index')]!r} outside 1..{n}", pos)
+            word += [index] * int(m.group("exp") or 1)
+            continue
+        coeff *= _coefficient(m)
+        if not cmath.isfinite(coeff):
+            raise ParseError("coefficient product leaves the double range", pos)
+    if atom_next:
+        raise ParseError("unexpected end of input", len(text))
+    terms.append((coeff, word))
+    return terms
 
 
-#: a parsed term: (coefficient, [(variable index, exponent), ...] in written order)
-_Term = tuple[complex, list[tuple[int, int]]]
+def _finite(c: complex) -> complex:
+    if not cmath.isfinite(c):
+        raise ValueError("coefficient overflow: a result leaves the double range")
+    return c
 
 
-class _Parser:
-    def __init__(self, text: str, n: int):
-        self.text = text
-        self.n = n
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _normal_form(c: complex, word: list[int], q: QParameter, n: int) -> tuple[complex, tuple]:
+    """c times the word, normal-ordered: q^(-inv w) c x^(p(w)).
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def _next(self) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return tok
-
-    def _at_op(self, *ops: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "op" and tok.text in ops
-
-    def parse(self) -> list[_Term]:
-        terms: list[_Term] = []
-        sign = 1.0
-        if self._at_op("+", "-"):
-            sign = -1.0 if self._next().text == "-" else 1.0
-        while True:
-            coeff, factors = self._term()
-            terms.append((sign * coeff, factors))
-            if self._at_op("+", "-"):
-                sign = -1.0 if self._next().text == "-" else 1.0
-                continue
-            break
-        tok = self._peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-        if not terms:
-            raise ParseError("empty expression", 0)
-        return terms
-
-    def _number(self, tok: _Token) -> float:
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise ParseError(f"number {tok.text!r} leaves the double range", tok.pos)
-        return value
-
-    def _term(self) -> _Term:
-        coeff = complex(1.0)
-        factors: list[tuple[int, int]] = []
-        while True:
-            coeff *= self._atom(factors)
-            if not cmath.isfinite(coeff):
-                raise ParseError(
-                    "coefficient product leaves the double range", self.tokens[self.i - 1].pos
-                )
-            if self._at_op("*"):
-                self._next()
-                continue
-            break
-        return coeff, factors
-
-    def _atom(self, factors: list[tuple[int, int]]) -> complex:
-        tok = self._next()
-        if tok.kind == "number":
-            if self._at_op("i"):
-                self._next()
-                return self._number(tok) * 1j
-            return complex(self._number(tok))
-        if tok.kind == "op" and tok.text == "i":
-            return 1j
-        if tok.kind == "op" and tok.text == "(":
-            value = self._paren_coeff(tok.pos)
-            return value
-        if tok.kind == "var":
-            letter_index = int(tok.text[1:])
-            if not 1 <= letter_index <= self.n:
-                raise ParseError(
-                    f"variable {tok.text!r} outside 1..{self.n}", tok.pos
-                )
-            exponent = 1
-            if self._at_op("^"):
-                self._next()
-                etok = self._next()
-                if etok.kind != "number" or not etok.text.isdigit():
-                    raise ParseError("exponent must be a nonnegative integer", etok.pos)
-                exponent = int(etok.text)
-            if exponent > 0:
-                factors.append((letter_index, exponent))
-            return complex(1.0)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-
-    def _paren_coeff(self, open_pos: int) -> complex:
-        sign = 1.0
-        if self._at_op("+", "-"):
-            sign = -1.0 if self._next().text == "-" else 1.0
-        tok = self._next()
-        if tok.kind != "number":
-            raise ParseError("expected a number inside parentheses", tok.pos)
-        first = sign * self._number(tok)
-        value = complex(first)
-        if self._at_op("i"):
-            self._next()
-            value = first * 1j
-        if self._at_op("+", "-"):
-            sign2 = -1.0 if self._next().text == "-" else 1.0
-            tok2 = self._next()
-            if tok2.kind != "number":
-                raise ParseError("expected a number for the imaginary part", tok2.pos)
-            itok = self._next()
-            if not (itok.kind == "op" and itok.text == "i"):
-                raise ParseError("imaginary part must end in 'i'", itok.pos)
-            value = complex(value.real, value.imag + sign2 * self._number(tok2))
-        close = self._next()
-        if not (close.kind == "op" and close.text == ")"):
-            raise ParseError("unbalanced parenthesis", open_pos)
-        return value
+    Each letter moves past the greater letters written before it, a factor
+    q^(-count) per letter, left to right: the same products, roundings and
+    range errors as building the word from generators one letter at a time.
+    """
+    counts = [0] * (n + 1)
+    for letter in word:
+        passed = sum(counts[letter + 1 :])
+        counts[letter] += 1
+        if passed and c:  # 0 stays 0: no power of q, so no range error
+            c = _finite(c * q.power(-passed))
+    return c, tuple(counts[1:])
 
 
-def _term_degree_check(terms: list[_Term], cap: int) -> None:
-    for _, factors in terms:
-        total = sum(e for _, e in factors)
-        if total > cap:
-            raise ParseError(f"term degree {total} exceeds cap {cap}")
+def _word_map(text: str, n: int, cap: int, q: QParameter | None = None) -> dict:
+    """Coefficient of each word of the text, or with ``q`` of each normal-ordered monomial.
+
+    Terms add in written order; a sum that cancels drops its key.
+    """
+    terms = _terms(text, n)
+    over = next((len(w) for _, w in terms if len(w) > cap), None)
+    if over is not None:
+        raise ParseError(f"term degree {over} exceeds cap {cap}")
+    out: dict[tuple, complex] = {}
+    for c, word in terms:
+        c, key = (c, tuple(word)) if q is None else _normal_form(c, word, q, n)
+        acc = _finite(out.get(key, 0j) + c)
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
 
 
 def parse_qelement(text: str, n: int, q: QParameter, cap: int) -> QElement:
-    """Parse in the q-commuting algebra; products normal-order as they fold."""
-    terms = _Parser(text, n).parse()
-    _term_degree_check(terms, cap)
-    gens = [QElement.generator(n, q, i, cap=cap) for i in range(1, n + 1)]
-    acc = QElement.zero(n, q, cap=cap)
-    for coeff, factors in terms:
-        part = QElement.unit(n, q, cap=cap).scaled(coeff)
-        for letter_index, exponent in factors:
-            for _ in range(exponent):
-                part = multiply(part, gens[letter_index - 1])
-        acc = acc + part
-    return acc
+    """Parse in the q-commuting algebra; each written word goes to its normal form."""
+    return QElement(n, q, _word_map(text, n, cap, q), cap=cap)
 
 
 def parse_free_element(text: str, n: int, cap: int) -> FreeElement:
     """Parse in the free algebra; variable order becomes the word."""
-    terms = _Parser(text, n).parse()
-    _term_degree_check(terms, cap)
-    acc = FreeElement.zero(n, cap=cap)
-    for coeff, factors in terms:
-        letters: list[int] = []
-        for letter_index, exponent in factors:
-            letters.extend([letter_index] * exponent)
-        acc = acc + FreeElement.word(n, letters, coeff, cap=cap)
-    return acc
+    return FreeElement(n, _word_map(text, n, cap), cap=cap)
 
 
 # ---------------------------------------------------------------------------
 # formatting
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_coeff(c: complex) -> str:
     if c.imag == 0.0:
-        return _fmt_float(c.real)
+        return repr(c.real)
     if c.real == 0.0:
-        return f"{_fmt_float(c.imag)}i"
+        return f"{c.imag!r}i"
     sign = "+" if c.imag >= 0 else "-"
-    return f"({_fmt_float(c.real)}{sign}{_fmt_float(abs(c.imag))}i)"
+    return f"({c.real!r}{sign}{abs(c.imag)!r}i)"
 
 
 def _fmt_powers(pairs: list[tuple[int, int]], letter: str = "x") -> str:

@@ -67,13 +67,6 @@ class QParameter:
     def inverse(self) -> "QParameter":
         return QParameter(1.0 / self.modulus, -self.phase)
 
-    @classmethod
-    def from_complex(cls, z: complex) -> "QParameter":
-        z = complex(z)
-        if z == 0:
-            raise ValueError("q must be nonzero")
-        return cls(abs(z), cmath.phase(z))
-
 
 def normal_order_exponent(k: MultiIndex, m: MultiIndex) -> int:
     """Integer e with x^k x^m = q**e x^(k+m); equals -sum_{i<j} k_j m_i."""

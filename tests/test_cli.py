@@ -284,6 +284,15 @@ def test_values_outside_double_range_are_clean_errors(runner, args):
     assert_clean_error(invoke(runner, args, ok=False))
 
 
+@pytest.mark.parametrize("family", ["polydisk", "ball"])
+@pytest.mark.parametrize("q_mod", ["1e-300", "1e200"])
+def test_jsr_at_extreme_modulus_names_the_double_range(runner, family, q_mod):
+    # the inversion-sum base |q|^-2 overflows at 1e-300 and underflows to 0 at 1e200
+    r = invoke(runner, ["jsr", "--family", family, "--q-mod", q_mod], ok=False)
+    assert_clean_error(r)
+    assert f"Error: {float(q_mod)!r}**-2.0 leaves the double range" in r.output
+
+
 @pytest.mark.parametrize(
     "args, want",
     [

@@ -1,9 +1,13 @@
 """Expression grammar, round-trip formatting, and error positions."""
 
 import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdomains.freeseries import FreeElement
 from qdomains.parsing import (
     ParseError,
     format_free_element,
@@ -11,7 +15,8 @@ from qdomains.parsing import (
     parse_free_element,
     parse_qelement,
 )
-from qdomains.qspace import QElement, QParameter
+from qdomains.qcombinatorics import p_proj
+from qdomains.qspace import QElement, QParameter, normal_order_word
 
 Q = QParameter(0.5, 0.0)
 
@@ -101,18 +106,126 @@ def test_degree_cap_is_checked():
     assert parse_qelement("x1^8", 2, Q, 8).degree() == 8
 
 
-def test_round_trip_qelement():
-    for text in ["x1*x2", "2.5*x1^2 - x2", "3i*x1 + (1+2i)*x2^3 - 0.5"]:
-        a = parse_qelement(text, 2, Q, 10)
-        back = parse_qelement(format_qelement(a), 2, Q, 10)
-        assert back.coefficients == a.coefficients
+# every finite double, a zero part always +0.0: the formatter prints no sign
+# of a zero part, and parsed or computed coefficients carry none
+PART = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+COEFF = st.builds(complex, PART, PART).filter(bool)
 
 
-def test_round_trip_free_element():
-    for text in ["z1*z2 - z2*z1", "2*z1^2*z2*z1", "i*z2 + (1-1i)"]:
-        a = parse_free_element(text, 2, 10)
-        back = parse_free_element(format_free_element(a), 2, 10)
-        assert back.coefficients == a.coefficients
+def bits(coefficients):
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in coefficients.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    coeffs=st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), COEFF, max_size=5),
+    phase=st.floats(min_value=0.0, max_value=6.28),
+)
+def test_round_trip_qelement(n, coeffs, phase):
+    q = QParameter(0.5, phase)
+    a = QElement(n, q, {k[:n]: c for k, c in coeffs.items()}, cap=9)
+    back = parse_qelement(format_qelement(a), n, q, 9)
+    assert bits(back.coefficients) == bits(a.coefficients)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    coeffs=st.dictionaries(
+        st.lists(st.integers(1, 3), max_size=6).map(tuple), COEFF, max_size=5
+    ),
+)
+def test_round_trip_free_element(n, coeffs):
+    a = FreeElement(n, {tuple(min(x, n) for x in w): c for w, c in coeffs.items()}, cap=6)
+    back = parse_free_element(format_free_element(a), n, 6)
+    assert bits(back.coefficients) == bits(a.coefficients)
+
+
+# (text, coefficient of each word); every word is normal-ordered, so the
+# q-commuting value is the same at every q
+ACCEPTED = [
+    ("3 i*x1", {(1,): 3j}),
+    ("(2i+3i)", {(): 5j}),
+    ("( - 2 )", {(): -2}),
+    (".5e-3i", {(): 0.5e-3j}),
+    ("i", {(): 1j}),
+    ("-i*x1", {(1,): -1j}),
+    ("+x1", {(1,): 1}),
+    ("x1^0*x2", {(2,): 1}),
+    ("(1-2i)*(3+1i)", {(): 5 - 5j}),
+    ("x1 ^2", {(1, 1): 1}),
+    ("2. i", {(): 2j}),
+    ("x1*2", {(1,): 2}),
+    ("-(1+1i)", {(): -1 - 1j}),
+    ("(3 i - 2 i)", {(): 1j}),
+    ("x01", {(1,): 1}),
+    ("x1^02", {(1, 1): 1}),
+    ("1E5", {(): 1e5}),
+    ("0*x1", {}),
+    ("x1 - x1", {}),
+]
+
+
+@pytest.mark.parametrize("text, words", ACCEPTED)
+def test_accepted_language(text, words):
+    assert parse_free_element(text, 2, 4).coefficients == words
+    want = {p_proj(w, 2): c for w, c in words.items()}
+    assert parse_qelement(text, 2, QParameter(0.7, 2.0), 4).coefficients == want
+
+
+REJECTED = [
+    # cli-mix's invalid texts
+    "x1*+x2", "(1+2i*x1", "x1^", "2**x1", "x1 $ x2",
+    "(i)", "(1+2)", "((1))", "2(3)", "x1 x2", "x1^2.5", "x1^-1", "- -x1",
+    "I", "x0", "", "   ", "+",
+]
+
+
+@pytest.mark.parametrize("text", REJECTED)
+def test_rejected_language(text):
+    for parse in (lambda: parse_qelement(text, 2, Q, 8), lambda: parse_free_element(text, 2, 8)):
+        with pytest.raises(ParseError) as e:
+            parse()
+        assert 0 <= e.value.position <= len(text)
+
+
+@pytest.mark.parametrize(
+    "text, char, hint",
+    [
+        ("(1+2i*x1", "(", "(a+bi)"),
+        ("(i)", "(", "(a+bi)"),
+        ("(1+2)", "(", "(a+bi)"),
+        ("((1))", "(", "(a+bi)"),
+        ("(1+2j)", "(", "(a+bi)"),
+        ("x1^", "^", "nonnegative integer"),
+        ("x1^-1", "^", "nonnegative integer"),
+    ],
+)
+def test_malformed_parenthesis_and_exponent_name_the_form(text, char, hint):
+    with pytest.raises(ParseError, match=re.escape(f"unexpected character '{char}'")) as e:
+        parse_qelement(text, 2, Q, 8)
+    assert hint in str(e.value)
+    assert e.value.position == text.index(char)
+
+
+Q_MODULI = st.sampled_from([1e-3, 0.3, 0.9, 1.0, 1.1, 4.0, 1e3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    letters=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    modulus=Q_MODULI,
+    phase=st.floats(min_value=0.0, max_value=6.28),
+)
+def test_normal_order_matches_rewriting_oracle(n, letters, modulus, phase):
+    q = QParameter(modulus, phase)
+    word = tuple(min(x, n) for x in letters)
+    a = parse_qelement("*".join(f"x{x}" for x in word), n, q, 6)
+    coeff, key = normal_order_word(word, q, n)
+    assert set(a.coefficients) == {key}
+    assert abs(a.coefficient(key) - coeff) <= 1e-13 * abs(coeff)
 
 
 def test_formatting_style():

@@ -48,7 +48,7 @@ def test_qparameter_basics():
     inv = q.inverse()
     assert inv.modulus == pytest.approx(0.5, rel=1e-15)
     assert inv.power(1) * q.power(1) == pytest.approx(1.0 + 0j, rel=1e-14)
-    r = QParameter.from_complex(q.value)
+    r = QParameter(abs(q.value), cmath.phase(q.value))
     assert r.modulus == pytest.approx(q.modulus, rel=1e-12)
     assert cmath.exp(1j * r.phase) == pytest.approx(cmath.exp(1j * q.phase), rel=1e-12)
     with pytest.raises(ValueError):
