@@ -24,7 +24,7 @@ import re
 from itertools import groupby
 
 from .freeseries import FreeElement
-from .qspace import QElement, QParameter
+from .qspace import QElement, QParameter, finite
 
 
 class ParseError(ValueError):
@@ -35,13 +35,15 @@ class ParseError(ValueError):
         self.position = position
 
 
-_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# one way to match each run of digits or blanks, so a failed match backtracks
+# in linear time
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # each alternative is one outer group, so ``lastgroup`` names the token kind;
 # '(' opens a coefficient only if it closes, '^' an exponent only if no '.',
 # 'e' or digit follows the integer (x1^2.5 is an error, not x1^2 times .5)
 _TOKEN_RE = re.compile(
     rf"(?P<var>[xz](?P<index>\d+)(?:\s*\^\s*(?P<exp>\d+)(?![\d.eE]))?)"
-    rf"|(?P<coeff>(?P<open>\(\s*(?P<sign>[+-]?)\s*)?(?P<first>{_NUMBER})(?P<first_i>\s*i)?"
+    rf"|(?P<coeff>(?P<open>\(\s*(?:(?P<sign>[+-])\s*)?)?(?P<first>{_NUMBER})(?P<first_i>\s*i)?"
     rf"(?(open)(?:\s*(?P<sign2>[+-])\s*(?P<second>{_NUMBER})\s*i)?\s*\))|i)"
     r"|(?P<op>[-+*])"
     r"|(?P<bad>\S)"
@@ -67,8 +69,8 @@ def _coefficient(m: re.Match) -> complex:
     return complex(0.0, first + second) if m.group("first_i") else complex(first, second)
 
 
-def _terms(text: str, n: int) -> list[tuple[complex, list[int]]]:
-    """(coefficient, letters of the word in written order) of each term."""
+def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, int]]]]:
+    """(coefficient, (letter, exponent) pairs in written order) of each term."""
     tokens = list(_TOKEN_RE.finditer(text))
     bad = next((m for m in tokens if m.lastgroup == "bad"), None)
     if bad is not None:
@@ -95,7 +97,7 @@ def _terms(text: str, n: int) -> list[tuple[complex, list[int]]]:
             index = int(m.group("index"))
             if not 1 <= index <= n:
                 raise ParseError(f"variable {text[pos:m.end('index')]!r} outside 1..{n}", pos)
-            word += [index] * int(m.group("exp") or 1)
+            word.append((index, int(m.group("exp") or 1)))
             continue
         coeff *= _coefficient(m)
         if not cmath.isfinite(coeff):
@@ -104,12 +106,6 @@ def _terms(text: str, n: int) -> list[tuple[complex, list[int]]]:
         raise ParseError("unexpected end of input", len(text))
     terms.append((coeff, word))
     return terms
-
-
-def _finite(c: complex) -> complex:
-    if not cmath.isfinite(c):
-        raise ValueError("coefficient overflow: a result leaves the double range")
-    return c
 
 
 def _normal_form(c: complex, word: list[int], q: QParameter, n: int) -> tuple[complex, tuple]:
@@ -124,38 +120,42 @@ def _normal_form(c: complex, word: list[int], q: QParameter, n: int) -> tuple[co
         passed = sum(counts[letter + 1 :])
         counts[letter] += 1
         if passed and c:  # 0 stays 0: no power of q, so no range error
-            c = _finite(c * q.power(-passed))
+            c = finite(c * q.power(-passed))
     return c, tuple(counts[1:])
 
 
-def _word_map(text: str, n: int, cap: int, q: QParameter | None = None) -> dict:
-    """Coefficient of each word of the text, or with ``q`` of each normal-ordered monomial.
+def _word_map(text: str, n: int, cap: int, key) -> dict:
+    """Coefficient of each key of the text's terms, ``key(c, word)`` -> (c, key).
 
-    Terms add in written order; a sum that cancels drops its key.
+    Every term's degree is checked before any word is spelled out, so a huge
+    exponent is only a number; terms add in written order, and a sum that
+    cancels drops its key.
     """
     terms = _terms(text, n)
-    over = next((len(w) for _, w in terms if len(w) > cap), None)
+    degrees = (sum(e for _, e in powers) for _, powers in terms)
+    over = next((d for d in degrees if d > cap), None)
     if over is not None:
         raise ParseError(f"term degree {over} exceeds cap {cap}")
     out: dict[tuple, complex] = {}
-    for c, word in terms:
-        c, key = (c, tuple(word)) if q is None else _normal_form(c, word, q, n)
-        acc = _finite(out.get(key, 0j) + c)
+    for c, powers in terms:
+        c, k = key(c, [letter for letter, e in powers for _ in range(e)])
+        acc = finite(out.get(k, 0j) + c)
         if acc:
-            out[key] = acc
+            out[k] = acc
         else:
-            out.pop(key, None)
+            out.pop(k, None)
     return out
 
 
 def parse_qelement(text: str, n: int, q: QParameter, cap: int) -> QElement:
     """Parse in the q-commuting algebra; each written word goes to its normal form."""
-    return QElement(n, q, _word_map(text, n, cap, q), cap=cap)
+    terms = _word_map(text, n, cap, lambda c, word: _normal_form(c, word, q, n))
+    return QElement(n, q, terms, cap=cap)
 
 
 def parse_free_element(text: str, n: int, cap: int) -> FreeElement:
     """Parse in the free algebra; variable order becomes the word."""
-    return FreeElement(n, _word_map(text, n, cap), cap=cap)
+    return FreeElement(n, _word_map(text, n, cap, lambda c, word: (c, tuple(word))), cap=cap)
 
 
 # ---------------------------------------------------------------------------

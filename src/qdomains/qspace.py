@@ -101,13 +101,21 @@ def normal_order_word(word: Word, q: QParameter, n: int) -> tuple[complex, Multi
     return coeff, p_proj(tuple(letters), n)
 
 
+def finite(c: complex) -> complex:
+    """c itself; ValueError when arithmetic has left double range (inf or nan)."""
+    if not cmath.isfinite(c):
+        raise ValueError("coefficient overflow: a result leaves the double range")
+    return c
+
+
 def check_finite_coefficients(coefficients: Mapping[object, complex]) -> None:
-    """Raise ValueError when arithmetic has left double range (inf or nan)."""
+    """Raise :func:`finite`'s ValueError when a coefficient is inf or nan."""
     # a non-finite entry makes the sum non-finite; finite entries can also
     # overflow the sum, so only then are they looked at one by one
     values = coefficients.values()
-    if not cmath.isfinite(sum(values)) and not all(map(cmath.isfinite, values)):
-        raise ValueError("coefficient overflow: a result leaves the double range")
+    if not cmath.isfinite(sum(values)):
+        for c in values:
+            finite(c)
 
 
 class _TruncatedSeries:

@@ -284,6 +284,14 @@ def test_values_outside_double_range_are_clean_errors(runner, args):
     assert_clean_error(invoke(runner, args, ok=False))
 
 
+@pytest.mark.parametrize("exponent", ["1000000000000", "99999999999999999999"])
+@pytest.mark.parametrize("mode", ["qspace", "free"])
+def test_huge_exponent_is_a_clean_degree_error(runner, exponent, mode):
+    r = invoke(runner, ["multiply", f"x1^{exponent}", "x1", "--mode", mode, "--cap", "8"], ok=False)
+    assert_clean_error(r)
+    assert f"term degree {exponent} exceeds cap 8" in r.output
+
+
 @pytest.mark.parametrize("family", ["polydisk", "ball"])
 @pytest.mark.parametrize("q_mod", ["1e-300", "1e200"])
 def test_jsr_at_extreme_modulus_names_the_double_range(runner, family, q_mod):

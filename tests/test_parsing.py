@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,28 @@ def test_degree_cap_is_checked():
     with pytest.raises(ParseError):
         parse_qelement("x1^9", 2, Q, 8)
     assert parse_qelement("x1^8", 2, Q, 8).degree() == 8
+
+
+@pytest.mark.parametrize("exponent", ["1000000000000", "99999999999999999999"])
+def test_huge_exponent_fails_on_the_cap_before_the_word_is_spelled_out(exponent):
+    for parse in (lambda t: parse_qelement(t, 2, Q, 8), lambda t: parse_free_element(t, 2, 8)):
+        with pytest.raises(ParseError, match=f"term degree {exponent} exceeds cap 8"):
+            parse(f"x1^{exponent}")
+        # the degree of the whole term, and only once the text has parsed
+        with pytest.raises(ParseError, match=f"term degree {int(exponent) + 2} exceeds cap 8"):
+            parse(f"x2*x1^{exponent}*x2")
+        with pytest.raises(ParseError, match="unexpected end of input"):
+            parse(f"x1^{exponent} +")
+
+
+def test_failed_coefficient_match_backtracks_in_linear_time():
+    # each run of digits or blanks has one way to match, so a '(' that opens no
+    # coefficient fails after one scan; an ambiguous NUMBER took k1*k2^2/2 steps here
+    for text in ["(" + "1" * 5000 + "+" + "1" * 5000 + "x", "(" + " " * 5000 + "x"]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=r"unexpected character '\('"):
+            parse_free_element(text, 2, 8)
+        assert time.perf_counter() - start < 0.5
 
 
 # every finite double, a zero part always +0.0: the formatter prints no sign
