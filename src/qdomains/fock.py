@@ -29,6 +29,8 @@ direct sum of blocks, and ||B|| is the largest block norm.  Every
 monomial gives one-column blocks (column norms); other elements give
 blocks whose size depends on how the support differences link the
 window's columns, each with an exact SVD (ARPACK for the largest).
+scipy.sparse is imported by the functions that build or norm a matrix, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -36,19 +38,26 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qcombinatorics import MultiIndex, check_positive, log_pochhammer_table, multi_indices_up_to
 from .qspace import QElement, QParameter, scale_auto
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Window components with more columns than this get ARPACK instead of a dense
 # SVD.  On fully linked components (1 + x1 + x2, 1 + x1 + x2 + x3; q = 0.2,
 # 0.5, 0.9) the two take the same time at 150-170 columns: a dense SVD costs
 # 2.7 ms at 136 columns and 14 ms at 253, svds 3.6 and 4.7 ms.
 _DENSE_MAX_COLS = 160
+
+# Largest basis a truncation enumerates.  n = 3 at cap 60 has 39,711 elements;
+# a norm at 40-50 thousand takes 0.3-1.5 s, and one Python tuple per element
+# makes a truncation far past this limit exhaust memory before any error.
+BASIS_LIMIT = 100_000
 
 
 class FockTruncation:
@@ -61,6 +70,12 @@ class FockTruncation:
             raise ValueError("q must lie strictly between 0 and 1")
         if cap < 0:
             raise ValueError("cap must be >= 0")
+        size = math.comb(cap + n, n)
+        if size > BASIS_LIMIT:
+            raise ValueError(
+                f"n = {n}, cap = {cap} gives {size} basis elements, "
+                f"more than the limit of {BASIS_LIMIT}"
+            )
         self.n = n
         self.q = float(q)
         self.cap = cap
@@ -121,6 +136,8 @@ def _rep_terms(
     basis: column l gets c_k times the amplitude of x^k e_l (the module
     docstring's c) in row l + k.
     """
+    import scipy.sparse as sp
+
     P = log_pochhammer_table(fock.cap, fock.q)
     # int32 column indices and row pointers, which scipy would otherwise
     # scan and copy down to int32 itself
@@ -195,6 +212,7 @@ def op_norm(M: RepMatrix) -> float:
     data = data / scale  # unit largest entry: squares neither overflow nor underflow
     col_sq = np.bincount(cols, weights=np.abs(data) ** 2, minlength=A.shape[1])
 
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=A.shape)
@@ -222,6 +240,7 @@ def _component_norm(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, width:
         block = np.zeros(shape, dtype=complex)
         block[rows, cols] = data
         return float(np.linalg.svd(block, compute_uv=False)[0])
+    import scipy.sparse as sp
     from scipy.sparse.linalg import ArpackNoConvergence, svds
 
     block = sp.csr_matrix((data, (rows, cols)), shape=shape)
@@ -255,6 +274,8 @@ def verify_tw_ccr(fock: FockTruncation, include_boundary: bool = False) -> float
     """
     if fock.cap < 2:
         raise ValueError("need cap >= 2 to compose two generators")
+    import scipy.sparse as sp
+
     n, q = fock.n, fock.q
     X = [rep_generator(j, fock).matrix for j in range(1, n + 1)]
     Xs = [x.conj().T.tocsr() for x in X]

@@ -48,6 +48,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[-+*])"
     r"|(?P<bad>\S)"
 )
+# an exponent whose digit run, leading zeros dropped, is longer than this is
+# read as inf: it exceeds every usable cap, and Python refuses int() on runs
+# past 4300 digits
+_MAX_DIGITS = 100
 _HINTS = {
     "(": ": parentheses hold one coefficient, (a), (ai), (a+bi) or (a-bi)",
     "^": ": an exponent is a nonnegative integer",
@@ -69,15 +73,20 @@ def _coefficient(m: re.Match) -> complex:
     return complex(0.0, first + second) if m.group("first_i") else complex(first, second)
 
 
-def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, int]]]]:
-    """(coefficient, (letter, exponent) pairs in written order) of each term."""
+def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], int]]:
+    """(coefficient, (letter, exponent) pairs in written order, position) of each term.
+
+    A term's position is that of its first coefficient or variable.  Digit
+    runs are read without their leading zeros; one with more digits than any
+    admissible value is refused, or read as inf, before int() sees it.
+    """
     tokens = list(_TOKEN_RE.finditer(text))
     bad = next((m for m in tokens if m.lastgroup == "bad"), None)
     if bad is not None:
         char = bad.group()
         raise ParseError(f"unexpected character {char!r}{_HINTS.get(char, '')}", bad.start())
     terms = []
-    coeff, word = 1.0 + 0j, []
+    coeff, word, start = 1.0 + 0j, [], None
     atom_next = True  # at the start, after a sign and after '*'
     for at, m in enumerate(tokens):
         kind, tok, pos = m.lastgroup, m.group(), m.start()
@@ -86,25 +95,28 @@ def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, int]]]]:
                 raise ParseError(f"unexpected token {tok!r}", pos)
             if tok != "*":
                 if at:
-                    terms.append((coeff, word))
-                coeff, word = (-1.0 + 0j if tok == "-" else 1.0 + 0j), []
+                    terms.append((coeff, word, start))
+                coeff, word, start = (-1.0 + 0j if tok == "-" else 1.0 + 0j), [], None
             atom_next = True
             continue
         if not atom_next:
             raise ParseError(f"unexpected token {tok!r}", pos)
         atom_next = False
+        start = pos if start is None else start
         if kind == "var":
-            index = int(m.group("index"))
+            digits = m.group("index").lstrip("0")
+            index = int(digits or 0) if len(digits) <= len(str(n)) else n + 1
             if not 1 <= index <= n:
                 raise ParseError(f"variable {text[pos:m.end('index')]!r} outside 1..{n}", pos)
-            word.append((index, int(m.group("exp") or 1)))
+            digits = (m.group("exp") or "1").lstrip("0")
+            word.append((index, int(digits or 0) if len(digits) <= _MAX_DIGITS else math.inf))
             continue
         coeff *= _coefficient(m)
         if not cmath.isfinite(coeff):
             raise ParseError("coefficient product leaves the double range", pos)
     if atom_next:
         raise ParseError("unexpected end of input", len(text))
-    terms.append((coeff, word))
+    terms.append((coeff, word, start))
     return terms
 
 
@@ -132,12 +144,13 @@ def _word_map(text: str, n: int, cap: int, key) -> dict:
     cancels drops its key.
     """
     terms = _terms(text, n)
-    degrees = (sum(e for _, e in powers) for _, powers in terms)
-    over = next((d for d in degrees if d > cap), None)
-    if over is not None:
-        raise ParseError(f"term degree {over} exceeds cap {cap}")
+    for _, powers, pos in terms:
+        degree = sum(e for _, e in powers)
+        if degree > cap:
+            shown = degree if degree < math.inf else f"above 10^{_MAX_DIGITS}"
+            raise ParseError(f"term degree {shown} exceeds cap {cap}", pos)
     out: dict[tuple, complex] = {}
-    for c, powers in terms:
+    for c, powers, _ in terms:
         c, k = key(c, [letter for letter, e in powers for _ in range(e)])
         acc = finite(out.get(k, 0j) + c)
         if acc:

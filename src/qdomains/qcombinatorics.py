@@ -7,7 +7,8 @@ log q-Pochhammer table behind every ball and q-multinomial weight, the log
 q-factorial table of the JSR's inversion sums, the log-domain convolution
 power that sums a letter-separable term over every multi-index of each
 degree at once, and the Sobol sample behind the sampled suprema, drawn once
-per (domain, n, point count, seed) and kept read-only.  :func:`sum_of_terms`
+per (domain, n, point count, seed) and kept read-only; scipy.stats, slow to
+import, is loaded when the first sample is drawn.  :func:`sum_of_terms`
 is the one term sum behind every coefficient seminorm.  Everything in this
 module is a pure function of its arguments; the stateful containers live in
 :mod:`qdomains.qspace` and :mod:`qdomains.freeseries`.
@@ -21,7 +22,6 @@ import math
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 MultiIndex = tuple[int, ...]
 Word = tuple[int, ...]
@@ -286,6 +286,8 @@ def _log_sample(domain: Domain, n: int, m: int, seed: int) -> np.ndarray:
     (n-1)-simplex by sorted spacings; polydisk: moduli in the unit box.
     Zero coordinates give -inf.
     """
+    from scipy.stats import qmc
+
     if domain == "ball":
         if n == 1:
             u = np.ones((1, 1))

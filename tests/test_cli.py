@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdomains.cli import main
+from qdomains.fock import BASIS_LIMIT
 from qdomains.verify import SUITES
 
 
@@ -290,6 +291,34 @@ def test_huge_exponent_is_a_clean_degree_error(runner, exponent, mode):
     r = invoke(runner, ["multiply", f"x1^{exponent}", "x1", "--mode", mode, "--cap", "8"], ok=False)
     assert_clean_error(r)
     assert f"term degree {exponent} exceeds cap 8" in r.output
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("x1^" + "9" * 5000, "term degree above 10^100 exceeds cap 16"),
+        ("x" + "1" * 5000, "outside 1..2"),
+    ],
+    ids=["exponent", "index"],
+)
+def test_digit_runs_past_the_int_limit_are_clean_parse_errors(runner, expression, message):
+    r = invoke(runner, ["norm", expression], ok=False)
+    assert_clean_error(r)
+    assert message in r.output and "int_max_str_digits" not in r.output
+
+
+def test_leading_zeros_of_an_exponent_are_dropped(runner):
+    r = invoke(runner, ["multiply", "x1^" + "0" * 4400 + "2", "1"])
+    assert r.output.strip() == "x1^2"
+
+
+def test_fock_basis_over_the_limit_is_a_clean_error(runner):
+    # one element over the limit: without the check this builds a basis of
+    # 100,001 elements and a norm on it, not the machine-filling basis of,
+    # say, --n 4 --fock-cap 1000
+    r = invoke(runner, ["fock-norm", "x1", "--n", "1", "--fock-cap", str(BASIS_LIMIT)], ok=False)
+    assert_clean_error(r)
+    assert f"{BASIS_LIMIT + 1} basis elements" in r.output
 
 
 @pytest.mark.parametrize("family", ["polydisk", "ball"])

@@ -1,0 +1,78 @@
+"""Cold start: scipy is loaded only by the calls that use it.
+
+In-process tests cannot see this, since other test modules import scipy, so
+each check starts a fresh interpreter and reads its ``sys.modules``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from qdomains.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs each argument list through the CLI, then prints the scipy modules loaded
+CHILD = """
+import json, sys
+from qdomains.cli import main
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args, prog_name="qdomains")
+    except SystemExit as exc:
+        if exc.code:
+            raise
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def cold_run(*commands):
+    """(stdout less the last line, scipy modules loaded) of a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *lines, modules = proc.stdout.splitlines()
+    return "".join(line + "\n" for line in lines), json.loads(modules)
+
+
+def test_import_loads_no_scipy():
+    assert cold_run() == ("", [])
+
+
+def test_commands_that_neither_sample_nor_build_a_fock_matrix_load_no_scipy_stats_or_sparse():
+    _, modules = cold_run(
+        ["norm", "x1*x2 + 0.5*x1", "--family", "ball", "--q-mod", "0.5"],
+        ["multiply", "x2*x1", "x1 + x2", "--q-mod", "0.7"],
+        ["quotient-norm", "z2*z1 - z1*z2", "--family", "free-ball", "--q-mod", "0.5"],
+        ["jsr", "--family", "ball", "--q-mod", "0.5", "--dmax", "50"],
+        ["radius", "z1 + 0.5*z1*z2"],
+        ["verify", "normal-ordering"],
+    )
+    assert [m for m in modules if m.startswith(("scipy.stats", "scipy.sparse"))] == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "stirling"],
+        ["verify", "fock-ccr"],
+        ["fock-norm", "x1 + x2", "--n", "2"],
+        ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5"],
+    ],
+    ids=" ".join,
+)
+def test_scipy_paths_from_a_cold_start_print_the_in_process_values(args):
+    output, modules = cold_run(args)
+    assert modules  # the late import ran, and the probe saw it
+    in_process = CliRunner().invoke(main, args)
+    assert in_process.exit_code == 0, in_process.output
+    assert output == in_process.output

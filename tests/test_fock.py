@@ -35,6 +35,16 @@ def test_basis_layout():
         FockTruncation(2, 0.0, 3)
 
 
+def test_basis_size_is_checked_before_enumeration():
+    # n = 1 holds cap + 1 elements: the first cap over the limit, and cheap to
+    # enumerate if the check were missing
+    limit = fock_module.BASIS_LIMIT
+    assert FockTruncation(1, 0.5, limit - 1).size == limit
+    with pytest.raises(ValueError, match=f"{limit + 1} basis elements, more than the limit of {limit}"):
+        FockTruncation(1, 0.5, limit)
+    assert math.comb(60 + 3, 3) <= limit  # n = 3 at cap 60 stays admissible
+
+
 def test_generator_entry_spot():
     # x_1 e_(0,1): sqrt(1-q^2) sqrt([1]) q^(k_2) = sqrt(0.75) * 0.5 at q = 0.5
     fock = FockTruncation(2, 0.5, 4)

@@ -119,6 +119,37 @@ def test_huge_exponent_fails_on_the_cap_before_the_word_is_spelled_out(exponent)
             parse(f"x1^{exponent} +")
 
 
+# runs past Python's 4300-digit int() limit
+@pytest.mark.parametrize(
+    "var, message",
+    [("x1^" + "9" * 5000, r"term degree above 10\^100 exceeds cap 8"), ("x" + "1" * 5000, r"outside 1\.\.2")],
+    ids=["exponent", "index"],
+)
+def test_digit_runs_past_the_int_limit_are_parse_errors(var, message):
+    for parse in (lambda t: parse_qelement(t, 2, Q, 8), lambda t: parse_free_element(t, 2, 8)):
+        with pytest.raises(ParseError, match=message) as e:
+            parse(var)
+        assert e.value.position == 0
+        with pytest.raises(ParseError, match=message) as e:
+            parse("2 + " + var)
+        assert e.value.position == 4
+
+
+def test_leading_zeros_do_not_count_toward_a_digit_run():
+    zeros = "0" * 4400
+    assert format_qelement(parse_qelement(f"x1^{zeros}2", 2, Q, 8)) == "x1^2"
+    assert format_free_element(parse_free_element(f"z{zeros}2^{zeros}2", 2, 8)) == "z2^2"
+
+
+def test_degree_error_points_at_its_term():
+    with pytest.raises(ParseError, match=r"term degree 9 exceeds cap 8") as e:
+        parse_free_element("z1 - 2*z2^9*z1^0", 2, 8)
+    assert e.value.position == 5
+    with pytest.raises(ParseError, match=r"term degree above 10\^100") as e:
+        parse_qelement("x1 + x2^1" + "0" * 100 + "*x1", 2, Q, 8)
+    assert e.value.position == 5
+
+
 def test_failed_coefficient_match_backtracks_in_linear_time():
     # each run of digits or blanks has one way to match, so a '(' that opens no
     # coefficient fails after one scan; an ambiguous NUMBER took k1*k2^2/2 steps here
