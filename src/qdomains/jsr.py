@@ -4,17 +4,20 @@ The degree-d partial quantity for a tuple (a_1, ..., a_n) is
 
     R_d = ( sum_{|w| = d} ||a_w||^p )^(1/(p d))      (sup over words for p = inf)
 
-with a_w the length-d product along the word w.  For the canonical
-generators x_i the norm of a word product depends on its letter counts k
-and its inversion number only, and summing |q|^(-p inv) over a fiber is
-the classical q-multinomial [d]_u! / prod_i [k_i]_u!, u = |q|^-p.  Each
-fiber term is then exp(A(d) + sum_i g(k_i)), so the sum over all fibers
-of degree d is entry d of the n-fold self-convolution of exp(g) (Andrews,
-The Theory of Partitions, Thm 3.6), formed in the log domain for every
-d <= d_max at once (a max-plus convolution for p = inf); d in the hundreds
-is routine.  R_d is degree-homogeneous in rho, so the estimate on the
-radius-r domain is one tail fit of the partials at rho = r, clamped into
-the certified bracket [r, min_d R_d].
+with a_w the length-d product along the word w.  reversal_iso maps the
+algebra at q isometrically onto the one at 1/q, so the canonical partials
+are read at max(|q|, 1/|q|), where w_q = 1.  For the canonical generators
+x_i the norm of a word product depends on its letter counts k and its
+inversion number only, and summing max(|q|, 1/|q|)^(-p inv) over a fiber is
+the classical q-multinomial [d]_u! / prod_i [k_i]_u!, u = min(|q|, 1/|q|)^p.
+With h half the log q-Pochhammer table for the ball and 0 for the polydisk,
+each fiber term is exp(sum_i g(k_i) - g(d)), g = p h - log [.]_u!, so the
+sum over all fibers of degree d is entry d of the n-fold self-convolution of
+exp(g), over exp(g(d)) (Andrews, The Theory of Partitions, Thm 3.6), formed
+in the log domain for every d <= d_max at once (a max-plus convolution of h
+for p = inf); d in the hundreds is routine.  R_d is degree-homogeneous in
+rho, so the estimate on the radius-r domain is one tail fit of the partials
+at rho = r, clamped into the certified bracket [r, min_d R_d].
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def canonical_partials(
     families; closed word-count sums for the free families (both
     cross-checked against brute-force enumeration in the tests).  R_d is
     degree-homogeneous in rho: R_d(rho) = rho R_d(1).  Raises ValueError
-    when a weight table or a partial leaves double range, when a q-side
+    when |q|^-p at the given |q| or a partial leaves double range, when a q-side
     d_max exceeds :data:`CONVOLUTION_DEGREE_LIMIT`, or when tau is not 1
     for a family other than free_polydisk, the one with block weights.
     """
@@ -89,35 +92,20 @@ def canonical_partials(
             f"d_max = {d_max} exceeds {CONVOLUTION_DEGREE_LIMIT}, the largest degree "
             f"the {family} convolution power is built for"
         )
+    # read at max(|q|, 1/|q|), where the weight of fiber k is exp(sum_i h(k_i) - h(d))
     mod = q.modulus
-    finite_p = math.isfinite(p)
-    log_mod = math.log(mod)
-    j = np.arange(d_max + 1, dtype=float)
-    # the weight of a fiber k of degree d is exp(a(d) + sum_i h(k_i)):
-    # w_q(k) = |q|^cross(k), cross(k) = (d^2 - sum_i k_i^2) / 2, for |q| < 1,
-    # times exp((sum_i P[k_i] - P[d]) / 2) for the ball
-    if mod < 1.0:
-        a = 0.5 * log_mod * j * j
-        h = -a
-    else:
-        h = a = np.zeros(d_max + 1)
-    if family == "ball":
-        half = 0.5 * log_pochhammer_table(d_max, mod)
-        h, a = h + half, a - half
-    if finite_p:
+    j = np.arange(1, d_max + 1, dtype=float)
+    h = 0.5 * log_pochhammer_table(d_max, mod) if family == "ball" else np.zeros(d_max + 1)
+    if math.isfinite(p):
+        # the base |q|^-p must be a nonzero double at the given |q| itself
         base = checked_power(mod, -p)
-        if base == 0.0:  # underflow: its log below would be a bare math domain error
+        if base == 0.0:
             raise ValueError(f"{mod!r}**{-p!r} leaves the double range")
-        u_table = log_q_factorial_table(d_max, base)
-        log_s = u_table + p * a + log_convolution_power(p * h - u_table, n)
-        log_r = log_s[1:] / (p * j[1:])
+        g = p * h - log_q_factorial_table(d_max, min(base, 1.0 / base))
+        log_r = (log_convolution_power(g, n) - g)[1:] / (p * j)
     else:
-        # sup over a fiber of |q|^(-inv) is attained at inv = 0 or inv = cross
-        top = a + log_convolution_power(h, n, maxplus=True)
-        if mod < 1.0:
-            shift = 0.5 * log_mod * j * j  # -cross(k) log|q| = sum_i shift(k_i) - shift(d)
-            top = np.maximum(top, a - shift + log_convolution_power(h + shift, n, maxplus=True))
-        log_r = top[1:] / j[1:]
+        # the sup over a fiber of max(|q|, 1/|q|)^(-inv) is 1, at inv = 0
+        log_r = (log_convolution_power(h, n, maxplus=True) - h)[1:] / j
     with np.errstate(over="ignore"):
         values = rho * np.exp(log_r)
     if not np.all(np.isfinite(values)):

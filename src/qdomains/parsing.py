@@ -52,6 +52,8 @@ _TOKEN_RE = re.compile(
 # read as inf: it exceeds every usable cap, and Python refuses int() on runs
 # past 4300 digits
 _MAX_DIGITS = 100
+# an error quotes at most this many digits of a variable's index
+_QUOTED_DIGITS = 8
 _HINTS = {
     "(": ": parentheses hold one coefficient, (a), (ai), (a+bi) or (a-bi)",
     "^": ": an exponent is a nonnegative integer",
@@ -71,6 +73,13 @@ def _coefficient(m: re.Match) -> complex:
     first = _real(m, "first", "sign")
     second = _real(m, "second", "sign2") if m.group("second") else 0.0
     return complex(0.0, first + second) if m.group("first_i") else complex(first, second)
+
+
+def _quoted_variable(m: re.Match) -> str:
+    """The variable token quoted, a long index cut to its first digits and its length."""
+    run = m.group("index")
+    shown = m.group()[0] + run[:_QUOTED_DIGITS]
+    return f"{shown!r}... ({len(run)}-digit index)" if len(run) > _QUOTED_DIGITS else repr(shown)
 
 
 def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], int]]:
@@ -107,7 +116,7 @@ def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], in
             digits = m.group("index").lstrip("0")
             index = int(digits or 0) if len(digits) <= len(str(n)) else n + 1
             if not 1 <= index <= n:
-                raise ParseError(f"variable {text[pos:m.end('index')]!r} outside 1..{n}", pos)
+                raise ParseError(f"variable {_quoted_variable(m)} outside 1..{n}", pos)
             digits = (m.group("exp") or "1").lstrip("0")
             word.append((index, int(digits or 0) if len(digits) <= _MAX_DIGITS else math.inf))
             continue

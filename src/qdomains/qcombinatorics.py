@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -135,14 +135,17 @@ def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:
         raise ValueError("d_max must be >= 0")
     check_positive("q_mod", q_mod)
     j = np.arange(1, d_max + 1, dtype=float)
+    log_s = -2.0 * abs(math.log(q_mod))
     if q_mod == 1.0:
         terms = np.log(j)
     else:
-        log_sj = j * (-2.0 * abs(math.log(q_mod)))
-        terms = np.where(
-            log_sj < -math.log(2.0), np.log1p(-np.exp(log_sj)), np.log(-np.expm1(log_sj))
-        )
-    return np.concatenate(([0.0], np.cumsum(terms)))
+        log_sj = j * log_s
+        terms = np.log1p(-np.exp(log_sj))
+        if log_s >= -_LN2:  # s^j >= 1/2 for small j, where log1p(-s^j) loses digits
+            terms = np.where(log_sj < -_LN2, terms, np.log(-np.expm1(log_sj)))
+    out = np.zeros(d_max + 1)
+    np.cumsum(terms, out=out[1:])
+    return out
 
 
 def check_positive(name: str, x: float) -> None:
@@ -211,38 +214,61 @@ def log_convolution_power(g: np.ndarray, n: int, *, maxplus: bool = False) -> np
 # norm weights
 
 
-def w_q(k: Sequence[int], q_mod: float) -> float:
-    """Polydisk weight: 1 for |q| >= 1, else |q|^(sum_{i<j} k_i k_j)."""
+def weight_law(
+    q_mod: float, d_max: int, ball: bool = True
+) -> Callable[[Sequence], tuple[float, float]]:
+    """The one weight law: a function of k giving (log w_q(k), ball factor), |k| <= d_max.
+
+    The polydisk weight is w_q(k) = min(1, |q|^cross(k)), cross(k) =
+    sum_{i<j} k_i k_j; the ball weight ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2,
+    is w_q(k) times exp of the ball factor (sum_i P[k_i] - P[|k|]) / 2,
+    P = :func:`log_pochhammer_table`.  The identity holds for every positive
+    finite |q| and forms no power of |q| above 1: with s = min(|q|, 1/|q|)^2,
+    [m]_s! = (s; s)_m / (1 - s)^m, and for |q| < 1, [m]_(1/s) = s^-(m-1) [m]_s
+    leaves the factor |q|^cross(k).  At |q| = 1 the factor is log (k!/|k|!)^(1/2).
+
+    k is one multi-index, or the columns K.T of an int array K of them, which
+    weighs every row at once by the same arithmetic; one index costs no numpy
+    call, which is most of a small norm's time.  Without ``ball`` the factor
+    is 0 and P is not built.
+    """
     check_positive("q_mod", q_mod)
-    if q_mod >= 1.0:
-        return 1.0
-    return q_mod ** cross_degree_sum(as_multi_index(k))
+    half_log_w = 0.5 * min(math.log(q_mod), 0.0)
+    pochhammer = log_pochhammer_table(d_max, q_mod) if ball else None
+
+    def law(k):
+        d = sum(k)
+        # (|k|^2 - sum_i k_i^2) log|q| / 2 rounds as cross(k) log|q| does
+        log_w = (d * d - sum(e * e for e in k)) * half_log_w
+        if pochhammer is None:
+            return log_w, 0.0
+        return log_w, 0.5 * (sum(pochhammer[e] for e in k) - pochhammer[d])
+
+    return law
+
+
+def _law_of(k: Sequence[int], q_mod: float, ball: bool) -> float:
+    """log w_q(k), times the ball factor with ``ball``, for one multi-index."""
+    kk = as_multi_index(k)
+    return float(sum(weight_law(q_mod, degree(kk), ball)(kk)))
+
+
+def w_q(k: Sequence[int], q_mod: float) -> float:
+    """Polydisk weight: 1 for |q| >= 1, else |q|^(sum_{i<j} k_i k_j); see :func:`weight_law`."""
+    return math.exp(log_w_q(k, q_mod))
 
 
 def log_w_q(k: Sequence[int], q_mod: float) -> float:
-    check_positive("q_mod", q_mod)
-    if q_mod >= 1.0:
-        return 0.0
-    return cross_degree_sum(as_multi_index(k)) * math.log(q_mod)
+    return _law_of(k, q_mod, ball=False)
 
 
 def log_ball_weight(k: Sequence[int], q_mod: float) -> float:
-    """log of the ball weight ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2.
-
-    Formed from the identity ball_weight(k) = w_q(k) exp((sum_i P[k_i] -
-    P[|k|]) / 2), P = :func:`log_pochhammer_table`, which holds for every
-    positive finite |q| and forms no power of |q| above 1: with
-    s = min(|q|, 1/|q|)^2, [m]_s! = (s; s)_m / (1 - s)^m, and for |q| < 1,
-    [m]_(1/s) = s^-(m-1) [m]_s leaves the factor |q|^cross(k) = w_q(k).
-    """
-    kk = as_multi_index(k)
-    log_w = log_w_q(kk, q_mod)
-    pochhammer = log_pochhammer_table(degree(kk), q_mod)
-    return log_w + 0.5 * (math.fsum(pochhammer[list(kk)]) - pochhammer[degree(kk)])
+    """log of the ball weight ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2; see :func:`weight_law`."""
+    return _law_of(k, q_mod, ball=True)
 
 
 def ball_weight(k: Sequence[int], q_mod: float) -> float:
-    """Ball weight ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2; see :func:`log_ball_weight`."""
+    """Ball weight ([k]_t! / [|k|]_t!)^(1/2), t = |q|^-2; see :func:`weight_law`."""
     return math.exp(log_ball_weight(k, q_mod))
 
 

@@ -25,9 +25,9 @@ from .qcombinatorics import (
     composition_array,
     cross_degree_sum,
     degree,
-    log_pochhammer_table,
     p_proj,
     sum_of_terms,
+    weight_law,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -359,29 +359,32 @@ def check_tau(tau: float, unweighted: str | None = None) -> None:
         raise ValueError("tau must be >= 1 and finite")
 
 
-def _coefficient_norm(a: QElement, rho: float, ball: bool) -> float:
-    """sum_k |c_k| w_q(k) rho^|k|, for the ball with ball_weight(k) in place of w_q(k).
+def weighted_degree_sums(
+    terms: list[tuple[MultiIndex, float, float]], q_mod: float, rho: float, ball: bool
+) -> dict[int, float]:
+    """Per degree d, the sum of m exp(g) w(k) rho^d over the (k, m, g) of degree d.
 
-    The ball weight is w_q(k) exp((sum_i P[k_i] - P[|k|]) / 2), one log
-    q-Pochhammer table P up to the element's degree serving every term
-    (see :func:`qdomains.qcombinatorics.log_ball_weight`).  Each weight is
-    formed from its logs and summed against |c_k| by :func:`sum_of_terms`, so a
-    large coefficient against a small weight stays in range.
+    w is w_q, or the ball weight with ``ball``, read off
+    :func:`qdomains.qcombinatorics.weight_law`: the one weighted sum behind
+    the coefficient norms (m = |c_k|, g = 0) and the quotient norms (the
+    fiber images).  Each weight is formed from its logs and summed against m
+    by :func:`sum_of_terms`, so a large m against a small weight stays in range.
     """
     check_positive("rho", rho)
     log_rho = math.log(rho)
-    mod = a.q.modulus
-    log_w = math.log(mod) if mod < 1.0 else 0.0  # w_q(k) = exp(cross(k) log_w)
-    pochhammer = log_pochhammer_table(a.degree(), mod).tolist() if ball else []
-
-    def log_weight(k: MultiIndex) -> float:
+    law = weight_law(q_mod, max((sum(k) for k, _, _ in terms), default=0), ball)
+    pairs: dict[int, list[tuple[float, float]]] = {}
+    for k, m, g in terms:
+        log_w, factor = law(k)
         d = sum(k)
-        w = d * log_rho + cross_degree_sum(k) * log_w
-        if ball:
-            w += 0.5 * (sum(pochhammer[e] for e in k) - pochhammer[d])
-        return w
+        pairs.setdefault(d, []).append((m, g + log_w + d * log_rho + factor))
+    return {d: sum_of_terms(ps) for d, ps in sorted(pairs.items())}
 
-    return sum_of_terms((abs(c), log_weight(k)) for k, c in a.coefficients.items())
+
+def _coefficient_norm(a: QElement, rho: float, ball: bool) -> float:
+    terms = [(k, abs(c), 0.0) for k, c in a.coefficients.items()]
+    sums = weighted_degree_sums(terms, a.q.modulus, rho, ball)
+    return sum_of_terms((v, 0.0) for v in sums.values())
 
 
 def polydisk_norm(a: QElement, rho: float) -> float:
@@ -412,34 +415,23 @@ class WeightRatioScan:
 
 
 def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
-    """Scan the two weight systems against each other for |q| != 1.
+    """Scan the two weight systems against each other.
 
-    The ratio being pinched inside (0, 1] for |q| > 1 witnesses that the
-    two seminorm families generate the same series space there (and, via
-    reversal_iso, for |q| < 1).  Ties go to the first index in
-    multi_indices_up_to order.
+    The ratio being pinched inside (0, 1] for |q| != 1 witnesses that the
+    two seminorm families generate the same series space there; at |q| = 1
+    it is (k!/|k|!)^(1/2), which has no positive lower bound.  Ties go to
+    the first index in multi_indices_up_to order.
 
-    With s = min(|q|, 1/|q|)^2 and P[m] = log (s; s)_m = sum_{j <= m}
-    log(1 - s^j), the log ratio is (sum_i P[k_i] - P[|k|]) / 2 for either
-    side of |q| = 1: the (1 - s)^-m factors of the q-factorials and, for
-    |q| < 1, the power |q|^cross(k) of w_q cancel exactly.  P is a sum of
-    small terms, so neighbouring indices whose ratios differ by a few ulps
-    still come out in the right order.
+    The log ratio is the ball factor of
+    :func:`qdomains.qcombinatorics.weight_law`, a difference of sums of small
+    terms, so neighbouring indices whose ratios differ by a few ulps still
+    come out in the right order.
     """
-    if q_mod == 1.0:
-        raise ValueError("weight ratio scan requires |q| != 1")
-    check_positive("q_mod", q_mod)
-    pochhammer = log_pochhammer_table(d_max, q_mod)
-    best_min = math.inf
-    best_max = -math.inf
-    min_at: MultiIndex = (0,) * n
-    max_at: MultiIndex = (0,) * n
-    for d in range(d_max + 1):
-        K = composition_array(n, d)
-        ratio = np.exp(0.5 * (np.sum(pochhammer[K], axis=1) - pochhammer[d]))
-        lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
-        if ratio[lo] < best_min:
-            best_min, min_at = float(ratio[lo]), tuple(int(e) for e in K[lo])
-        if ratio[hi] > best_max:
-            best_max, max_at = float(ratio[hi]), tuple(int(e) for e in K[hi])
-    return WeightRatioScan(q_mod, n, d_max, best_min, best_max, min_at, max_at)
+    law = weight_law(q_mod, d_max)
+    K = np.concatenate([composition_array(n, d) for d in range(d_max + 1)])
+    ratio = np.exp(law(K.T)[1])
+    lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
+    return WeightRatioScan(
+        q_mod, n, d_max, float(ratio[lo]), float(ratio[hi]),
+        tuple(K[lo].tolist()), tuple(K[hi].tolist()),
+    )

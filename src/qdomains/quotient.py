@@ -13,16 +13,14 @@ identity the l1 value is |y_k| min_w weight_w / |g_w|; for the weights here
 the minimum sits on the sorted word (|q| >= 1) or on the reversed word
 (|q| < 1), both with the least block count nnz(k).  The l2 value is
 rho^d |y_k| / ||g||_2, and ||g||_2^2 is the q-multinomial [d]_u! / [k]_u!
-with u = |q|^-2.  With w(k) = min(1, |q|^cross(k)), cross(k) = sum_{i<j} k_i k_j:
-
-    l1:  |y_k| w(k) rho^d tau^nnz(k)        (no tau factor for tau=None)
-    l2:  |y_k| w(k) rho^d ([d]_t! / [k]_t!)^(-1/2),   t = min(|q|, 1/|q|)^2
-
-The l2 form uses [m]_u = u^(m-1) [m]_(1/u) to keep t <= 1, and
-[m]_t! = (t; t)_m / (1 - t)^m to read the q-multinomial off one log
-q-Pochhammer table (Andrews, The Theory of Partitions, ch. 3).  Every weight is
-formed in the log domain and summed by ``sum_of_terms``, so no power of |q|
-leaves double range on the way; a result that does raises ValueError.
+with u = |q|^-2.  So the l1 value is |y_k| w_q(k) rho^d, times tau^nnz(k)
+for numeric tau, and the l2 value is |y_k| ball_weight(k) rho^d: a quotient
+norm is the polydisk or ball coefficient norm of the fiber images y_k, and
+both are read off the one weight law and summed by the one per-degree
+weighted sum of :mod:`qdomains.qspace`.  The images are kept in the log
+domain, so no power of |q| leaves double range on the way (at |q| = 1e-200,
+y_k itself is no double while the norm is); a result that does raises
+ValueError.
 
 The explicit slices (``build_slice``, ``slice_matrix``, ``slice_rank``) stay
 as the independent description of the ideal: the slice-rank suite counts
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,15 +41,12 @@ from .qcombinatorics import (
     Word,
     as_multi_index,
     check_positive,
-    cross_degree_sum,
-    degree,
     inv_count,
-    log_pochhammer_table,
     p_proj,
     sum_of_terms,
     words_of_degree,
 )
-from .qspace import QParameter, check_tau
+from .qspace import QParameter, check_tau, weighted_degree_sums
 
 
 @dataclass(frozen=True)
@@ -131,54 +126,45 @@ class QuotientResult:
     converged: bool = True
 
 
-def _fiber_log_images(target: FreeElement, q: QParameter) -> dict[MultiIndex, tuple[float, float]]:
-    """(m, g) with |y_k| w(k) = m exp(g), for each letter-count fiber k of the target.
+def _fiber_log_images(target: FreeElement, q: QParameter) -> list[tuple[MultiIndex, float, float]]:
+    """(k, m, g) with |y_k| = m exp(g), for each letter-count fiber k of the target.
 
-    Each term t_w q^(-inv w) is scaled by q^cross(k) when |q| < 1, so no
-    power of |q| above 1 is formed.  m is the modulus |t_w| of the fiber's
-    largest term and g that term's log weight plus the log of the fiber
-    sum relative to it, so m keeps all its digits.  A fiber whose terms
-    cancel is left out.
+    m is the modulus |t_w| of the fiber's largest term t_w q^(-inv w) and g
+    that term's log weight -inv(w) log|q| plus the log of the fiber sum
+    relative to it, so m keeps all its digits and no power of |q| is formed.
+    A fiber whose terms cancel is left out.
     """
     log_q = math.log(q.modulus)
     phase = QParameter(1.0, q.phase)
     terms: dict[MultiIndex, list[tuple[float, float, float, complex]]] = {}
     for w, c in target.coefficients.items():
-        k = p_proj(w, target.n)
-        shift = cross_degree_sum(k) if log_q < 0.0 else 0
         inv = inv_count(w)
         m = abs(c)
-        log_weight = (shift - inv) * log_q
-        terms.setdefault(k, []).append(
+        log_weight = -inv * log_q
+        terms.setdefault(p_proj(w, target.n), []).append(
             (math.log(m) + log_weight, m, log_weight, c / m * phase.power(-inv))
         )
-    out: dict[MultiIndex, tuple[float, float]] = {}
+    out = []
     for k, fiber in terms.items():
         top, m, log_weight, _ = max(fiber, key=lambda term: term[0])
         s = abs(sum(u * math.exp(lv - top) for lv, _, _, u in fiber))
         if s > 0.0:
-            out[k] = (m, log_weight + math.log(s))
+            out.append((k, m, log_weight + math.log(s)))
     return out
 
 
 def _quotient(
-    target: FreeElement,
-    q: QParameter,
-    rho: float,
-    log_factor: Callable[[MultiIndex], float],
+    target: FreeElement, q: QParameter, rho: float, ball: bool, log_tau: float = 0.0
 ) -> QuotientResult:
-    """Sum over fibers of |y_k| w(k) exp(|k| log rho + log_factor(k)), by degree."""
+    """The coefficient norm of the fiber images y_k, times tau^nnz(k), by degree."""
     check_positive("rho", rho)
-    log_rho = math.log(rho)
-    pairs: dict[int, list[tuple[float, float]]] = {len(w): [] for w in target.coefficients}
     try:
         images = _fiber_log_images(target, q)
     except OverflowError:  # a coefficient modulus past double range
         raise ValueError("norm leaves the double range") from None
-    for k, (m, log_y) in images.items():
-        d = degree(k)
-        pairs[d].append((m, log_y + d * log_rho + log_factor(k)))
-    per_degree = {d: sum_of_terms(ps) for d, ps in sorted(pairs.items())}
+    terms = [(k, m, g + log_tau * sum(1 for e in k if e)) for k, m, g in images]
+    sums = weighted_degree_sums(terms, q.modulus, rho, ball)
+    per_degree = {d: sums.get(d, 0.0) for d in sorted({len(w) for w in target.coefficients})}
     return QuotientResult(sum_of_terms((v, 0.0) for v in per_degree.values()), per_degree)
 
 
@@ -191,18 +177,11 @@ def quotient_norm_l1(
     numeric tau >= 1 adds the block-count factor tau^(s(w)+1).
     """
     if tau is None:
-        return _quotient(target, q, rho, lambda k: 0.0)
+        return _quotient(target, q, rho, ball=False)
     check_tau(tau)
-    log_tau = math.log(tau)
-    return _quotient(target, q, rho, lambda k: log_tau * sum(1 for e in k if e))
+    return _quotient(target, q, rho, ball=False, log_tau=math.log(tau))
 
 
 def quotient_norm_l2(target: FreeElement, rho: float, *, q: QParameter) -> QuotientResult:
     """Quotient of the fiberwise-l2 (free ball) norm by the commutation ideal."""
-    pochhammer = log_pochhammer_table(target.degree(), q.modulus).tolist()
-    return _quotient(
-        target,
-        q,
-        rho,
-        lambda k: 0.5 * (math.fsum(pochhammer[e] for e in k) - pochhammer[degree(k)]),
-    )
+    return _quotient(target, q, rho, ball=True)

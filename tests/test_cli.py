@@ -156,6 +156,14 @@ def test_jsr_fit_below_radius_is_clamped_and_flagged(runner):
     assert "fit-outside-bracket" in r.output
 
 
+def test_jsr_reads_the_same_value_at_inverse_moduli(runner):
+    small, large = (
+        invoke(runner, ["jsr", "--family", "ball", "--q-mod", q_mod]).output
+        for q_mod in ("1e-150", "1e150")
+    )
+    assert small == large and small.startswith("jsr[ball] = ")
+
+
 def test_jsr_refuses_bad_input_cleanly(runner):
     r = invoke(runner, ["jsr", "--family", "ball", "--dmax", "100000"], ok=False)
     assert_clean_error(r)
@@ -305,6 +313,13 @@ def test_digit_runs_past_the_int_limit_are_clean_parse_errors(runner, expression
     r = invoke(runner, ["norm", expression], ok=False)
     assert_clean_error(r)
     assert message in r.output and "int_max_str_digits" not in r.output
+
+
+def test_long_variable_index_error_is_one_short_line(runner):
+    r = invoke(runner, ["norm", "1 + x" + "1" * 5000], ok=False)
+    assert_clean_error(r)
+    line = r.output.strip()
+    assert len(line) < 120 and line.endswith("(5000-digit index) outside 1..2 (at position 4)")
 
 
 def test_leading_zeros_of_an_exponent_are_dropped(runner):

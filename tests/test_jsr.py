@@ -169,6 +169,21 @@ def test_partials_near_unit_modulus_match_mpmath(family, q_mod, p):
     )
 
 
+@pytest.mark.parametrize("family", ["polydisk", "ball"])
+@pytest.mark.parametrize("q_mod", [0.5, 0.9, 1e-20, 1e-150])
+def test_partials_are_reversal_symmetric(family, q_mod):
+    # reversal_iso maps the algebra at q isometrically onto the one at 1/q,
+    # and the canonical tuple onto itself reversed; no digits may be lost on
+    # either side, however small |q| is
+    for n in (2, 3):
+        for p in (1.0, 2.0, math.inf):
+            assert_partials_match(
+                canonical_partials(family, n, QParameter(q_mod, 0.3), p, 200),
+                canonical_partials(family, n, QParameter(1.0 / q_mod, -0.3), p, 200),
+                rel=1e-13,
+            )
+
+
 def test_oversized_degree_is_refused():
     # refused before any table is built: the convolution would need
     # (d_max + 1)^2 arrays

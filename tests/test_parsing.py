@@ -289,3 +289,15 @@ def test_formatting_style():
     z = format_free_element(parse_free_element("z2*z2*z1", 2, 6))
     assert z == "z2^2*z1"  # runs collapse to powers
     assert format_qelement(QElement.zero(2, Q, cap=2)) == "0"
+
+
+def test_long_variable_index_is_quoted_short():
+    # the error names the first digits and the run's length, not 5000 digits
+    for text, position in [("x" + "1" * 5000, 0), ("2 + x" + "1" * 5000 + "^3", 4)]:
+        with pytest.raises(ParseError) as e:
+            parse_qelement(text, 2, Q, 8)
+        message = str(e.value)
+        assert len(message) < 120 and e.value.position == position
+        assert message.startswith("variable 'x11111111'... (5000-digit index) outside 1..2")
+    with pytest.raises(ParseError, match=r"^variable 'x12345678' outside 1\.\.2 \(at position 0\)$"):
+        parse_free_element("x12345678", 2, 8)

@@ -346,8 +346,17 @@ def test_weight_ratio_scan_pinches():
     assert scan.min_ratio >= math.sqrt(phi) - 1e-6
     assert scan.min_ratio == pytest.approx(0.8297816201389013, rel=1e-12)
     assert scan.min_at == (25, 25)  # balanced index maximises the crossing count
-    with pytest.raises(ValueError):
-        weight_ratio_scan(1.0, 2, 10)
+
+
+def test_weight_ratio_scan_at_unit_modulus_has_no_pinch():
+    # at |q| = 1 the ratio is (k!/|k|!)^(1/2): 1/sqrt(C(30, 15)) at the
+    # balanced index, and it falls without bound as d_max grows
+    scan = weight_ratio_scan(1.0, 2, 30)
+    want = math.exp(0.5 * (2 * math.lgamma(16) - math.lgamma(31)))
+    assert scan.min_ratio == pytest.approx(want, rel=1e-13)
+    assert scan.min_at == (15, 15)
+    assert scan.max_ratio == 1.0 and scan.max_at == (0, 0)
+    assert weight_ratio_scan(1.0, 2, 60).min_ratio < scan.min_ratio * 1e-4
 
 
 def test_weight_ratio_scan_small_modulus_via_reversal_regime():

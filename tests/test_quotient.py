@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from itertools import product
+from itertools import groupby, product
 
 import mpmath
 import numpy as np
@@ -336,3 +336,68 @@ def test_coefficient_norms_are_quotient_norms_of_the_sorted_lift(data, n, log_mo
         lift = lift + canonical_lift(k, cap=6).scaled(c)
     assert polydisk_norm(a, rho) == pytest.approx(quotient_norm_l1(lift, rho, q=q).value, rel=1e-13)
     assert ball_norm(a, rho) == pytest.approx(quotient_norm_l2(lift, rho, q=q).value, rel=1e-13)
+
+
+MP_TARGETS = (
+    # several words in each fiber, complex coefficients, nothing cancels
+    FreeElement(
+        2,
+        {(1, 2): 1 + 2j, (2, 1): -0.5j, (1, 1, 2): 3.0, (1, 2, 1): 1 - 1j, (2, 1, 1): 0.25,
+         (2, 2): 2j, (2, 1, 2, 1): -1.5 + 0.5j, (1, 2, 2, 1): 0.75j, (1,): 0.5},
+        cap=4,
+    ),
+    FreeElement(
+        3,
+        {(1, 2, 3): 1.0, (3, 2, 1): 2 - 1j, (2, 1, 3): 0.5j, (1, 3): -1 + 1j, (3, 1): 2.0,
+         (3, 3, 1, 2): 1j},
+        cap=4,
+    ),
+)
+
+
+def mp_quotient(target, q, rho, kind, tau=None):
+    """Oracle: sum over fibers of |y_k| min_w (weight_w / |q|^(-inv w)), in 50 digits.
+
+    y_k = sum_w t_w q^(-inv w) over the target's words of letter counts k; the
+    minimum runs over every rearrangement w of k, with weight rho^d (times
+    tau^blocks(w) for tau) for l1, and for l2 the least-norm value
+    rho^d / ||(|q|^(-inv w))_w||_2 replaces it.
+    """
+    with mpmath.workdps(50):
+        mod, rho = mpmath.mpf(q.modulus), mpmath.mpf(rho)
+        qv = mod * mpmath.expj(mpmath.mpf(q.phase))
+
+        def inv(w):
+            return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+        images = {}
+        for w, c in target.coefficients.items():
+            k = tuple(w.count(i) for i in range(1, target.n + 1))
+            images[k] = images.get(k, 0) + mpmath.mpc(c) * qv ** -inv(w)
+        total = 0
+        for k, y in images.items():
+            d = sum(k)
+            words = fiber_words(k)
+            if kind == "l2":
+                factor = rho ** d / mpmath.sqrt(mpmath.fsum(mod ** (-2 * inv(w)) for w in words))
+            else:
+                factor = min(
+                    rho ** d * (mpmath.mpf(tau) ** len(list(groupby(w))) if tau else 1) * mod ** inv(w)
+                    for w in words
+                )
+            total += abs(y) * factor
+        return float(total)
+
+
+@pytest.mark.parametrize("q_mod", [1e-200, 0.5, 1.0, 2.0, 1e100])
+@pytest.mark.parametrize("target", MP_TARGETS, ids=["n2", "n3"])
+def test_quotient_norms_match_mpmath(target, q_mod):
+    # at 1e-200 the images y_k are past double range (|q|^-4 = 1e800) but
+    # the norms are not: the law's |q|^cross(k) brings them back
+    q = QParameter(q_mod, 0.9)
+    for rho in (0.6, 1.3):
+        for tau in (None, 2.0):
+            got = quotient_norm_l1(target, rho, tau, q=q).value
+            assert got == pytest.approx(mp_quotient(target, q, rho, "l1", tau), rel=1e-13)
+        got = quotient_norm_l2(target, rho, q=q).value
+        assert got == pytest.approx(mp_quotient(target, q, rho, "l2"), rel=1e-13)
