@@ -24,11 +24,11 @@ cleanly to 0 at tiny q.
 A monomial x^k sends e_l to a multiple of e_{l+k}, so column l of B lives
 on the rows l + k, k in the support.  Columns l and l' share a row only
 when l - l' is a difference of two support indices; the connected
-components of that relation split B, up to row and column order, into a
-direct sum of blocks, and ||B|| is the largest block norm.  Every
-monomial gives one-column blocks (column norms); other elements give
-blocks whose size depends on how the support differences link the
-window's columns, each with an exact SVD (ARPACK for the largest).
+components of that relation split the Gram matrix B^H B into a direct sum
+of blocks, and ||B||^2 is their largest top eigenvalue.  Every monomial
+gives one-column blocks; other elements give blocks whose size depends on
+how the support differences link the window's columns.  Blocks of one width
+get one stacked dense eigvalsh; ARPACK takes only those too wide for it.
 scipy.sparse is imported by the functions that build or norm a matrix, so
 importing this module does not load it.
 """
@@ -49,10 +49,11 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 # Window components with more columns than this get ARPACK instead of a dense
-# SVD.  On fully linked components (1 + x1 + x2, 1 + x1 + x2 + x3; q = 0.2,
-# 0.5, 0.9) the two take the same time at 150-170 columns: a dense SVD costs
-# 2.7 ms at 136 columns and 14 ms at 253, svds 3.6 and 4.7 ms.
-_DENSE_MAX_COLS = 160
+# eigvalsh of their Gram block.  On fully linked components (1 + x1 + x2,
+# 1 + x1 + x2 + x3; q = 0.2, 0.5, 0.9) the two take the same time at 220-280
+# columns: eigvalsh costs 1.0-1.8 ms at 105-120 columns and 10-18 ms at
+# 364-406, eigsh 2.7-4.8 and 4.1-5.8 ms.
+_DENSE_MAX_COLS = 240
 
 # Largest basis a truncation enumerates.  n = 3 at cap 60 has 39,711 elements;
 # a norm at 40-50 thousand takes 0.3-1.5 s, and one Python tuple per element
@@ -176,7 +177,7 @@ def rep_generator(j: int, fock: FockTruncation) -> RepMatrix:
 def _check_element(a: QElement, fock: FockTruncation) -> None:
     if a.n != fock.n:
         raise ValueError(f"dimension mismatch: element n={a.n}, fock n={fock.n}")
-    if a.q.phase != 0.0 or not math.isclose(a.q.modulus, fock.q, rel_tol=0, abs_tol=1e-12):
+    if a.q.phase != 0.0 or not math.isclose(a.q.modulus, fock.q, rel_tol=1e-12):
         raise ValueError("element parameter must equal the (real, in (0,1)) Fock q")
     if a.degree() > fock.cap:
         raise ValueError("element degree exceeds the Fock truncation cap")
@@ -191,65 +192,82 @@ def rep_element(a: QElement, fock: FockTruncation) -> RepMatrix:
 def op_norm(M: RepMatrix) -> float:
     """Largest singular value of the window-column block B, computed exactly.
 
-    Columns of B that share no row act on orthogonal pieces, so B splits
-    into the connected components of the pattern of B^H B, and ||B|| is the
-    largest component norm: a one-column component gives its column norm, a
-    component of up to ``_DENSE_MAX_COLS`` columns the top value of a dense
-    SVD, and a larger one the top value from ARPACK (``svds``).  ARPACK
+    ||B||^2 is the top eigenvalue of the Gram matrix G = B^H B.  Columns of B
+    that share no row act on orthogonal pieces, so G splits into the
+    connected components of its pattern and ||B|| is the largest component
+    norm.  Components of up to ``_DENSE_MAX_COLS`` columns, one-column ones
+    included, are stacked by width, one batched ``eigvalsh`` per width; a
+    wider one gives its sparse Gram block to ARPACK (``eigsh``).  ARPACK
     failing to converge raises ValueError; no estimate is returned.
     """
-    window = np.zeros(M.fock.size, dtype=bool)
-    window[M.window_columns()] = True
-    if not window.any():
+    width = M.window_columns().size
+    if width == 0:
         raise ValueError("empty validity window")
     A = M.matrix.tocsr()
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    keep = window[A.indices]
+    keep = A.indices < width  # the window is a prefix of the graded basis
     rows, cols, data = rows[keep], A.indices[keep], A.data[keep]
     scale = float(np.max(np.abs(data))) if data.size else 0.0
     if scale == 0.0:
         return 0.0
     data = data / scale  # unit largest entry: squares neither overflow nor underflow
-    col_sq = np.bincount(cols, weights=np.abs(data) ** 2, minlength=A.shape[1])
+
+    # the entries are sorted by row; every two that share a row, i and j
+    # (i = j included), give the Gram entry (c_i, c_j, conj(d_i) d_j)
+    first = np.searchsorted(rows, rows)
+    per_entry = np.searchsorted(rows, rows, side="right") - first
+    left = np.repeat(np.arange(rows.size), per_entry)
+    right = np.arange(left.size) - np.repeat(np.cumsum(per_entry) - per_entry - first, per_entry)
+    gl, gr, gram = cols[left], cols[right], data[left].conj() * data[right]
+    if not gram.imag.any():
+        gram = gram.real  # real blocks: a faster eigvalsh, and Lanczos in place of Arnoldi
 
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=A.shape)
-    count, labels = connected_components(pattern.T @ pattern, directed=False)
-    sizes = np.bincount(labels, minlength=count)
-    best = math.sqrt(float(col_sq[sizes[labels] == 1].max(initial=0.0)))
-    groups = np.nonzero(sizes > 1)[0]
-    entry_labels = labels[cols]
-    order = np.argsort(entry_labels, kind="stable")
-    sorted_labels = entry_labels[order]
-    starts = np.searchsorted(sorted_labels, groups, side="left")
-    stops = np.searchsorted(sorted_labels, groups, side="right")
-    for g, lo, hi in zip(groups, starts, stops):
-        entries = order[lo:hi]
-        _, r = np.unique(rows[entries], return_inverse=True)
-        _, c = np.unique(cols[entries], return_inverse=True)
-        best = max(best, _component_norm(r, c, data[entries], int(sizes[g])))
-    return scale * best
+    indptr = np.zeros(width + 1, dtype=np.int64)
+    np.cumsum(np.bincount(gl, minlength=width), out=indptr[1:])
+    pattern = sp.csr_matrix(
+        (np.ones(gl.size), gr[np.argsort(gl, kind="stable")], indptr), shape=(width, width)
+    )
+    # the pattern repeats entries; scipy 1.17's connection="strong" never returns on that
+    count, labels = connected_components(pattern, directed=False)
+    # renumber the components by width and the columns inside each component;
+    # the dense components' blocks then lie one after another in one buffer,
+    # and those of one width form one stacked array
+    sizes = np.bincount(labels)
+    by_width = np.argsort(sizes, kind="stable")
+    labels, sizes = np.argsort(by_width)[labels], sizes[by_width]
+    local = np.empty(width, dtype=np.int64)
+    first_column = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local[np.argsort(labels, kind="stable")] = np.arange(width) - first_column
+    ends = np.concatenate(([0], np.cumsum(sizes**2)))
+    dense = int(np.searchsorted(sizes, _DENSE_MAX_COLS, side="right"))
 
+    label, li, lj = labels[gl], local[gl], local[gr]
+    w = sizes[label]
+    fits = label < dense
+    blocks = np.zeros(ends[dense], dtype=gram.dtype)
+    np.add.at(blocks, (ends[label] + li * w + lj)[fits], gram[fits])
+    best = 0.0
+    widths, firsts = np.unique(sizes[:dense], return_index=True)
+    for k, lo, hi in zip(widths, firsts, [*firsts[1:], dense]):
+        stack = blocks[ends[lo]:ends[hi]].reshape(hi - lo, k, k)
+        best = max(best, float(np.linalg.eigvalsh(stack)[:, -1].max()))
+    for g in range(dense, count):
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-def _component_norm(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, width: int) -> float:
-    """Top singular value of one component, given as local COO entries."""
-    shape = (int(rows.max()) + 1, width)
-    if width <= _DENSE_MAX_COLS or min(shape) < 3:  # ARPACK needs 1 = k < min(shape) - 1
-        block = np.zeros(shape, dtype=complex)
-        block[rows, cols] = data
-        return float(np.linalg.svd(block, compute_uv=False)[0])
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import ArpackNoConvergence, svds
-
-    block = sp.csr_matrix((data, (rows, cols)), shape=shape)
-    v0 = np.random.default_rng(0).standard_normal(min(shape))
-    try:
-        top = svds(block, k=1, v0=v0, return_singular_vectors=False)
-    except ArpackNoConvergence as exc:
-        raise ValueError(f"ARPACK did not converge on a {shape[0]}x{width} window component") from exc
-    return float(top[0])
+        k, mine = int(sizes[g]), label == g
+        block = sp.csr_matrix((gram[mine], (li[mine], lj[mine])), shape=(k, k))
+        v0 = np.random.default_rng(0).standard_normal(k)
+        try:
+            # 80 Lanczos vectors: x1 + 0.5*x2 + 0.3*x1*x2 at n = 3, cap 60, q = 0.7,
+            # rho = 0.9 fails at the default 20 and takes 3.5 s at 40, 1.1 s at 80
+            top = eigsh(block, k=1, which="LA", v0=v0, ncv=min(k, 80), return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise ValueError(f"ARPACK did not converge on a {k}-column window component") from exc
+        best = max(best, float(top[0]))
+    return scale * math.sqrt(best)
 
 
 def vaksman_norm(a: QElement, rho: float, fock: FockTruncation) -> float:

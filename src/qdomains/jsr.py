@@ -15,9 +15,11 @@ each fiber term is exp(sum_i g(k_i) - g(d)), g = p h - log [.]_u!, so the
 sum over all fibers of degree d is entry d of the n-fold self-convolution of
 exp(g), over exp(g(d)) (Andrews, The Theory of Partitions, Thm 3.6), formed
 in the log domain for every d <= d_max at once (a max-plus convolution of h
-for p = inf); d in the hundreds is routine.  R_d is degree-homogeneous in
-rho, so the estimate on the radius-r domain is one tail fit of the partials
-at rho = r, clamped into the certified bracket [r, min_d R_d].
+for p = inf); d in the hundreds is routine.  The log q-Pochhammer table at u
+stands in for log [.]_u!: the two differ by a term linear in m, which
+cancels over sum_i k_i = d.  R_d is degree-homogeneous in rho, so the
+estimate on the radius-r domain is one tail fit of the partials at rho = r,
+clamped into the certified bracket [r, min_d R_d].
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .qcombinatorics import (
     checked_power,
     log_convolution_power,
     log_pochhammer_table,
-    log_q_factorial_table,
 )
 from .qspace import (
     FAMILIES as Q_FAMILIES,
@@ -101,7 +102,7 @@ def canonical_partials(
         base = checked_power(mod, -p)
         if base == 0.0:
             raise ValueError(f"{mod!r}**{-p!r} leaves the double range")
-        g = p * h - log_q_factorial_table(d_max, min(base, 1.0 / base))
+        g = p * h - log_pochhammer_table(d_max, mod, power=p)
         log_r = (log_convolution_power(g, n) - g)[1:] / (p * j)
     else:
         # the sup over a fiber of max(|q|, 1/|q|)^(-inv) is 1, at inv = 0

@@ -3,12 +3,12 @@
 Multi-indices are plain tuples of nonnegative ints (exponent vectors of
 normal-ordered monomials), words are tuples over the letter alphabet
 ``1..n``.  Next to the scalar helpers sit the graded-table kernels: the
-log q-Pochhammer table behind every ball and q-multinomial weight, the log
-q-factorial table of the JSR's inversion sums, the log-domain convolution
-power that sums a letter-separable term over every multi-index of each
-degree at once, and the Sobol sample behind the sampled suprema, drawn once
-per (domain, n, point count, seed) and kept read-only; scipy.stats, slow to
-import, is loaded when the first sample is drawn.  :func:`sum_of_terms`
+log q-Pochhammer table behind every ball and q-multinomial weight and the
+JSR's inversion sums, the log-domain convolution power that sums a
+letter-separable term over every multi-index of each degree at once, and
+the Sobol sample behind the sampled suprema, drawn once per (domain, n,
+point count, seed) and kept read-only; scipy.stats, slow to import, is
+loaded when the first sample is drawn.  :func:`sum_of_terms`
 is the one term sum behind every coefficient seminorm.  Everything in this
 module is a pure function of its arguments; the stateful containers live in
 :mod:`qdomains.qspace` and :mod:`qdomains.freeseries`.
@@ -94,48 +94,22 @@ def cross_degree_sum(k: Sequence[int]) -> int:
 # graded log tables
 
 
-def log_q_factorial_table(d_max: int, t: float) -> np.ndarray:
-    """Table c with c[m] = log [m]_t! for m = 0..d_max (c[0] = 0), any t > 0.
-
-    Its one use is the JSR's inversion sums, whose base t = |q|^-p comes
-    from :func:`checked_power`: a t past double range is a clean error
-    there, and the ball and q-multinomial weights use
-    :func:`log_pochhammer_table` instead, which forms no such power.
-    """
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    j = np.arange(1, d_max + 1, dtype=float)
-    if t == 1.0:
-        terms = np.log(j)
-    else:
-        # log [j]_t from [j]_t = t^(j-1) [j]_(1/t) and [j]_s = (1 - s^j) / (1 - s)
-        # at s = min(t, 1/t), with 1 - s^j = -expm1(j log s): no digits are
-        # lost to cancellation as t -> 1
-        log_t = math.log(t)
-        log_s = -abs(log_t)
-        terms = (
-            (j - 1.0) * max(log_t, 0.0)
-            + np.log(-np.expm1(j * log_s))
-            - math.log(-math.expm1(log_s))
-        )
-    return np.concatenate(([0.0], np.cumsum(terms)))
-
-
-def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:
+def log_pochhammer_table(d_max: int, q_mod: float, power: float = 2.0) -> np.ndarray:
     """Table P with P[m] = log (s; s)_m = sum_{j <= m} log(1 - s^j), m = 0..d_max.
 
-    s = min(|q|, 1/|q|)^2.  Each term comes from log s^j = -2 j |log |q||
+    s = min(|q|, 1/|q|)^power.  Each term comes from log s^j = -power j |log |q||
     by whichever of log1p / expm1 keeps its digits, so no power of |q|
     is formed and any positive finite |q| is fine.  At |q| = 1 the table
     holds log m! instead: only differences sum_i P[k_i] - P[|k|] over
     sum_i k_i = |k| are ever used, terms linear in m cancel in them, and
-    log m! is the limit of P[m] - m log(1 - s) as s -> 1.
+    log m! is the limit of P[m] - m log(1 - s) as s -> 1.  For the same
+    reason P stands in for log [m]_s! = P[m] - m log(1 - s) in such sums.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     check_positive("q_mod", q_mod)
     j = np.arange(1, d_max + 1, dtype=float)
-    log_s = -2.0 * abs(math.log(q_mod))
+    log_s = -power * abs(math.log(q_mod))
     if q_mod == 1.0:
         terms = np.log(j)
     else:
@@ -394,8 +368,10 @@ def composition_array(n: int, d: int) -> np.ndarray:
         k1 = np.arange(d, -1, -1, dtype=np.int64)
         return np.column_stack([k1, d - k1])
     if n == 3:
-        k1 = np.repeat(np.arange(d, -1, -1, dtype=np.int64), np.arange(1, d + 2))
-        k2 = np.concatenate([np.arange(d - f, -1, -1, dtype=np.int64) for f in range(d, -1, -1)])
+        # k1 = d, ..., 0, and for each k1 a run k2 = d - k1, ..., 0 of length d - k1 + 1
+        lengths = np.arange(1, d + 2, dtype=np.int64)
+        k1 = np.repeat(d + 1 - lengths, lengths)
+        k2 = np.repeat(np.cumsum(lengths) - 1, lengths) - np.arange(lengths.sum())
         return np.column_stack([k1, k2, d - k1 - k2])
     return np.array(list(multi_indices_of_degree(n, d)), dtype=np.int64)
 

@@ -451,11 +451,11 @@ def test_fock_norm_without_arpack_convergence_exits_one(runner, monkeypatch):
 
     import qdomains.fock
 
-    def failing_svds(*args, **kwargs):
+    def failing_eigsh(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
 
     monkeypatch.setattr(qdomains.fock, "_DENSE_MAX_COLS", 0)
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
     r = invoke(runner, ["fock-norm", "x1 + x2", "--n", "2", "--fock-cap", "8"], ok=False)
     assert r.exit_code == 1
     assert "ARPACK" in r.output
@@ -465,6 +465,15 @@ def test_fock_norm_without_arpack_convergence_exits_one(runner, monkeypatch):
 def printed_value(r):
     # "name[family] = value  [flags]"
     return float(r.output.strip().splitlines()[-1].split(" = ")[1].split()[0])
+
+
+def test_fock_norm_with_a_tight_spectral_top_converges(runner):
+    # one wide window component whose top Gram eigenvalues lie close together:
+    # ARPACK's default Lanczos basis does not converge on it
+    args = ["fock-norm", "x1 + 0.5*x2 + 0.3*x1*x2", "--n", "3", "--q-mod", "0.7", "--rho", "0.9"]
+    value = printed_value(invoke(runner, [*args, "--fock-cap", "60"]))
+    assert math.isfinite(value)
+    assert value >= 1.0833618529560  # the cap-40 value; a wider window cannot lower it
 
 
 @pytest.mark.parametrize(

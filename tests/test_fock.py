@@ -97,6 +97,11 @@ def test_rep_element_rejects_mismatches():
     big = QElement(2, QParameter(0.5, 0.0), {(3, 3): 1.0}, cap=8)
     with pytest.raises(ValueError):
         rep_element(big, fock)
+    # q is compared relatively: 1e-13 is not 1e-100, though both are near 0
+    tiny = FockTruncation(2, 1e-100, 4)
+    with pytest.raises(ValueError):
+        rep_element(QElement(2, QParameter(1e-13, 0.0), {(1, 0): 1.0}, cap=4), tiny)
+    assert rep_element(element_for(tiny, {(1, 0): 1.0}), tiny).valid_degree == 3
 
 
 def test_vacuum_column_reads_off_coefficients():
@@ -154,38 +159,44 @@ def test_op_norm_matches_dense_svd_property(case):
     assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-10)
 
 
-# elements whose window splits into components of several columns
+# elements whose window splits into components of several columns; in the
+# fourth, columns l and l + 1 share two rows, so Gram pairs repeat; the last
+# one's window is one component wider than _DENSE_MAX_COLS
 _WIDE_CASES = [
     (2, 0.6, 8, {(1, 0): 1.0, (0, 1): 0.5j, (1, 1): -0.25}),
     (2, 0.4, 10, {(1, 0): 1.0, (0, 1): -2.0}),
     (3, 0.5, 6, {(1, 0, 0): 1.0, (0, 1, 0): 0.5, (0, 0, 1): 0.3j}),
+    (1, 0.85, 12, {(2,): 1.7, (3,): 0.77, (4,): 0.083}),
+    (2, 0.5, 24, {(1, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0}),
 ]
 
 
 @pytest.mark.parametrize("n,q,cap,coeffs", _WIDE_CASES)
 def test_op_norm_arpack_branch_matches_dense_svd(monkeypatch, n, q, cap, coeffs):
     calls = []
-    svds = scipy.sparse.linalg.svds
+    eigsh = scipy.sparse.linalg.eigsh
 
-    def counting_svds(*args, **kwargs):
+    def counting_eigsh(*args, **kwargs):
         calls.append(args[0].shape)
-        return svds(*args, **kwargs)
+        return eigsh(*args, **kwargs)
 
-    monkeypatch.setattr(fock_module, "_DENSE_MAX_COLS", 0)
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", counting_svds)
     fock = FockTruncation(n, q, cap)
     R = rep_element(element_for(fock, coeffs), fock)
+    if R.window_columns().size <= fock_module._DENSE_MAX_COLS:
+        # ARPACK for every component of 3 columns or more; complex Arnoldi
+        # needs that many
+        monkeypatch.setattr(fock_module, "_DENSE_MAX_COLS", 2)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
     assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-10)
     assert calls  # the value came through ARPACK
 
 
 def test_op_norm_arpack_nonconvergence_is_an_error(monkeypatch):
-    def failing_svds(*args, **kwargs):
+    def failing_eigsh(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
 
-    monkeypatch.setattr(fock_module, "_DENSE_MAX_COLS", 0)
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
-    n, q, cap, coeffs = _WIDE_CASES[0]
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+    n, q, cap, coeffs = _WIDE_CASES[-1]
     fock = FockTruncation(n, q, cap)
     with pytest.raises(ValueError, match="ARPACK"):
         op_norm(rep_element(element_for(fock, coeffs), fock))

@@ -17,7 +17,7 @@ from qdomains.jsr import (
     jsr_extrapolate,
     jsr_partials,
 )
-from qdomains.qcombinatorics import composition_array, log_q_factorial_table
+from qdomains.qcombinatorics import composition_array
 from qdomains.qspace import QElement, QParameter, ball_norm, polydisk_norm
 
 Q_UNIT = QParameter(1.0, math.pi / 4)
@@ -31,6 +31,24 @@ def unit_polydisk_norm(a):
 
 def canonical_tuple(n, q, cap):
     return tuple(QElement.generator(n, q, i + 1, cap=cap) for i in range(n))
+
+
+def log_q_factorial_table(d_max, t):
+    """Oracle table c with c[m] = log [m]_t! for m = 0..d_max (c[0] = 0), any t > 0."""
+    j = np.arange(1, d_max + 1, dtype=float)
+    if t == 1.0:
+        terms = np.log(j)
+    else:
+        # log [j]_t from [j]_t = t^(j-1) [j]_(1/t) and [j]_s = (1 - s^j) / (1 - s)
+        # at s = min(t, 1/t), with 1 - s^j = -expm1(j log s)
+        log_t = math.log(t)
+        log_s = -abs(log_t)
+        terms = (
+            (j - 1.0) * max(log_t, 0.0)
+            + np.log(-np.expm1(j * log_s))
+            - math.log(-math.expm1(log_s))
+        )
+    return np.concatenate(([0.0], np.cumsum(terms)))
 
 
 def fiber_partials(family, n, q, p, d_max, rho=1.0):
