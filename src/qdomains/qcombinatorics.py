@@ -28,12 +28,16 @@ Word = tuple[int, ...]
 
 def as_multi_index(entries: Sequence[int], n: int | None = None) -> MultiIndex:
     """Normalize and validate a multi-index (all entries integers >= 0)."""
-    raw = list(entries)
-    if any(int(e) != e for e in raw):
-        raise ValueError("multi-index entries must be integers")
-    k = tuple(int(e) for e in raw)
-    if any(e < 0 for e in k):
-        raise ValueError(f"multi-index entries must be >= 0, got {k}")
+    # a tuple of non-negative ints is already normal (bool is not int here)
+    if type(entries) is tuple and all(type(e) is int and e >= 0 for e in entries):
+        k = entries
+    else:
+        raw = list(entries)
+        if any(int(e) != e for e in raw):
+            raise ValueError("multi-index entries must be integers")
+        k = tuple(int(e) for e in raw)
+        if any(e < 0 for e in k):
+            raise ValueError(f"multi-index entries must be >= 0, got {k}")
     if n is not None and len(k) != n:
         raise ValueError(f"expected {n} entries, got {len(k)}")
     return k
@@ -359,21 +363,23 @@ def multi_indices_up_to(n: int, d_max: int) -> Iterator[MultiIndex]:
 
 
 def composition_array(n: int, d: int) -> np.ndarray:
-    """All length-n multi-indices of degree d as an int array, one per row."""
+    """All length-n multi-indices of degree d as an int array, one per row.
+
+    The rows come in ``multi_indices_of_degree`` order: (d - |r|, r) for
+    the (n-1)-part indices r with |r| <= d, graded.  Those are built part
+    by part from the empty index: the degree-e indices with one more part
+    are (e - |r|, r) for the rows r up to degree e, a prefix.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return np.array([[d]], dtype=np.int64)
-    if n == 2:
-        k1 = np.arange(d, -1, -1, dtype=np.int64)
-        return np.column_stack([k1, d - k1])
-    if n == 3:
-        # k1 = d, ..., 0, and for each k1 a run k2 = d - k1, ..., 0 of length d - k1 + 1
-        lengths = np.arange(1, d + 2, dtype=np.int64)
-        k1 = np.repeat(d + 1 - lengths, lengths)
-        k2 = np.repeat(np.cumsum(lengths) - 1, lengths) - np.arange(lengths.sum())
-        return np.column_stack([k1, k2, d - k1 - k2])
-    return np.array(list(multi_indices_of_degree(n, d)), dtype=np.int64)
+    degrees = np.arange(d + 1, dtype=np.int64)
+    rows, deg = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        counts = np.searchsorted(deg, degrees, side="right")  # rows up to degree e
+        prefix = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        e = np.repeat(degrees, counts)
+        rows, deg = np.column_stack([e - deg[prefix], rows[prefix]]), e
+    return np.column_stack([d - deg, rows])
 
 
 def words_of_degree(n: int, d: int) -> Iterator[Word]:

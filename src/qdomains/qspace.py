@@ -428,7 +428,9 @@ def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
     come out in the right order.
     """
     law = weight_law(q_mod, d_max)
-    K = np.concatenate([composition_array(n, d) for d in range(d_max + 1)])
+    # dropping the first entry of the degree-d_max indices with n + 1 parts
+    # leaves every |k| <= d_max in multi_indices_up_to order
+    K = composition_array(n + 1, d_max)[:, 1:]
     ratio = np.exp(law(K.T)[1])
     lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
     return WeightRatioScan(

@@ -155,14 +155,12 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
         for n in (1, 2, 3):
             idxs = list(multi_indices_up_to(n, 6))
             words = {k: _canonical_word(k) for k in idxs}
+            monomials = {k: QElement.monomial(n, q, k, cap=6) for k in idxs}
             for k in idxs:
-                dk = degree(k)
-                a = QElement.monomial(n, q, k, cap=6)
-                for m in idxs:
-                    if dk + degree(m) > 6:
-                        continue
-                    b = QElement.monomial(n, q, m, cap=6)
-                    prod = multiply(a, b)
+                a = monomials[k]
+                # idxs is graded, so the partners m with |m| <= 6 - |k| are a prefix
+                for m in idxs[: math.comb(6 - degree(k) + n, n)]:
+                    prod = multiply(a, monomials[m])
                     coeff, key = normal_order_word(words[k] + words[m], q, n)
                     if len(prod.coefficients) != 1:
                         worst = math.inf

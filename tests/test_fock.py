@@ -126,6 +126,44 @@ def test_twisted_ccr_boundary_artifact_is_visible():
     assert verify_tw_ccr(fock, include_boundary=True) >= 1e-6
 
 
+def _dense_tw_ccr(fock):
+    """verify_tw_ccr's two maxima from dense generator matrices and numpy products."""
+    n, q = fock.n, fock.q
+    X = [rep_generator(j, fock).matrix.toarray() for j in range(1, n + 1)]
+    Xs = [x.conj().T for x in X]
+    eye = np.eye(fock.size)
+    rels = [X[i] @ X[j] - q * X[j] @ X[i] for i in range(n) for j in range(i + 1, n)]
+    rels += [Xs[i] @ X[j] - q * X[j] @ Xs[i] for i in range(n) for j in range(n) if i != j]
+    for i in range(n):
+        tail = sum((X[k] @ Xs[k] for k in range(i + 1, n)), np.zeros_like(eye))
+        rels.append(Xs[i] @ X[i] - q * q * X[i] @ Xs[i] - (1 - q * q) * (eye - tail))
+    width = int(np.count_nonzero(fock.degrees <= fock.cap - 2))
+    return (
+        max(float(np.abs(r[:, :width]).max()) for r in rels),
+        max(float(np.abs(r).max()) for r in rels),
+    )
+
+
+@pytest.mark.parametrize("q", [0.3, 0.8])
+@pytest.mark.parametrize("cap", [3, 6])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twisted_ccr_against_dense_products(n, cap, q):
+    window, everywhere = _dense_tw_ccr(FockTruncation(n, q, cap))
+    assert verify_tw_ccr(FockTruncation(n, q, cap)) == pytest.approx(window, rel=0, abs=1e-15)
+    assert verify_tw_ccr(FockTruncation(n, q, cap), include_boundary=True) == pytest.approx(
+        everywhere, rel=0, abs=1e-15
+    )
+
+
+def test_twisted_ccr_calls_agree_in_either_order():
+    window = verify_tw_ccr(FockTruncation(3, 0.5, 5))
+    everywhere = verify_tw_ccr(FockTruncation(3, 0.5, 5), include_boundary=True)
+    fock = FockTruncation(3, 0.5, 5)
+    assert (verify_tw_ccr(fock), verify_tw_ccr(fock, include_boundary=True)) == (window, everywhere)
+    fock = FockTruncation(3, 0.5, 5)
+    assert (verify_tw_ccr(fock, include_boundary=True), verify_tw_ccr(fock)) == (everywhere, window)
+
+
 def test_op_norm_against_dense_svd():
     fock = FockTruncation(2, 0.6, 6)
     a = element_for(fock, {(1, 0): 1.0, (0, 2): 0.5j, (1, 1): -0.25})

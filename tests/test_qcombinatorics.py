@@ -157,6 +157,60 @@ def test_as_multi_index_and_as_word_round_trip():
         as_multi_index([1, -1])
 
 
+def _general_multi_index(entries, n=None):
+    """as_multi_index without its fast path, as it read before it had one."""
+    raw = list(entries)
+    if any(int(e) != e for e in raw):
+        raise ValueError("multi-index entries must be integers")
+    k = tuple(int(e) for e in raw)
+    if any(e < 0 for e in k):
+        raise ValueError(f"multi-index entries must be >= 0, got {k}")
+    if n is not None and len(k) != n:
+        raise ValueError(f"expected {n} entries, got {len(k)}")
+    return k
+
+
+class _TupleSubclass(tuple):
+    pass
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (),
+        (0,),
+        (2, 0, 1),
+        [2, 0, 1],
+        (np.int64(2), np.int64(0)),
+        np.array([3, 1], dtype=np.int64),
+        (True, False, 2),
+        [True],
+        (2.0, 1),
+        [0.0, 3.0],
+        _TupleSubclass((1, 2)),
+        (1, -1),
+        [-2, 0],
+        (np.int64(-1),),
+        (2.5, 1),
+        [1, 0.5],
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("n", [None, 1, 2, 3])
+def test_as_multi_index_fast_path_equals_general_path(entries, n):
+    try:
+        expected = _general_multi_index(entries, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            as_multi_index(entries, n)
+        assert str(got.value) == str(exc)
+        return
+    k = as_multi_index(entries, n)
+    assert k == expected
+    assert type(k) is tuple
+    assert all(type(e) is int for e in k)
+
+
 def test_q_int_spots():
     assert q_int(0, 0.5) == 0.0
     assert q_int(1, 0.37) == 1.0
@@ -413,10 +467,11 @@ def test_multi_index_enumeration_counts():
 
 
 def test_composition_array_matches_iterator():
-    for n, d_max in ((1, 6), (2, 6), (3, 60)):
+    for n, d_max in ((1, 12), (2, 12), (3, 60), (4, 12), (5, 12), (6, 12)):
         for d in range(0, d_max + 1):
             arr = composition_array(n, d)
             ks = np.array(list(multi_indices_of_degree(n, d)), dtype=np.int64).reshape(-1, n)
+            assert arr.dtype == np.int64
             assert arr.shape == ks.shape
             assert np.array_equal(arr, ks)
 

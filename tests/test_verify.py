@@ -47,6 +47,14 @@ def test_run_suite_is_seed_deterministic():
     assert [c.value for c in a.checks] == [c.value for c in b.checks]
 
 
+def test_normal_ordering_checks_every_monomial_pair():
+    # the case set: every (k, m) with |k| + |m| <= 6 for n = 1, 2, 3 at three q
+    (check,) = run_suite("normal-ordering").checks
+    assert check.detail.startswith("3486 monomial pairs")
+    assert (check.op, check.target) == ("<=", 1e-12)
+    assert check.passed
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense")
