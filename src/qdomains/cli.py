@@ -4,16 +4,17 @@ Every subcommand can write a machine-readable JSON report (``--json PATH``)
 with schema { command, params, results: [ {name, value, flags, assert} ] }.
 Reports are deterministic: identical command plus seed produces
 byte-identical JSON (floats serialized with full round-trip precision, no
-timestamps).  A ValueError from any subcommand is a one-line ``Error:``
-and exit status 1.
+timestamps).  A ValueError from any subcommand, or a report path that
+cannot be written, is a one-line ``Error:`` and exit status 1.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import sys
-from pathlib import Path
 
 import click
 
@@ -91,12 +92,34 @@ def _echo(line: str) -> None:
     click.echo(line, file=sys.stdout)
 
 
+def _write(path: str, text: str) -> None:
+    """Overwrite the file at ``path`` with ``text``, in place.
+
+    The file is not truncated to zero first: on ext4 with ``auto_da_alloc``
+    a truncate-then-rewrite makes ``close()`` allocate blocks and start
+    writeback.  A regular file is cut to the new length afterwards; any
+    other target (a pipe, ``/dev/stdout``) is written as a stream.
+    """
+    data = text.encode()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(report: dict, json_path: str | None, human: list[str]) -> None:
     for line in human:
         _echo(line)
     if json_path:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        Path(json_path).write_text(text)
+        _write(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _element_flags(saturated: bool) -> tuple[str, ...]:
@@ -255,7 +278,7 @@ def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
     report = _report(results)
     if csv_path:
         rows = ["d,R_d"] + [f"{d},{v!r}" for (_, d), v in sorted(est.partials.items())]
-        Path(csv_path).write_text("\n".join(rows) + "\n")
+        _write(csv_path, "\n".join(rows) + "\n")
     suffix = f"  [{', '.join(flags)}]" if flags else ""
     _emit(report, json_path, [f"jsr[{family}] = {est.extrapolated!r}{suffix}"])
 
@@ -292,7 +315,7 @@ def radius(expression, n, cap, json_path, csv_path):
     report = _report(results)
     if csv_path:
         rows = ["d,partial"] + [f"{d},{v!r}" for d, v in partials]
-        Path(csv_path).write_text("\n".join(rows) + "\n")
+        _write(csv_path, "\n".join(rows) + "\n")
     human = [f"partial[d={d}] = {v!r}" for d, v in partials]
     human.append(f"radius estimate = {est!r}")
     _emit(report, json_path, human)

@@ -150,8 +150,12 @@ def _word_map(text: str, n: int, cap: int, key) -> dict:
 
     Every term's degree is checked before any word is spelled out, so a huge
     exponent is only a number; terms add in written order, and a sum that
-    cancels drops its key.
+    cancels drops its key.  n and cap are checked before the text is read.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     terms = _terms(text, n)
     for _, powers, pos in terms:
         degree = sum(e for _, e in powers)

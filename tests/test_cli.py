@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdomains import cli
 from qdomains.cli import main
 from qdomains.fock import BASIS_LIMIT
 from qdomains.verify import SUITES
@@ -59,6 +61,9 @@ def test_json_report_schema_and_determinism(runner, tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     invoke(runner, args + ["--json", str(p1)])
     invoke(runner, args + ["--json", str(p2)])
+    assert p1.read_bytes() == p2.read_bytes()
+    # a rewrite of the same path leaves the same bytes as a fresh path
+    invoke(runner, args + ["--json", str(p1)])
     assert p1.read_bytes() == p2.read_bytes()
     report = json.loads(p1.read_text())
     assert set(report) >= {"command", "params", "results", "provenance"}
@@ -197,6 +202,73 @@ def test_radius_report(runner, tmp_path):
     # honest polynomial: infinite radius survives the JSON round trip as repr
     assert by_name["radius-estimate"]["value"] == "inf"
     assert csv.read_text().splitlines()[0] == "d,partial"
+
+
+def test_rewrite_of_a_longer_report_leaves_only_the_new_bytes(runner, tmp_path):
+    args = ["radius", "z1 + 2*z1*z2"]
+    fresh, used = tmp_path / "fresh.json", tmp_path / "used.json"
+    used.write_bytes(b"x" * 20_000)
+    invoke(runner, args + ["--json", str(fresh)])
+    invoke(runner, args + ["--json", str(used)])
+    assert used.read_bytes() == fresh.read_bytes()
+
+
+def test_rewrite_of_a_longer_csv_leaves_only_the_new_rows(runner, tmp_path):
+    csv = tmp_path / "j.csv"
+    invoke(runner, ["jsr", "--dmax", "200", "--csv", str(csv)])
+    invoke(runner, ["jsr", "--dmax", "50", "--csv", str(csv)])
+    text = csv.read_text()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    assert lines[0] == "d,R_d"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 51))
+
+
+def test_report_to_a_pipe_is_written_as_a_stream(runner):
+    r, w = os.pipe()
+    with os.fdopen(r, "rb") as pipe:
+        try:
+            invoke(runner, ["norm", "x1*x2", "--json", f"/dev/fd/{w}"])
+        finally:
+            os.close(w)
+        report = json.loads(pipe.read())
+    assert report["command"] == "norm"
+
+
+def test_rewrite_of_an_existing_report_never_truncates_on_open(runner, tmp_path, monkeypatch):
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    args = ["radius", "z1 + 2*z1*z2", "--json", str(out), "--csv", str(csv)]
+    invoke(runner, args)
+    flags, real_open = [], os.open
+
+    def recording_open(path, flag, *rest):
+        flags.append(flag)
+        return real_open(path, flag, *rest)
+
+    monkeypatch.setattr(cli.os, "open", recording_open)
+    invoke(runner, args)
+    assert len(flags) == 2
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "x1", "--json", "{dir}"],
+        ["norm", "x1", "--json", "{dir}/missing/x.json"],
+        ["jsr", "--dmax", "20", "--csv", "{dir}"],
+        ["radius", "z1", "--csv", "{dir}/missing/r.csv"],
+    ],
+    ids=["json-directory", "json-missing-parent", "csv-directory", "csv-missing-parent"],
+)
+def test_unwritable_report_path_is_a_clean_error(runner, tmp_path, args):
+    args = [a.format(dir=tmp_path) for a in args]
+    r = invoke(runner, args, ok=False)
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit)
+    errors = [line for line in r.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and r.output.rstrip().endswith(errors[0])
+    assert args[-1] in errors[0]
 
 
 def test_verify_list_names(runner):

@@ -107,6 +107,16 @@ def test_degree_cap_is_checked():
     assert parse_qelement("x1^8", 2, Q, 8).degree() == 8
 
 
+@pytest.mark.parametrize(
+    "n, cap, message", [(0, 8, "n must be >= 1"), (2, -1, "cap must be >= 0")], ids=["n", "cap"]
+)
+def test_n_and_cap_are_checked_before_the_text(n, cap, message):
+    # the containers' own messages, not "outside 1..0" or "exceeds cap -1"
+    for parse in (lambda t: parse_qelement(t, n, Q, cap), lambda t: parse_free_element(t, n, cap)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse("x1")
+
+
 @pytest.mark.parametrize("exponent", ["1000000000000", "99999999999999999999"])
 def test_huge_exponent_fails_on_the_cap_before_the_word_is_spelled_out(exponent):
     for parse in (lambda t: parse_qelement(t, 2, Q, 8), lambda t: parse_free_element(t, 2, 8)):
