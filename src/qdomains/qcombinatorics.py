@@ -3,15 +3,14 @@
 Multi-indices are plain tuples of nonnegative ints (exponent vectors of
 normal-ordered monomials), words are tuples over the letter alphabet
 ``1..n``.  Next to the scalar helpers sit the graded-table kernels: the
-log q-Pochhammer table behind every ball and q-multinomial weight and the
-JSR's inversion sums, the log-domain convolution power that sums a
-letter-separable term over every multi-index of each degree at once, and
-the Sobol sample behind the sampled suprema, drawn once per (domain, n,
-point count, seed) and kept read-only; scipy.stats, slow to import, is
-loaded when the first sample is drawn.  :func:`sum_of_terms`
-is the one term sum behind every coefficient seminorm.  Everything in this
-module is a pure function of its arguments; the stateful containers live in
-:mod:`qdomains.qspace` and :mod:`qdomains.freeseries`.
+log q-Pochhammer table behind every ball and q-multinomial weight, the
+log-domain convolution power that sums a letter-separable term over every
+multi-index of each degree at once, and the Sobol sample behind the sampled
+suprema, drawn once per (domain, n, point count, seed) and kept read-only;
+scipy.stats, slow to import, is loaded when the first sample is drawn.
+:func:`sum_of_terms` is the one term sum behind every coefficient seminorm.
+Everything in this module is a pure function of its arguments; the stateful
+containers live in :mod:`qdomains.qspace` and :mod:`qdomains.freeseries`.
 """
 
 from __future__ import annotations
@@ -98,10 +97,10 @@ def cross_degree_sum(k: Sequence[int]) -> int:
 # graded log tables
 
 
-def log_pochhammer_table(d_max: int, q_mod: float, power: float = 2.0) -> np.ndarray:
+def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:
     """Table P with P[m] = log (s; s)_m = sum_{j <= m} log(1 - s^j), m = 0..d_max.
 
-    s = min(|q|, 1/|q|)^power.  Each term comes from log s^j = -power j |log |q||
+    s = min(|q|, 1/|q|)^2.  Each term comes from log s^j = -2 j |log |q||
     by whichever of log1p / expm1 keeps its digits, so no power of |q|
     is formed and any positive finite |q| is fine.  At |q| = 1 the table
     holds log m! instead: only differences sum_i P[k_i] - P[|k|] over
@@ -113,7 +112,7 @@ def log_pochhammer_table(d_max: int, q_mod: float, power: float = 2.0) -> np.nda
         raise ValueError("d_max must be >= 0")
     check_positive("q_mod", q_mod)
     j = np.arange(1, d_max + 1, dtype=float)
-    log_s = -power * abs(math.log(q_mod))
+    log_s = -2.0 * abs(math.log(q_mod))
     if q_mod == 1.0:
         terms = np.log(j)
     else:

@@ -337,7 +337,7 @@ def _suite_quotient_ball(rng: np.random.Generator) -> Iterator[Check]:
 
 def _suite_jsr_separation(rng: np.random.Generator) -> Iterator[Check]:
     q = QParameter(1.0, math.pi / 4)
-    detail = "|q|=1 (phase pi/4), p=2, r=1, d <= 200, tail fit at rho = r"
+    detail = "|q|=1 (phase pi/4), p=2, r=1, closed-form limit"
     poly2 = estimate_canonical_jsr("polydisk", 2, q, p=2.0, r=1.0, d_max=200)
     yield _window("jsr-polydisk-n2", poly2.extrapolated, 1.40, 1.43, detail)
     ball2 = estimate_canonical_jsr("ball", 2, q, p=2.0, r=1.0, d_max=200)
@@ -350,8 +350,6 @@ def _suite_jsr_separation(rng: np.random.Generator) -> Iterator[Check]:
     )
     poly3 = estimate_canonical_jsr("polydisk", 3, q, p=2.0, r=1.0, d_max=200)
     yield _window("jsr-polydisk-n3", poly3.extrapolated, 1.70, 1.77, detail)
-    worst_resid = max(e.residual for e in (poly2, ball2, poly3))
-    yield _le("jsr-fit-residual", worst_resid, 1e-3, "worst tail-fit residual")
     # the isomorphism half: off |q| = 1 both families have joint spectral radius r
     off_unit = [
         estimate_canonical_jsr(family, 2, QParameter(q_mod, 0.3), p, 1.0, d_max=200)
@@ -364,7 +362,18 @@ def _suite_jsr_separation(rng: np.random.Generator) -> Iterator[Check]:
         "jsr-family-coincidence",
         gap,
         1e-3,
-        "max |estimate - 1| over both families, |q| in {0.5, 2}, p in {1, 2}, n=2, d <= 200",
+        "max |estimate - 1| over both families, |q| in {0.5, 2}, p in {1, 2}, n=2",
+    )
+    # the partials come from the convolution power, not from the closed forms
+    estimates = [poly2, ball2, poly3, *off_unit]
+    excess = max(
+        max(e.lower - e.extrapolated, e.extrapolated - (1 + 1e-12) * e.upper) for e in estimates
+    )
+    yield _le(
+        "jsr-limit-in-bracket",
+        excess,
+        0.0,
+        f"max(r - L, L - (1 + 1e-12) min_d R_d) over {len(estimates)} estimates, d <= 200",
     )
 
 

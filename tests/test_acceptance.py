@@ -10,6 +10,8 @@ assertion cannot hold.  The failure is kept red on purpose; the law that
 does hold is pinned by criterion 4a/4c and the quotient test module.
 """
 
+import math
+
 import pytest
 
 from qdomains.verify import run_suite
@@ -146,18 +148,22 @@ def test_criterion_05_jsr_windows(suite):
     p2 = cs["jsr-polydisk-n2"]
     b2 = cs["jsr-ball-n2"]
     p3 = cs["jsr-polydisk-n3"]
-    fit = cs["jsr-fit-residual"]
+    bracket = cs["jsr-limit-in-bracket"]
     assert p2.target == (1.40, 1.43)
     assert b2.target == (0.99, 1.01)
     assert p3.target == (1.70, 1.77)
-    ok = p2.passed and b2.passed and p3.passed and fit.passed
+    assert bracket.op == "<=" and bracket.target == 0.0
+    ok = p2.passed and b2.passed and p3.passed and bracket.passed
     announce(
-        "5 jsr windows (d <= 200, collapsed fibers)",
+        "5 jsr windows (closed-form limits, bracketed by the partials at d <= 200)",
         ok and res.elapsed < BOUNDS["jsr-separation"],
         f"polydisk n2 {p2.value:.5f}, ball n2 {b2.value:.5f}, "
-        f"polydisk n3 {p3.value:.5f}, fit residual {fit.value:.2g}, {res.elapsed:.2f}s",
+        f"polydisk n3 {p3.value:.5f}, bracket excess {bracket.value:.2g}, {res.elapsed:.2f}s",
     )
     assert ok
+    # the exact limits sqrt(n) and 1 at |q| = 1, p = 2
+    for check, want in ((p2, math.sqrt(2.0)), (b2, 1.0), (p3, math.sqrt(3.0))):
+        assert check.value == pytest.approx(want, rel=1e-15, abs=0)
     assert res.elapsed < BOUNDS["jsr-separation"]
 
 

@@ -148,17 +148,23 @@ def test_jsr_csv_and_json(runner, tmp_path):
     results = report["results"]
     assert [e["name"] for e in results] == ["jsr-extrapolated", "jsr-lower", "jsr-upper"]
     est, lower, upper = (e["value"] for e in results)
-    assert 0.98 <= est <= 1.02
-    assert lower <= est <= upper
-    assert results[0]["detail"].startswith("fit residual ")
+    assert est == lower == 1.0
+    assert upper == pytest.approx(61.0 ** (1.0 / 120), rel=1e-12)
+    assert results[0]["detail"] == "closed-form limit"
+    assert all(e["flags"] == [] for e in results)
 
 
-def test_jsr_fit_below_radius_is_clamped_and_flagged(runner):
-    # the tail model misses the crossover near d ~ 1/(1 - |q|) and fits
-    # 0.975, under the certified lower end: R_d >= r = 1 for every d
+def test_jsr_reads_the_limit_before_the_partials_cross_over(runner):
+    # the partials cross over near d ~ 1/(1 - |q|) and are still above 1.5
+    # at d = 200; the limit off |q| = 1 is r
     r = invoke(runner, ["jsr", "--family", "polydisk", "--n", "3", "--q-mod", "0.9", "--p", "1"])
-    assert printed_value(r) >= 1.0
-    assert "fit-outside-bracket" in r.output
+    assert r.output == "jsr[polydisk] = 1.0\n"
+
+
+@pytest.mark.parametrize("dmax", ["1", "5"])
+def test_jsr_short_partial_sequences_give_the_limit(runner, dmax):
+    r = invoke(runner, ["jsr", "--dmax", dmax])
+    assert printed_value(r) == math.sqrt(2.0)
 
 
 def test_jsr_reads_the_same_value_at_inverse_moduli(runner):
@@ -174,6 +180,10 @@ def test_jsr_refuses_bad_input_cleanly(runner):
     assert_clean_error(r)
     assert "exceeds" in r.output
     assert_clean_error(invoke(runner, ["jsr", "--q-mod", "0"], ok=False))
+    # the free families have the same degree limit
+    r = invoke(runner, ["jsr", "--family", "free-taylor", "--dmax", "2001"], ok=False)
+    assert_clean_error(r)
+    assert "d_max = 2001 exceeds 2000" in r.output
     r = invoke(runner, ["jsr", "--r", "inf"], ok=False)
     assert_clean_error(r)
     assert "r must be positive and finite" in r.output
@@ -352,6 +362,7 @@ def assert_clean_error(r):
         ["jsr", "--p", "nan"],
         ["jsr", "--p", "-inf"],
         ["jsr", "--family", "free-taylor", "--p", "nan"],
+        ["jsr", "--family", "free-polydisk", "--tau", "1e200", "--r", "1e200"],
         ["norm", "1e308*x1 + 1e308*x2", "--family", "polydisk"],
         ["norm", "1e308*x1 + 1e308*x2", "--family", "ball"],
         # a coefficient whose modulus is past double range, its parts not

@@ -1,4 +1,4 @@
-"""Joint spectral radius partials, extrapolation, domain-radius scaling."""
+"""Joint spectral radius partials, closed-form limits, certified brackets, radius scaling."""
 
 import math
 
@@ -84,7 +84,7 @@ def fiber_partials(family, n, q, p, d_max, rho=1.0):
 def assert_partials_match(got, want, rel):
     assert [d for d, _ in got] == [d for d, _ in want]
     for (_, v), (_, w) in zip(got, want):
-        assert v == pytest.approx(w, rel=rel)
+        assert v == pytest.approx(w, rel=rel, abs=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -177,13 +177,15 @@ def mp_partials(family, q_mod, p, d_max):
 
 
 @pytest.mark.parametrize("family", ["polydisk", "ball"])
-@pytest.mark.parametrize("q_mod", [1.0 + 1e-10, 1.0 - 1e-8])
+@pytest.mark.parametrize("q_mod", [1.0 + 1e-10, 1.0 - 1e-8, 1.0 - 1e-12])
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_partials_near_unit_modulus_match_mpmath(family, q_mod, p):
+    # each factor [j]_x is a ratio of expm1 values, so the partials keep
+    # their digits however close |q| is to 1
     assert_partials_match(
-        canonical_partials(family, 2, QParameter(q_mod, 0.4), p, 30),
-        mp_partials(family, q_mod, p, 30),
-        rel=1e-12,
+        canonical_partials(family, 2, QParameter(q_mod, 0.4), p, 60),
+        mp_partials(family, q_mod, p, 60),
+        rel=5e-15,
     )
 
 
@@ -203,14 +205,14 @@ def test_partials_are_reversal_symmetric(family, q_mod):
 
 
 def test_oversized_degree_is_refused():
-    # refused before any table is built: the convolution would need
-    # (d_max + 1)^2 arrays
-    for family in ("polydisk", "ball"):
+    # refused before any table is built, for every family: the convolution
+    # would need (d_max + 1)^2 arrays, and the free families one entry per degree
+    for family in ("polydisk", "ball", "free_taylor", "free_ball", "free_polydisk"):
+        q = Q_HALF if family in ("polydisk", "ball") else None
         with pytest.raises(ValueError, match=f"exceeds {CONVOLUTION_DEGREE_LIMIT}"):
-            canonical_partials(family, 2, Q_HALF, 2.0, CONVOLUTION_DEGREE_LIMIT + 1)
-    # the free families sum in closed form, one term per degree
-    seq = canonical_partials("free_taylor", 2, None, 2.0, CONVOLUTION_DEGREE_LIMIT + 1)
-    assert len(seq) == CONVOLUTION_DEGREE_LIMIT + 1
+            canonical_partials(family, 2, q, 2.0, CONVOLUTION_DEGREE_LIMIT + 1)
+    seq = canonical_partials("free_taylor", 2, None, 2.0, CONVOLUTION_DEGREE_LIMIT)
+    assert len(seq) == CONVOLUTION_DEGREE_LIMIT
 
 
 @pytest.mark.parametrize("q", [Q_HALF, Q_UNIT, Q_TWO])
@@ -291,40 +293,42 @@ def test_free_ball_partials_match_brute_sum():
 def test_extrapolate_recovers_constant_sequences():
     seq = [(d, 2.0) for d in range(1, 30)]
     est = jsr_extrapolate(seq, 1.5, 2.0)
-    assert est.extrapolated == pytest.approx(2.0, rel=1e-9)
+    assert est.extrapolated == 2.0
     assert (est.lower, est.upper) == (1.5, 2.0)
-    assert est.residual < 1e-9
     assert est.flags == []
     assert est.partials[(1.5, 7)] == 2.0
 
 
-def test_extrapolate_flags_bad_fits():
-    # oscillation that the smooth model cannot absorb
+def test_extrapolate_brackets_oscillating_partials():
+    # the bracket's upper end is the minimum, whatever the sequence's shape
     seq = [(d, 2.0 + 0.5 * (-1) ** d) for d in range(1, 30)]
     est = jsr_extrapolate(seq, 1.0, 2.0)
-    assert any(f.startswith("poor-fit") for f in est.flags)
-    assert est.lower <= est.extrapolated <= est.upper == 1.5
+    assert est.flags == []
+    assert (est.lower, est.extrapolated, est.upper) == (1.0, 1.5, 1.5)
 
 
-def test_extrapolate_needs_enough_points():
-    with pytest.raises(ValueError):
-        jsr_extrapolate([(d, 1.0) for d in range(1, 5)], 1.0, 2.0)
+def test_extrapolate_takes_short_sequences():
+    for d_max in (1, 4):
+        est = jsr_extrapolate([(d, 1.0 + 1.0 / d) for d in range(1, d_max + 1)], 1.0, 2.0)
+        assert (est.lower, est.extrapolated, est.upper) == (1.0, 1.0 + 1.0 / d_max, 1.0 + 1.0 / d_max)
 
 
 @pytest.mark.parametrize(
     "seq, want",
     [
-        # the tail model misses the crossover near d ~ 1/(1 - |q|) and fits
-        # 0.975: the certified lower end r = 1 wins
-        (canonical_partials("polydisk", 3, QParameter(0.9), 1.0, 200), 1.0),
-        # partials that fall steeply: the fit lands above their minimum
+        # the partials cross over near d ~ 1/(1 - |q|) and have not reached
+        # their limit 1 by d = 200
+        (canonical_partials("polydisk", 3, QParameter(0.9), 1.0, 200), None),
+        # partials that fall steeply: the minimum is the last one
         ([(d, 1.5 + 40.0 / d ** 3) for d in range(1, 40)], 1.5 + 40.0 / 39 ** 3),
     ],
+    ids=["polydisk-crossover", "steep"],
 )
-def test_extrapolate_clamps_into_the_bracket(seq, want):
+def test_extrapolate_reads_the_upper_end_of_the_bracket(seq, want):
     est = jsr_extrapolate(seq, 1.0, 2.0)
-    assert est.extrapolated == pytest.approx(want, rel=1e-15)
-    assert any(f.startswith("fit-outside-bracket") for f in est.flags)
+    assert est.extrapolated == est.upper == min(v for _, v in seq)
+    assert want is None or est.upper == pytest.approx(want, rel=1e-15, abs=0)
+    assert est.lower == 1.0 < est.upper
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,8 +343,11 @@ def test_estimate_lies_in_its_certified_bracket(family, n, p, log_mod, r):
     q = QParameter(math.exp(log_mod), 0.2)
     est = estimate_canonical_jsr(family, n, q, p, r, d_max=60)
     assert est.lower == r
-    assert est.upper == pytest.approx(min(est.partials.values()), rel=1e-15)
-    assert est.lower <= est.extrapolated <= est.upper
+    assert est.upper == pytest.approx(min(est.partials.values()), rel=1e-15, abs=0)
+    # the closed form against the partials of the convolution power
+    assert est.lower <= est.extrapolated <= est.upper * (1 + 1e-12)
+    if q.modulus != 1.0:
+        assert est.extrapolated == r
     assert set(est.partials) == {(r, d) for d in range(1, 61)}
 
 
@@ -349,7 +356,8 @@ def test_estimate_lies_in_its_certified_bracket(family, n, p, log_mod, r):
 def test_polydisk_estimate_unit_modulus_is_exact(n, p):
     # every word has norm 1, so R_d = n^(1/p) at every degree
     est = estimate_canonical_jsr("polydisk", n, Q_UNIT, p, 1.0, d_max=200)
-    assert est.extrapolated == pytest.approx(n ** (1.0 / p), rel=1e-12)
+    assert est.extrapolated == pytest.approx(n ** (1.0 / p), rel=1e-15, abs=0)
+    assert est.upper == pytest.approx(n ** (1.0 / p), rel=1e-12)
     assert est.flags == []
 
 
@@ -359,7 +367,7 @@ def test_ball_estimate_unit_modulus_closed_form(n, p):
     want = max(1.0, n ** (1.0 / p - 0.5))
     est = estimate_canonical_jsr("ball", n, Q_UNIT, p, 1.0, d_max=200)
     assert est.lower <= want <= est.upper
-    assert est.extrapolated == pytest.approx(want, abs=1e-4)
+    assert est.extrapolated == pytest.approx(want, rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("family", ["polydisk", "ball"])
@@ -369,16 +377,35 @@ def test_families_coincide_off_unit_modulus(family, q, p):
     # the isomorphism half of the dichotomy: both radii are r = 1
     est = estimate_canonical_jsr(family, 2, q, p, 1.0, d_max=200)
     assert est.lower <= 1.0 <= est.upper
-    assert est.extrapolated == pytest.approx(1.0, abs=1e-3)
+    assert est.extrapolated == pytest.approx(1.0, rel=1e-15, abs=0)
 
 
 def test_estimate_unit_ball_value():
     est = estimate_canonical_jsr("ball", 2, Q_UNIT, 2.0, 1.0, d_max=120)
     assert est.family == "ball" and est.n == 2
     # (d+1)^(1/(2d)) -> 1
-    assert 0.99 <= est.extrapolated <= 1.01
-    assert est.residual <= 1e-3
+    assert est.extrapolated == pytest.approx(1.0, rel=1e-15, abs=0)
     assert est.lower == 1.0 and est.upper == pytest.approx(121.0 ** (1.0 / 240), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family, n, p, tau, want",
+    [
+        ("free_taylor", 3, 1.0, 1.0, 3.0),
+        ("free_ball", 2, 2.0, 1.0, math.sqrt(2.0)),
+        ("free_ball", 4, math.inf, 1.0, 1.0),
+        ("free_polydisk", 3, 2.0, 1.5, math.sqrt(1.0 + 2 * 1.5 ** 2)),
+        ("free_polydisk", 2, math.inf, 3.0, 3.0),
+        ("free_polydisk", 1, math.inf, 3.0, 1.0),
+        ("free_polydisk", 1, 2.0, 3.0, 1.0),
+        # (1 + 2^2000)^(1/2000) = 2 to double precision; 2^2000 is not a double
+        ("free_polydisk", 2, 2000.0, 2.0, 2.0),
+    ],
+)
+def test_free_family_limits(family, n, p, tau, want):
+    est = estimate_canonical_jsr(family, n, None, p, 0.5, d_max=200, tau=tau)
+    assert est.extrapolated == pytest.approx(0.5 * want, rel=1e-15, abs=0)
+    assert est.lower <= est.extrapolated <= est.upper * (1 + 1e-12)
 
 
 def test_estimate_divergent_on_infinite_radius():

@@ -3,9 +3,13 @@
 import importlib
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import qdomains
+from qdomains.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -40,3 +44,21 @@ def test_readme_library_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_cli_block_runs():
+    # every command of the CLI section's block exits 0, and a "# prints X"
+    # comment is its output, so the CLI docs cannot drift from the code
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = block.strip().splitlines()
+    assert len(lines) >= 8
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for line in lines:
+            command, _, comment = line.partition("#")
+            program, *args = shlex.split(command)
+            assert program == "qdomains"
+            r = runner.invoke(main, args)
+            assert r.exit_code == 0, (line, r.output)
+            if comment.strip().startswith("prints "):
+                assert r.output.strip() == comment.strip().removeprefix("prints "), line
