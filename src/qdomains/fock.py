@@ -30,10 +30,13 @@ gives one-column blocks; other elements give blocks whose size depends on
 how the support differences link the window's columns.  Blocks of one width
 get one stacked dense eigvalsh; ARPACK takes only those too wide for it.
 scipy.sparse is imported by the functions that build or norm a matrix, so
-importing this module does not load it.
+importing this module, or checking the twisted CCR, does not load it.
 
-The twisted-CCR residuals are formed once per truncation, in one sparse
-pass that gives the window and the all-column maxima together.
+The twisted-CCR residuals need no matrix: a generator, its adjoint and a
+product of two of them send each basis vector to a multiple of at most one
+other, so every product is one index lookup on such weighted partial maps.
+They are formed once per truncation, in one pass that gives the window and
+the all-column maxima together.
 """
 
 from __future__ import annotations
@@ -135,14 +138,32 @@ class RepMatrix:
         return np.nonzero(self.fock.degrees <= self.valid_degree)[0]
 
 
+def _monomial_entries(
+    k: Sequence[int], fock: FockTruncation, P: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and amplitude of x^k e_l for each column l = 0..width-1 it keeps.
+
+    Those are the columns |l| <= cap - |k|, a prefix of the graded basis.
+    Column l goes to row l + k with the module docstring's c, read off
+    ``P = log_pochhammer_table(cap, q)``.
+    """
+    k = np.array(k, dtype=np.int64)
+    width = int(np.searchsorted(fock.degrees, fock.cap - k.sum(), side="right"))
+    l = fock.exponents[:width]
+    target = l + k
+    # sum_j k_j sum_{i>j} target_i = sum_i target_i (k_1 + ... + k_{i-1})
+    q_power = target @ (np.cumsum(k) - k)
+    amp = np.exp(0.5 * (P[target] - P[l]).sum(axis=1)) * fock.q ** q_power
+    return fock.positions(target), amp
+
+
 def _rep_terms(
     terms: Sequence[tuple[MultiIndex, complex]], fock: FockTruncation, valid_degree: int
 ) -> RepMatrix:
     """Sum of c_k pi(x)^k over (k, c_k) in ``terms``, one closed form per term.
 
-    Term k fills the columns |l| <= cap - |k|, a prefix of the graded
-    basis: column l gets c_k times the amplitude of x^k e_l (the module
-    docstring's c) in row l + k.
+    Term k fills the columns of its ``_monomial_entries``: column l gets
+    c_k times the amplitude of x^k e_l in row l + k.
     """
     import scipy.sparse as sp
 
@@ -152,15 +173,9 @@ def _rep_terms(
     rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
     data = [np.zeros(0, dtype=complex)]
     for k, c in terms:
-        k = np.array(k, dtype=np.int64)
-        width = int(np.searchsorted(fock.degrees, fock.cap - k.sum(), side="right"))
-        l = fock.exponents[:width]
-        target = l + k
-        # sum_j k_j sum_{i>j} target_i = sum_i target_i (k_1 + ... + k_{i-1})
-        q_power = target @ (np.cumsum(k) - k)
-        amp = np.exp(0.5 * (P[target] - P[l]).sum(axis=1)) * fock.q ** q_power
-        rows.append(fock.positions(target))
-        cols.append(np.arange(width, dtype=np.int32))
+        row, amp = _monomial_entries(k, fock, P)
+        rows.append(row)
+        cols.append(np.arange(row.size, dtype=np.int32))
         data.append(c * amp)
     row = np.concatenate(rows)
     order = np.argsort(row, kind="stable")
@@ -297,8 +312,10 @@ def verify_tw_ccr(fock: FockTruncation, include_boundary: bool = False) -> float
       X_i* X_j - q X_j X_i*          (i != j)
       X_i* X_i - q^2 X_i X_i* - (1-q^2)(1 - sum_{k>i} X_k X_k*)
     on columns |k| <= cap-2; ``include_boundary`` widens to all columns,
-    where the truncation makes the relations genuinely fail.  Both maxima
-    come from one pass over the relations, kept on ``fock``.
+    where the truncation makes the relations genuinely fail.  The generators
+    are the entries ``rep_generator`` builds, composed as weighted partial
+    maps without a sparse matrix; both maxima come from one pass over the
+    relations, kept on ``fock``.
     """
     if fock.cap < 2:
         raise ValueError("need cap >= 2 to compose two generators")
@@ -306,30 +323,74 @@ def verify_tw_ccr(fock: FockTruncation, include_boundary: bool = False) -> float
     return everywhere if include_boundary else window
 
 
-def _tw_ccr_residuals(fock: FockTruncation) -> tuple[float, float]:
-    """``verify_tw_ccr``'s maxima: over the columns |k| <= cap-2, and over all."""
-    import scipy.sparse as sp
+# A weighted partial map over size + 1 slots: column c goes to row to[c] with
+# value val[c].  Slot ``size`` stands for "no column": it maps to itself with
+# value 0, so a column the truncation drops stays zero through any product.
+_PartialMap = tuple[np.ndarray, np.ndarray]
 
-    n, q = fock.n, fock.q
-    X = [rep_generator(j, fock).matrix for j in range(1, n + 1)]
-    Xs = [x.conj().T.tocsr() for x in X]
-    eye = _rep_terms([((0,) * n, 1.0)], fock, fock.cap).matrix  # pi(1)
-    rels = [X[i] @ X[j] - q * (X[j] @ X[i]) for i in range(n) for j in range(i + 1, n)]
-    rels += [Xs[i] @ X[j] - q * (X[j] @ Xs[i]) for i in range(n) for j in range(n) if i != j]
-    for i in range(n):
-        tail = sp.csr_matrix((fock.size, fock.size), dtype=complex)
-        for k in range(i + 1, n):
-            tail = tail + X[k] @ Xs[k]
-        rels.append(Xs[i] @ X[i] - q * q * (X[i] @ Xs[i]) - (1.0 - q * q) * (eye - tail))
+
+def _partial_maps(
+    rows: np.ndarray, vals: np.ndarray, size: int
+) -> tuple[_PartialMap, _PartialMap]:
+    """The map sending column c < rows.size to vals[c] e_{rows[c]}, and its adjoint.
+
+    The adjoint inverts the map and conjugates its values; that needs every
+    row hit at most once, and a row hit twice raises ValueError.
+    """
+    if np.bincount(rows).max(initial=0) > 1:
+        raise ValueError("two columns map to one row; the adjoint needs an injective map")
+    cols = np.arange(rows.size)
+    to, val = np.full(size + 1, size), np.zeros(size + 1, dtype=vals.dtype)
+    to_adj, val_adj = to.copy(), val.copy()
+    to[cols], val[cols] = rows, vals
+    to_adj[rows], val_adj[rows] = cols, vals.conj()
+    return (to, val), (to_adj, val_adj)
+
+
+def _compose(a: _PartialMap, b: _PartialMap) -> _PartialMap:
+    """The product A B: column c goes through B, then through A."""
+    return a[0][b[0]], a[1][b[0]] * b[1]
+
+
+def _tw_ccr_residuals(fock: FockTruncation) -> tuple[float, float]:
+    """``verify_tw_ccr``'s maxima: over the columns |k| <= cap-2, and over all.
+
+    A generator sends each column to at most one row, and so do its adjoint
+    and every product of two of them: they are weighted partial maps, read
+    off the entries ``rep_generator`` puts in its matrix.  The terms of all
+    relations are summed per (relation, row, column) key in one pass.
+    """
+    n, q, size = fock.n, fock.q, fock.size
+    P = log_pochhammer_table(fock.cap, q)
+    deltas = np.eye(n, dtype=np.int64)
+    X, Xs = zip(*(_partial_maps(*_monomial_entries(d, fock, P), size) for d in deltas))
+    eye = (np.arange(size + 1), np.append(np.ones(size), 0.0))  # pi(1)
+    rels = [
+        [(1.0, _compose(X[i], X[j])), (-q, _compose(X[j], X[i]))]
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    rels += [
+        [(1.0, _compose(Xs[i], X[j])), (-q, _compose(X[j], Xs[i]))]
+        for i in range(n) for j in range(n) if i != j
+    ]
+    rels += [
+        [(1.0, _compose(Xs[i], X[i])), (-q * q, _compose(X[i], Xs[i])), (q * q - 1.0, eye)]
+        + [(1.0 - q * q, _compose(X[k], Xs[k])) for k in range(i + 1, n)]
+        for i in range(n)
+    ]
+    relation = np.repeat(np.arange(len(rels)), [len(terms) for terms in rels])
+    terms = [term for terms in rels for term in terms]
+    to = np.stack([m[0][:size] for _, m in terms])
+    val = np.stack([c * m[1][:size] for c, m in terms])
+    keys = ((relation[:, None] * (size + 1) + to) * size + np.arange(size)).ravel()
+    keys, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=val.dtype)
+    np.add.at(sums, where, val.ravel())
+    residual = np.abs(sums)
     # the basis is graded, so the window columns are a prefix
     width = int(np.count_nonzero(fock.degrees <= fock.cap - 2))
-    window = everywhere = 0.0
-    for rel in rels:
-        rel = rel.tocsr()
-        size = np.abs(rel.data)
-        window = max(window, float(size[rel.indices < width].max(initial=0.0)))
-        everywhere = max(everywhere, float(size.max(initial=0.0)))
-    return window, everywhere
+    window = float(residual[keys % size < width].max(initial=0.0))
+    return window, float(residual.max(initial=0.0))
 
 
 def element_for(fock: FockTruncation, coefficients) -> QElement:

@@ -568,6 +568,8 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     start = time.monotonic()
     checks = list(fn(np.random.default_rng(seed)))
     return SuiteResult(name, seed, checks, time.monotonic() - start)

@@ -324,6 +324,12 @@ def test_verify_unknown_suite_is_an_error(runner):
     assert "unknown suite" in r.output
 
 
+def test_verify_negative_seed_names_the_option(runner):
+    r = invoke(runner, ["verify", "fock-ccr", "--seed", "-1"], ok=False)
+    assert_clean_error(r)
+    assert r.output.strip() == "Error: seed must be a non-negative integer, got -1"
+
+
 def test_parse_errors_become_clean_cli_errors(runner):
     r = invoke(runner, ["norm", "x9"], ok=False)
     assert r.exit_code == 1
@@ -481,11 +487,11 @@ def test_radius_of_huge_coefficients(runner, tmp_path):
     out = tmp_path / "r.json"
     invoke(runner, ["radius", "z1 + 1e308*z1*z2", "--json", str(out)])
     values = {e["name"]: e["value"] for e in json.loads(out.read_text())["results"]}
-    assert values["partial-d=2"] == pytest.approx(1e154, rel=1e-14)
+    assert values["partial-d=2"] == pytest.approx(1e154, rel=1e-14, abs=0)
     # the modulus of this coefficient is past double range, its parts are not
     invoke(runner, ["radius", "1.5e308*z1*z2 + 1.5e308i*z1*z2", "--json", str(out)])
     values = {e["name"]: e["value"] for e in json.loads(out.read_text())["results"]}
-    assert values["partial-d=2"] == pytest.approx(1.4564753151219702e154, rel=1e-14)
+    assert values["partial-d=2"] == pytest.approx(1.4564753151219702e154, rel=1e-14, abs=0)
 
 
 RADIUS_WORDS = ("z1", "z2", "z1*z2", "z2*z1", "z1*z2*z1")

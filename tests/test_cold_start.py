@@ -48,7 +48,12 @@ def test_import_loads_no_scipy():
     assert cold_run() == ("", [])
 
 
-def test_commands_that_neither_sample_nor_build_a_fock_matrix_load_no_scipy_stats_or_sparse():
+def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse():
+    """Commands that draw no Sobol sample and build no sparse matrix.
+
+    The twisted-CCR suite composes the Fock generators as partial maps, so it
+    is one of them; Fock norms build a CSR matrix and are not.
+    """
     _, modules = cold_run(
         ["norm", "x1*x2 + 0.5*x1", "--family", "ball", "--q-mod", "0.5"],
         ["multiply", "x2*x1", "x1 + x2", "--q-mod", "0.7"],
@@ -56,6 +61,7 @@ def test_commands_that_neither_sample_nor_build_a_fock_matrix_load_no_scipy_stat
         ["jsr", "--family", "ball", "--q-mod", "0.5", "--dmax", "50"],
         ["radius", "z1 + 0.5*z1*z2"],
         ["verify", "normal-ordering"],
+        ["verify", "fock-ccr"],
     )
     assert [m for m in modules if m.startswith(("scipy.stats", "scipy.sparse"))] == []
 
@@ -64,7 +70,6 @@ def test_commands_that_neither_sample_nor_build_a_fock_matrix_load_no_scipy_stat
     "args",
     [
         ["verify", "stirling"],
-        ["verify", "fock-ccr"],
         ["fock-norm", "x1 + x2", "--n", "2"],
         ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5"],
     ],

@@ -52,12 +52,12 @@ def test_generator_entry_spot():
     col = fock.basis.index((0, 1))
     row = fock.basis.index((1, 1))
     got = X1.matrix[row, col]
-    assert got == pytest.approx(math.sqrt(0.75) * 0.5, rel=1e-15)
+    assert got == pytest.approx(math.sqrt(0.75) * 0.5, rel=1e-15, abs=0)
     assert abs(got - 0.4330127018922193) < 1e-15
     # x_2 sees no letters to its right: no q factor
     X2 = rep_generator(2, fock)
     assert X2.matrix[fock.basis.index((0, 2)), fock.basis.index((0, 1))] == pytest.approx(
-        math.sqrt(0.75) * math.sqrt(1.0 + 0.25), rel=1e-14  # [2]_{1/4} = 1 + 1/4
+        math.sqrt(0.75) * math.sqrt(1.0 + 0.25), rel=1e-14, abs=0  # [2]_{1/4} = 1 + 1/4
     )
 
 
@@ -144,15 +144,31 @@ def _dense_tw_ccr(fock):
     )
 
 
-@pytest.mark.parametrize("q", [0.3, 0.8])
-@pytest.mark.parametrize("cap", [3, 6])
-@pytest.mark.parametrize("n", [1, 2, 3])
+# every truncation ``verify fock-ccr`` runs (n <= 2, cap 6 and 12), and n = 3
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize(
+    "n,cap", [(1, 3), (1, 6), (1, 12), (2, 3), (2, 6), (2, 12), (3, 3), (3, 6)]
+)
 def test_twisted_ccr_against_dense_products(n, cap, q):
     window, everywhere = _dense_tw_ccr(FockTruncation(n, q, cap))
     assert verify_tw_ccr(FockTruncation(n, q, cap)) == pytest.approx(window, rel=0, abs=1e-15)
     assert verify_tw_ccr(FockTruncation(n, q, cap), include_boundary=True) == pytest.approx(
         everywhere, rel=0, abs=1e-15
     )
+
+
+def test_twisted_ccr_refuses_a_generator_that_is_not_injective(monkeypatch):
+    # the adjoint inverts each generator's map; two columns on one row must not
+    # overwrite each other silently
+    entries = fock_module._monomial_entries
+
+    def collide(k, fock, P):
+        rows, amp = entries(k, fock, P)
+        return np.concatenate(([rows[1]], rows[1:])), amp
+
+    monkeypatch.setattr(fock_module, "_monomial_entries", collide)
+    with pytest.raises(ValueError, match="injective"):
+        verify_tw_ccr(FockTruncation(2, 0.5, 6))
 
 
 def test_twisted_ccr_calls_agree_in_either_order():
@@ -261,7 +277,7 @@ def test_one_mode_generator_norm_closed_form(q, cap):
         closed = mpmath.sqrt(1 - t) * mpmath.sqrt(mpmath.fsum(t ** j for j in range(cap)))
         want = float(closed)
     got = op_norm(rep_generator(1, FockTruncation(1, q, cap)))
-    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n,cap", [(1, 5), (2, 7), (3, 6), (4, 4)])

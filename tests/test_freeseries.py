@@ -38,7 +38,7 @@ def test_concat_multiply_is_associative():
     rhs = concat_multiply(a, concat_multiply(b, c))
     assert lhs.coefficients.keys() == rhs.coefficients.keys()
     for w in lhs.coefficients:
-        assert lhs.coefficient(w) == pytest.approx(rhs.coefficient(w), rel=1e-13)
+        assert lhs.coefficient(w) == pytest.approx(rhs.coefficient(w), rel=1e-13, abs=0)
 
 
 def test_cap_saturation_on_words():
@@ -67,8 +67,8 @@ def test_norms_skip_coefficients_that_underflowed_to_zero():
 def test_free_polydisk_norm_counts_blocks():
     rho, tau = 0.5, 3.0
     w = FreeElement.word(2, (1, 1, 2, 1), cap=8)  # 3 maximal constant blocks
-    assert free_polydisk_norm(w, rho, tau) == pytest.approx(rho ** 4 * tau ** 3, rel=1e-14)
-    assert taylor_norm(w, rho) == pytest.approx(rho ** 4, rel=1e-14)
+    assert free_polydisk_norm(w, rho, tau) == pytest.approx(rho ** 4 * tau ** 3, rel=1e-14, abs=0)
+    assert taylor_norm(w, rho) == pytest.approx(rho ** 4, rel=1e-14, abs=0)
     with pytest.raises(ValueError):
         free_polydisk_norm(w, rho, 0.9)
 
@@ -77,7 +77,7 @@ def test_free_ball_norm_is_l2_per_fiber():
     # two words in one fiber, one alone: sqrt(4+9)*rho^2 + 5*rho^2
     a = FreeElement(2, {(1, 2): 2.0, (2, 1): 3j, (1, 1): 5.0}, cap=4)
     got = free_ball_norm(a, 0.5)
-    assert got == pytest.approx((math.sqrt(13.0) + 5.0) * 0.25, rel=1e-14)
+    assert got == pytest.approx((math.sqrt(13.0) + 5.0) * 0.25, rel=1e-14, abs=0)
 
 
 @given(
@@ -121,8 +121,8 @@ def test_radius_partials_geometric():
     partials = radius_partials(a)
     assert [d for d, _ in partials] == [1, 2, 3, 4, 5, 6]
     for _, v in partials:
-        assert v == pytest.approx(2.0, rel=1e-14)
-    assert estimated_radius(a) == pytest.approx(0.5, rel=1e-14)
+        assert v == pytest.approx(2.0, rel=1e-14, abs=0)
+    assert estimated_radius(a) == pytest.approx(0.5, rel=1e-14, abs=0)
 
 
 def test_radius_infinite_for_polynomials():
@@ -134,7 +134,7 @@ def test_radius_infinite_for_polynomials():
 def test_radius_partials_skip_empty_degrees():
     a = FreeElement(2, {(1,): 1.0, (1, 2, 1): 8.0}, cap=8)
     assert [d for d, _ in radius_partials(a)] == [1, 3]
-    assert radius_partials(a)[1][1] == pytest.approx(8.0 ** (1.0 / 3.0), rel=1e-14)
+    assert radius_partials(a)[1][1] == pytest.approx(8.0 ** (1.0 / 3.0), rel=1e-14, abs=0)
 
 
 def test_radius_partials_are_range_safe():
@@ -142,7 +142,7 @@ def test_radius_partials_are_range_safe():
     a = FreeElement(2, {(1,): 1.0, (1, 2): 1e308, (2, 1): 1e308}, cap=4)
     (_, r1), (_, r2) = radius_partials(a)
     assert r1 == 1.0
-    assert r2 == pytest.approx(2.0 ** 0.25 * 1e154, rel=1e-14)
+    assert r2 == pytest.approx(2.0 ** 0.25 * 1e154, rel=1e-14, abs=0)
     tiny = FreeElement(1, {(1, 1): 1e-300}, cap=2)
     assert radius_partials(tiny)[0][1] == pytest.approx(1e-150, rel=1e-14, abs=0)
 

@@ -1,6 +1,7 @@
 """Word statistics, q-integers, weight families, monomial suprema."""
 
 import math
+import sys
 from itertools import permutations
 
 import mpmath
@@ -221,13 +222,15 @@ def test_q_int_spots():
 
 def test_q_factorial_integer_spots():
     assert math.prod(q_int(j, 2.0) for j in range(1, 4)) == 21.0   # 1 * 3 * 7
-    assert math.exp(kernel_log_q_factorial(3, 2.0)) == pytest.approx(21.0, rel=1e-14)
+    assert math.exp(kernel_log_q_factorial(3, 2.0)) == pytest.approx(21.0, rel=1e-14, abs=0)
     assert kernel_log_q_factorial(0, 0.3) == 0.0
     # [2]_{1/4} = 1.25, and (2,2) takes the product of both coordinate factorials
     assert q_int(2, 0.25) ** 2 == 1.5625
-    assert math.exp(2 * kernel_log_q_factorial(2, 0.25)) == pytest.approx(1.5625, rel=1e-14)
+    assert math.exp(2 * kernel_log_q_factorial(2, 0.25)) == pytest.approx(1.5625, rel=1e-14, abs=0)
     # at |q| = 1 the table holds log m!
-    assert np.exp(log_pochhammer_table(5, 1.0)) == pytest.approx([1, 1, 2, 6, 24, 120], rel=1e-14)
+    assert np.exp(log_pochhammer_table(5, 1.0)) == pytest.approx(
+        [1, 1, 2, 6, 24, 120], rel=1e-14, abs=0
+    )
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 0.9, 1.0, 2.0, 5.0])
@@ -251,13 +254,13 @@ def test_w_q_exponent_and_trivial_regime():
     assert w_q((3, 1, 2), 1.0) == 1.0
     assert w_q((3, 1, 2), 2.5) == 1.0
     k = (3, 1, 2)
-    assert w_q(k, 0.5) == pytest.approx(0.5 ** cross_degree_sum(k), rel=1e-14)
-    assert math.exp(log_w_q(k, 0.25)) == pytest.approx(w_q(k, 0.25), rel=1e-13)
+    assert w_q(k, 0.5) == pytest.approx(0.5 ** cross_degree_sum(k), rel=1e-14, abs=0)
+    assert math.exp(log_w_q(k, 0.25)) == pytest.approx(w_q(k, 0.25), rel=1e-13, abs=0)
 
 
 def test_ball_weight_spot_and_multinomial_identity():
     # modulus 2 gives t = 1/4: ([1]![1]!/[2]!)^(1/2) = (1/1.25)^(1/2)
-    assert ball_weight((1, 1), 2.0) == pytest.approx(0.8944271909999159, rel=1e-14)
+    assert ball_weight((1, 1), 2.0) == pytest.approx(0.8944271909999159, rel=1e-14, abs=0)
     assert ball_weight((0, 0), 0.7) == 1.0
     for k in [(2, 1), (1, 1, 1), (3, 2)]:
         for mod in (0.5, 2.0, 3.0):
@@ -293,9 +296,11 @@ def test_ball_weight_near_unit_modulus_matches_mpmath(k, q_mod):
 def test_ball_weight_at_extreme_moduli():
     # w_q(k) carries the whole weight once s = min(|q|, 1/|q|)^2 underflows
     assert ball_weight((1, 0), 1e-320) == 1.0
-    assert ball_weight((1, 1), 1e-200) == pytest.approx(1e-200, rel=1e-13)
+    assert ball_weight((1, 1), 1e-200) == pytest.approx(1e-200, rel=1e-13, abs=0)
     assert ball_weight((2, 3), 1e300) == 1.0
-    assert ball_weight((1, 1), 1e-100) == pytest.approx(mp_ball_weight((1, 1), 1e-100), rel=1e-13)
+    assert ball_weight((1, 1), 1e-100) == pytest.approx(
+        mp_ball_weight((1, 1), 1e-100), rel=1e-13, abs=0
+    )
 
 
 def test_ball_weight_inversion_symmetry():
@@ -308,10 +313,10 @@ def test_ball_weight_inversion_symmetry():
 
 
 def test_monomial_sup_closed_forms():
-    assert monomial_sup((2, 1), "polydisk", 0.5) == pytest.approx(0.125, rel=1e-15)
-    assert monomial_sup((1, 1), "ball", 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert monomial_sup((2, 1), "polydisk", 0.5) == pytest.approx(0.125, rel=1e-15, abs=0)
+    assert monomial_sup((1, 1), "ball", 1.0) == pytest.approx(0.5, rel=1e-15, abs=0)
     # zero coordinates contribute 0^0 = 1 factors
-    assert monomial_sup((0, 3), "ball", 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert monomial_sup((0, 3), "ball", 1.0) == pytest.approx(1.0, rel=1e-15, abs=0)
     assert monomial_sup((0, 0), "ball", 0.3) == 1.0
     with pytest.raises(ValueError):
         monomial_sup((1,), "cube", 1.0)
@@ -354,7 +359,8 @@ def test_sampled_sup_matches_a_fresh_sample():
         for k in [(1, 1), (2, 1), (3, 0, 2), (1, 2, 3)]:
             for r in (0.8, 1.0):
                 got = sampled_monomial_sup(k, domain, r, points=1 << 12, seed=5)
-                assert got == pytest.approx(fresh_sampled_sup(k, domain, r, 12, 5), rel=1e-13)
+                want = fresh_sampled_sup(k, domain, r, 12, 5)
+                assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_sample_cache_is_read_only_and_keyed():
@@ -424,7 +430,11 @@ def test_sum_of_terms_keeps_digits_and_range():
     assert sum_of_terms([]) == 0.0
     assert sum_of_terms([(1e300, 0.0)]) == 1e300
     assert sum_of_terms([(0.0, 3.0), (5e-324, 0.0)]) == 5e-324
-    assert sum_of_terms(iter([(1e300, -math.log(1e300)), (1.0, 0.0)])) == pytest.approx(2.0, rel=1e-15)
+    # a term is right to a few ulps times max(1, |w|): 2 ulps at |w| = ln 1e300 is rel 3.1e-13
+    w = math.log(1e300)
+    assert sum_of_terms(iter([(1e300, -w), (1.0, 0.0)])) == pytest.approx(
+        2.0, rel=2 * sys.float_info.epsilon * w, abs=0
+    )
     # a term, a modulus or the sum out of double range: ValueError, never OverflowError
     for pairs in (
         [(1e300, 50.0)],
@@ -441,7 +451,7 @@ def test_sum_of_terms_keeps_digits_and_range():
 
 
 def test_stirling_ratio_spots():
-    assert stirling_ratio((1, 1)) == pytest.approx(2 ** 0.25, rel=1e-14)
+    assert stirling_ratio((1, 1)) == pytest.approx(2 ** 0.25, rel=1e-14, abs=0)
     assert stirling_ratio((5, 0)) == 1.0
     with pytest.raises(ValueError):
         stirling_ratio((0, 0))

@@ -42,12 +42,12 @@ Q_BIG = QParameter(2.0, 0.7)
 
 def test_qparameter_basics():
     q = QParameter(2.0, 1.0)
-    assert q.value == pytest.approx(2.0 * cmath.exp(1j), rel=1e-15)
-    assert q.power(3) == pytest.approx(8.0 * cmath.exp(3j), rel=1e-14)
+    assert q.value == pytest.approx(2.0 * cmath.exp(1j), rel=1e-15, abs=0)
+    assert q.power(3) == pytest.approx(8.0 * cmath.exp(3j), rel=1e-14, abs=0)
     assert q.power(0) == pytest.approx(1.0 + 0j, abs=1e-15)
     inv = q.inverse()
-    assert inv.modulus == pytest.approx(0.5, rel=1e-15)
-    assert inv.power(1) * q.power(1) == pytest.approx(1.0 + 0j, rel=1e-14)
+    assert inv.modulus == pytest.approx(0.5, rel=1e-15, abs=0)
+    assert inv.power(1) * q.power(1) == pytest.approx(1.0 + 0j, rel=1e-14, abs=0)
     r = QParameter(abs(q.value), cmath.phase(q.value))
     assert r.modulus == pytest.approx(q.modulus, rel=1e-12)
     assert cmath.exp(1j * r.phase) == pytest.approx(cmath.exp(1j * q.phase), rel=1e-12)
@@ -87,9 +87,9 @@ def test_multiply_spot():
     x1 = QElement.generator(2, Q_HALF, 1, cap=8)
     x2 = QElement.generator(2, Q_HALF, 2, cap=8)
     p = x2 * x1
-    assert p.coefficient((1, 1)) == pytest.approx(2.0 + 0j, rel=1e-15)
+    assert p.coefficient((1, 1)) == pytest.approx(2.0 + 0j, rel=1e-15, abs=0)
     p2 = p * x1
-    assert p2.coefficient((2, 1)) == pytest.approx(4.0 + 0j, rel=1e-15)
+    assert p2.coefficient((2, 1)) == pytest.approx(4.0 + 0j, rel=1e-15, abs=0)
 
 
 def test_multiply_associative_and_distributive():
@@ -114,7 +114,7 @@ def test_classical_degeneration_commutes():
     ab, ba = multiply(a, b), multiply(b, a)
     assert ab.coefficients.keys() == ba.coefficients.keys()
     for k in ab.coefficients:
-        assert ab.coefficient(k) == pytest.approx(ba.coefficient(k), rel=1e-14)
+        assert ab.coefficient(k) == pytest.approx(ba.coefficient(k), rel=1e-14, abs=0)
 
 
 def test_unit_and_zero():
@@ -241,14 +241,14 @@ def test_tau_must_be_finite_and_at_least_one(tau):
 def test_polydisk_norm_values():
     a = QElement(2, Q_HALF, {(1, 1): 2.0, (0, 0): 1.0}, cap=8)
     # w((1,1)) = mod^1 = 0.5 at modulus 1/2; contribution 2 * 0.5 * 0.25
-    assert polydisk_norm(a, 0.5) == pytest.approx(1.0 + 0.25, rel=1e-14)
+    assert polydisk_norm(a, 0.5) == pytest.approx(1.0 + 0.25, rel=1e-14, abs=0)
     b = QElement(2, Q_BIG, {(1, 1): 2.0, (0, 0): 1.0}, cap=8)
-    assert polydisk_norm(b, 0.5) == pytest.approx(1.0 + 0.5, rel=1e-14)
+    assert polydisk_norm(b, 0.5) == pytest.approx(1.0 + 0.5, rel=1e-14, abs=0)
 
 
 def test_ball_norm_value():
     b = QElement(2, Q_BIG, {(1, 1): 1.0}, cap=8)
-    assert ball_norm(b, 1.0) == pytest.approx(0.8944271909999159, rel=1e-13)
+    assert ball_norm(b, 1.0) == pytest.approx(0.8944271909999159, rel=1e-13, abs=0)
 
 
 def scalar_norm(a, family, rho):
@@ -282,8 +282,8 @@ def test_norms_match_term_by_term_oracle(log_mod, invert, n, seed):
     }
     a = QElement(n, q, terms, cap=5 * n)
     rho = float(rng.uniform(0.3, 1.5))
-    assert polydisk_norm(a, rho) == pytest.approx(scalar_norm(a, "polydisk", rho), rel=1e-13)
-    assert ball_norm(a, rho) == pytest.approx(scalar_norm(a, "ball", rho), rel=1e-13)
+    assert polydisk_norm(a, rho) == pytest.approx(scalar_norm(a, "polydisk", rho), rel=1e-13, abs=0)
+    assert ball_norm(a, rho) == pytest.approx(scalar_norm(a, "ball", rho), rel=1e-13, abs=0)
 
 
 def test_norms_keep_their_range():
@@ -305,7 +305,7 @@ def test_scale_auto_moves_rho():
     for rho in (0.3, 0.9, 1.7):
         scaled = scale_auto(a, rho)
         assert polydisk_norm(scaled, 1.0) == pytest.approx(
-            polydisk_norm(a, rho), rel=1e-13
+            polydisk_norm(a, rho), rel=1e-13, abs=0
         )
 
 
@@ -314,7 +314,7 @@ def test_reversal_involution_and_homomorphism(q):
     a = QElement(3, q, {(1, 0, 2): 1.0 + 2j, (0, 1, 0): -0.5}, cap=10)
     b = QElement(3, q, {(0, 0, 1): 2.0, (1, 1, 0): 1j}, cap=10)
     ra, rb = reversal_iso(a), reversal_iso(b)
-    assert ra.q.modulus == pytest.approx(1.0 / q.modulus, rel=1e-14)
+    assert ra.q.modulus == pytest.approx(1.0 / q.modulus, rel=1e-14, abs=0)
     back = reversal_iso(ra)
     for k in a.coefficients:
         assert back.coefficient(k) == pytest.approx(a.coefficient(k), rel=1e-12)
@@ -353,7 +353,7 @@ def test_weight_ratio_scan_at_unit_modulus_has_no_pinch():
     # balanced index, and it falls without bound as d_max grows
     scan = weight_ratio_scan(1.0, 2, 30)
     want = math.exp(0.5 * (2 * math.lgamma(16) - math.lgamma(31)))
-    assert scan.min_ratio == pytest.approx(want, rel=1e-13)
+    assert scan.min_ratio == pytest.approx(want, rel=1e-13, abs=0)
     assert scan.min_at == (15, 15)
     assert scan.max_ratio == 1.0 and scan.max_at == (0, 0)
     assert weight_ratio_scan(1.0, 2, 60).min_ratio < scan.min_ratio * 1e-4
@@ -401,9 +401,9 @@ def test_weight_ratio_scan_matches_scalar_loop(log_mod, invert, n, d_max):
     assert scan.max_ratio == pytest.approx(hi, rel=1e-12)
     # another extreme index is allowed only where the ratios agree to 1e-14
     if scan.min_at != lo_at:
-        assert scalar_ratio(scan.min_at, q_mod) == pytest.approx(lo, rel=1e-14)
+        assert scalar_ratio(scan.min_at, q_mod) == pytest.approx(lo, rel=1e-14, abs=0)
     if scan.max_at != hi_at:
-        assert scalar_ratio(scan.max_at, q_mod) == pytest.approx(hi, rel=1e-14)
+        assert scalar_ratio(scan.max_at, q_mod) == pytest.approx(hi, rel=1e-14, abs=0)
 
 
 def test_weight_ratio_scan_depends_on_min_of_q_and_inverse():

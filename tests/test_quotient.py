@@ -334,8 +334,9 @@ def test_coefficient_norms_are_quotient_norms_of_the_sorted_lift(data, n, log_mo
     lift = FreeElement.zero(n, cap=6)
     for k, c in terms.items():
         lift = lift + canonical_lift(k, cap=6).scaled(c)
-    assert polydisk_norm(a, rho) == pytest.approx(quotient_norm_l1(lift, rho, q=q).value, rel=1e-13)
-    assert ball_norm(a, rho) == pytest.approx(quotient_norm_l2(lift, rho, q=q).value, rel=1e-13)
+    l1, l2 = quotient_norm_l1(lift, rho, q=q).value, quotient_norm_l2(lift, rho, q=q).value
+    assert polydisk_norm(a, rho) == pytest.approx(l1, rel=1e-13, abs=0)
+    assert ball_norm(a, rho) == pytest.approx(l2, rel=1e-13, abs=0)
 
 
 MP_TARGETS = (
@@ -398,6 +399,6 @@ def test_quotient_norms_match_mpmath(target, q_mod):
     for rho in (0.6, 1.3):
         for tau in (None, 2.0):
             got = quotient_norm_l1(target, rho, tau, q=q).value
-            assert got == pytest.approx(mp_quotient(target, q, rho, "l1", tau), rel=1e-13)
+            assert got == pytest.approx(mp_quotient(target, q, rho, "l1", tau), rel=1e-13, abs=0)
         got = quotient_norm_l2(target, rho, q=q).value
-        assert got == pytest.approx(mp_quotient(target, q, rho, "l2"), rel=1e-13)
+        assert got == pytest.approx(mp_quotient(target, q, rho, "l2"), rel=1e-13, abs=0)

@@ -60,6 +60,11 @@ def test_unknown_suite_rejected():
         run_suite("nonsense")
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_suite("fock-ccr", seed=-1)
+
+
 def test_quotient_polydisk_suite_has_the_honest_failure():
     res = run_suite("quotient-polydisk")
     by_name = {c.name: c for c in res.checks}
