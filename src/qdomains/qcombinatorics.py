@@ -193,7 +193,7 @@ def log_convolution_power(g: np.ndarray, n: int, *, maxplus: bool = False) -> np
 
 def weight_law(
     q_mod: float, d_max: int, ball: bool = True
-) -> Callable[[Sequence], tuple[float, float]]:
+) -> Callable[..., tuple[float, float]]:
     """The one weight law: a function of k giving (log w_q(k), ball factor), |k| <= d_max.
 
     The polydisk weight is w_q(k) = min(1, |q|^cross(k)), cross(k) =
@@ -206,17 +206,21 @@ def weight_law(
 
     k is one multi-index, or the columns K.T of an int array K of them, which
     weighs every row at once by the same arithmetic; one index costs no numpy
-    call, which is most of a small norm's time.  Without ``ball`` the factor
-    is 0 and P is not built.
+    call, which is most of a small norm's time.  An integer j multiplies the
+    polydisk weight by |q|^j: the exponent of |q| is summed as an integer
+    and meets log|q| in one product, so where cross(k) and -j nearly cancel
+    the log weight is not the difference of two rounded products.  Without
+    ``ball`` the factor is 0 and P is not built.
     """
     check_positive("q_mod", q_mod)
-    half_log_w = 0.5 * min(math.log(q_mod), 0.0)
+    log_q = math.log(q_mod)
+    small = q_mod < 1.0
     pochhammer = log_pochhammer_table(d_max, q_mod) if ball else None
 
-    def law(k):
+    def law(k, j=0):
         d = sum(k)
-        # (|k|^2 - sum_i k_i^2) log|q| / 2 rounds as cross(k) log|q| does
-        log_w = (d * d - sum(e * e for e in k)) * half_log_w
+        # cross(k) = (|k|^2 - sum_i k_i^2) / 2, weighed only for |q| < 1
+        log_w = ((d * d - sum(e * e for e in k)) // 2 * small + j) * log_q
         if pochhammer is None:
             return log_w, 0.0
         return log_w, 0.5 * (sum(pochhammer[e] for e in k) - pochhammer[d])

@@ -5,6 +5,14 @@ x_1^{k_1} ... x_n^{k_n}; the generators satisfy x_i x_j = q x_j x_i for
 i < j.  Products above the degree cap are dropped and the element is
 marked saturated; norms of saturated elements are lower bounds for the
 untruncated values.
+
+Every product of monomials goes through one numpy pair kernel,
+:func:`_pair_kernel`: for all term pairs at once it forms the kept mask,
+the keys k + m and the powers q^e(k,m), the exponents from one integer
+matrix product.  :func:`multiply` accumulates on it and the normal-ordering
+suite checks it pair by pair against the rewriting oracle
+:func:`normal_order_word`; the tests keep the term-pair loop it replaced as
+their reference.
 """
 
 from __future__ import annotations
@@ -68,36 +76,26 @@ class QParameter:
         return QParameter(1.0 / self.modulus, -self.phase)
 
 
-def normal_order_exponent(k: MultiIndex, m: MultiIndex) -> int:
-    """Integer e with x^k x^m = q**e x^(k+m); equals -sum_{i<j} k_j m_i."""
-    total = 0
-    prefix = 0  # sum of m_i over i < current position
-    for i in range(len(k)):
-        total += k[i] * prefix
-        prefix += m[i]
-    return -total
-
-
 def normal_order_word(word: Word, q: QParameter, n: int) -> tuple[complex, MultiIndex]:
     """Brute-force rewriting oracle for the normal form of a generator word.
 
     Applies the defining relation literally: an adjacent descent
     x_j x_i (j > i) is swapped to x_i x_j at the cost of one factor
-    q^(-1).  Each swap removes exactly one inversion, so this terminates.
-    Kept as the independent reference for the closed form used by
-    :func:`multiply`; do not use in hot paths.
+    q^(-1).  One left-to-right insertion pass makes the swaps: each letter
+    moves left past the greater letters before it, one swap at a time,
+    which is the order in which repeatedly swapping the first descent
+    makes them.  Kept as the independent reference for the closed form
+    used by :func:`multiply`; do not use in hot paths.
     """
-    letters = list(word)
+    letters: list[int] = []
     coeff = 1.0 + 0.0j
     q_inv = q.power(-1)
-    while True:
-        for s in range(len(letters) - 1):
-            if letters[s] > letters[s + 1]:
-                letters[s], letters[s + 1] = letters[s + 1], letters[s]
-                coeff *= q_inv
-                break
-        else:
-            break
+    for letter in word:
+        s = len(letters)
+        while s and letters[s - 1] > letter:
+            s -= 1
+            coeff *= q_inv
+        letters.insert(s, letter)
     return coeff, p_proj(tuple(letters), n)
 
 
@@ -295,31 +293,76 @@ class QElement(_TruncatedSeries):
         )
 
 
+def _pair_kernel(
+    K: list[MultiIndex], M: list[MultiIndex], n: int, cap: int, q: QParameter
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every monomial pair x^k x^m = q**e(k,m) x^(k+m), k a row of K, m a row of M.
+
+    Returns the A x B mask of the pairs with |k| + |m| <= cap, and for the
+    kept pairs in row-major order their keys k + m and powers q**e(k,m).
+    e(k,m) = -sum_{i<j} k_j m_i, the sign pinned down by the rewriting
+    oracle :func:`normal_order_word`, is -K.(exclusive cumsum of M)^T, one
+    matrix product.  Each distinct exponent's power is one
+    :meth:`QParameter.power` call, made in order of first appearance, so a
+    power past double range raises the ValueError the first such pair
+    would.  The integers are int64 while max(n, 2) bits(cap + 1) <= 63,
+    which bounds every exponent and every key packed base cap + 1 (see
+    :func:`multiply`), and exact Python ints otherwise.
+    """
+    dtype = np.int64 if max(n, 2) * (cap + 1).bit_length() <= 63 else object
+    K = np.array(K, dtype).reshape(-1, n)
+    M = np.array(M, dtype).reshape(-1, n)
+    keep = K.sum(1)[:, None] + M.sum(1) <= cap
+    rows, cols = keep.nonzero()
+    exponents, first, inverse = np.unique(
+        (K @ (M.cumsum(1) - M).T)[rows, cols], return_index=True, return_inverse=True
+    )
+    table = np.empty(len(exponents), complex)
+    exponents = exponents.tolist()
+    for i in np.argsort(first).tolist():
+        table[i] = q.power(-exponents[i])
+    return keep, K[rows] + M[cols], table[inverse]
+
+
 def multiply(a: QElement, b: QElement) -> QElement:
     """Product in the q-commuting algebra, truncated at the common cap.
 
-    Uses the closed form x^k x^m = q**e(k,m) x^(k+m) with
-    e(k,m) = -sum_{i<j} k_j m_i, whose sign is pinned down by the
-    rewriting oracle :func:`normal_order_word`.
+    Uses the closed form x^k x^m = q**e(k,m) x^(k+m) for all term pairs at
+    once (:func:`_pair_kernel`).  The term products ck cm q**e are formed
+    from real and imaginary parts, as Python's complex product forms them,
+    and summed onto each key in pair order (keys packed base cap + 1), so
+    every coefficient has the bits of the term-pair loop the tests keep as
+    the oracle.  Keys come in order of first appearance; a sum that is
+    exactly 0 drops its key, a pair past the cap marks the result
+    saturated, and a power or a sum past double range raises ValueError.
     """
     a._check_compatible(b)
-    out: dict[MultiIndex, complex] = {}
-    truncated = False
-    q = a.q
-    cap = a.cap
-    for k, ck in a.coefficients.items():
-        for m, cm in b.coefficients.items():
-            s = tuple(x + y for x, y in zip(k, m))
-            if degree(s) > cap:
-                truncated = True
-                continue
-            c = ck * cm * q.power(normal_order_exponent(k, m))
-            acc = out.get(s, 0j) + c
-            if acc == 0:
-                out.pop(s, None)
-            else:
-                out[s] = acc
-    return a._with(out, a.saturated or b.saturated or truncated)
+    if not a.coefficients or not b.coefficients:
+        return a._with({}, a.saturated or b.saturated)
+    n, cap = a.n, a.cap
+    keep, keys, powers = _pair_kernel(list(a.coefficients), list(b.coefficients), n, cap, a.q)
+    rows, cols = keep.nonzero()
+    ca = np.array(list(a.coefficients.values()), complex)
+    cb = np.array(list(b.coefficients.values()), complex)
+    # numpy's complex multiply may fuse to FMA; separate real ops round as Python does
+    with np.errstate(over="ignore", invalid="ignore"):
+        ar, ai, br, bi = ca.real[rows], ca.imag[rows], cb.real[cols], cb.imag[cols]
+        cr, ci = ar * br - ai * bi, ar * bi + ai * br
+        pr, pi = powers.real, powers.imag
+        tr, ti = cr * pr - ci * pi, cr * pi + ci * pr
+    _, first, inverse = np.unique(
+        keys @ (cap + 1) ** np.arange(n, dtype=keys.dtype), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    re, im = np.bincount(inverse, tr)[order], np.bincount(inverse, ti)[order]
+    nonzero = (re != 0) | (im != 0)
+    out = dict(
+        zip(
+            map(tuple, keys[first[order][nonzero]].tolist()),
+            map(complex, re[nonzero].tolist(), im[nonzero].tolist()),
+        )
+    )
+    return a._with(out, a.saturated or b.saturated or not keep.all())
 
 
 def scale_auto(a: QElement, rho: float) -> QElement:
@@ -360,29 +403,30 @@ def check_tau(tau: float, unweighted: str | None = None) -> None:
 
 
 def weighted_degree_sums(
-    terms: list[tuple[MultiIndex, float, float]], q_mod: float, rho: float, ball: bool
+    terms: list[tuple[MultiIndex, float, float, int]], q_mod: float, rho: float, ball: bool
 ) -> dict[int, float]:
-    """Per degree d, the sum of m exp(g) w(k) rho^d over the (k, m, g) of degree d.
+    """Per degree d, the sum of m exp(g) |q|^j w(k) rho^d over the (k, m, g, j) of degree d.
 
     w is w_q, or the ball weight with ``ball``, read off
-    :func:`qdomains.qcombinatorics.weight_law`: the one weighted sum behind
-    the coefficient norms (m = |c_k|, g = 0) and the quotient norms (the
-    fiber images).  Each weight is formed from its logs and summed against m
-    by :func:`sum_of_terms`, so a large m against a small weight stays in range.
+    :func:`qdomains.qcombinatorics.weight_law`, which also folds in the
+    integer power j: the one weighted sum behind the coefficient norms
+    (m = |c_k|, g = j = 0) and the quotient norms (the fiber images).  Each
+    weight is formed from its logs and summed against m by
+    :func:`sum_of_terms`, so a large m against a small weight stays in range.
     """
     check_positive("rho", rho)
     log_rho = math.log(rho)
-    law = weight_law(q_mod, max((sum(k) for k, _, _ in terms), default=0), ball)
+    law = weight_law(q_mod, max((sum(k) for k, *_ in terms), default=0), ball)
     pairs: dict[int, list[tuple[float, float]]] = {}
-    for k, m, g in terms:
-        log_w, factor = law(k)
+    for k, m, g, j in terms:
+        log_w, factor = law(k, j)
         d = sum(k)
         pairs.setdefault(d, []).append((m, g + log_w + d * log_rho + factor))
     return {d: sum_of_terms(ps) for d, ps in sorted(pairs.items())}
 
 
 def _coefficient_norm(a: QElement, rho: float, ball: bool) -> float:
-    terms = [(k, abs(c), 0.0) for k, c in a.coefficients.items()]
+    terms = [(k, abs(c), 0.0, 0) for k, c in a.coefficients.items()]
     sums = weighted_degree_sums(terms, a.q.modulus, rho, ball)
     return sum_of_terms((v, 0.0) for v in sums.values())
 

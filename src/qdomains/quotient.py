@@ -126,30 +126,33 @@ class QuotientResult:
     converged: bool = True
 
 
-def _fiber_log_images(target: FreeElement, q: QParameter) -> list[tuple[MultiIndex, float, float]]:
-    """(k, m, g) with |y_k| = m exp(g), for each letter-count fiber k of the target.
+def _fiber_log_images(
+    target: FreeElement, q: QParameter
+) -> list[tuple[MultiIndex, float, float, int]]:
+    """(k, m, g, j) with |y_k| = m exp(g) |q|^j, for each letter-count fiber k of the target.
 
-    m is the modulus |t_w| of the fiber's largest term t_w q^(-inv w) and g
-    that term's log weight -inv(w) log|q| plus the log of the fiber sum
-    relative to it, so m keeps all its digits and no power of |q| is formed.
-    A fiber whose terms cancel is left out.
+    m is the modulus |t_w| of the fiber's largest term t_w q^(-inv w), j that
+    term's -inv(w) and g the log of the fiber sum relative to it, so m keeps
+    all its digits and no power of |q| is formed.  Every power of |q| stays
+    an integer until it meets log|q|: here in each term's ratio to the
+    largest, in the weighted sum where j joins cross(k).  A fiber whose
+    terms cancel is left out.
     """
     log_q = math.log(q.modulus)
     phase = QParameter(1.0, q.phase)
-    terms: dict[MultiIndex, list[tuple[float, float, float, complex]]] = {}
+    terms: dict[MultiIndex, list[tuple[float, int, float, complex]]] = {}
     for w, c in target.coefficients.items():
         inv = inv_count(w)
         m = abs(c)
-        log_weight = -inv * log_q
         terms.setdefault(p_proj(w, target.n), []).append(
-            (math.log(m) + log_weight, m, log_weight, c / m * phase.power(-inv))
+            (math.log(m), inv, m, c / m * phase.power(-inv))
         )
     out = []
     for k, fiber in terms.items():
-        top, m, log_weight, _ = max(fiber, key=lambda term: term[0])
-        s = abs(sum(u * math.exp(lv - top) for lv, _, _, u in fiber))
+        log_m, inv, m, _ = max(fiber, key=lambda term: term[0] - term[1] * log_q)
+        s = abs(sum(u * math.exp(lm - log_m + (inv - i) * log_q) for lm, i, _, u in fiber))
         if s > 0.0:
-            out.append((k, m, log_weight + math.log(s)))
+            out.append((k, m, math.log(s), -inv))
     return out
 
 
@@ -162,7 +165,7 @@ def _quotient(
         images = _fiber_log_images(target, q)
     except OverflowError:  # a coefficient modulus past double range
         raise ValueError("norm leaves the double range") from None
-    terms = [(k, m, g + log_tau * sum(1 for e in k if e)) for k, m, g in images]
+    terms = [(k, m, g + log_tau * sum(1 for e in k if e), j) for k, m, g, j in images]
     sums = weighted_degree_sums(terms, q.modulus, rho, ball)
     per_degree = {d: sums.get(d, 0.0) for d in sorted({len(w) for w in target.coefficients})}
     return QuotientResult(sum_of_terms((v, 0.0) for v in per_degree.values()), per_degree)

@@ -49,6 +49,7 @@ from .qcombinatorics import (
 from .qspace import (
     QElement,
     QParameter,
+    _pair_kernel,
     ball_norm,
     multiply,
     normal_order_word,
@@ -147,25 +148,34 @@ def _canonical_word(k: MultiIndex) -> tuple[int, ...]:
 
 
 def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
-    """Closed-form monomial products against the brute rewriting procedure."""
+    """Closed-form monomial products against the brute rewriting procedure.
+
+    The pair kernel behind :func:`multiply` runs once per (q, n) on every
+    pair of monomials up to degree 6; each kept pair's key and power must
+    match the rewriting of the concatenated words, taken once per word.
+    """
     qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 3), QParameter(2.0, 1.0)]
     worst = 0.0
     pairs = 0
     for q in qs:
         for n in (1, 2, 3):
             idxs = list(multi_indices_up_to(n, 6))
-            words = {k: _canonical_word(k) for k in idxs}
-            monomials = {k: QElement.monomial(n, q, k, cap=6) for k in idxs}
-            for k in idxs:
-                a = monomials[k]
-                # idxs is graded, so the partners m with |m| <= 6 - |k| are a prefix
-                for m in idxs[: math.comb(6 - degree(k) + n, n)]:
-                    prod = multiply(a, monomials[m])
-                    coeff, key = normal_order_word(words[k] + words[m], q, n)
-                    if len(prod.coefficients) != 1:
-                        worst = math.inf
-                    worst = max(worst, abs(prod.coefficient(key) - coeff))
-                    pairs += 1
+            words = [_canonical_word(k) for k in idxs]
+            keep, keys, powers = _pair_kernel(idxs, idxs, n, 6, q)
+            # idxs is graded, so the partners m with |m| <= 6 - |k| are a prefix
+            for row, k in zip(keep, idxs):
+                partners = math.comb(6 - degree(k) + n, n)
+                if not row[:partners].all() or row[partners:].any():
+                    worst = math.inf
+            rewritten: dict[tuple[int, ...], tuple[complex, MultiIndex]] = {}
+            rows, cols = keep.nonzero()
+            for i, j, key, power in zip(rows.tolist(), cols.tolist(), keys.tolist(), powers.tolist()):
+                word = words[i] + words[j]
+                if word not in rewritten:
+                    rewritten[word] = normal_order_word(word, q, n)
+                coeff, expected = rewritten[word]
+                worst = max(worst, abs(power - coeff) if tuple(key) == expected else math.inf)
+            pairs += len(keys)
     yield _le(
         "closed-product-matches-rewriting",
         worst,

@@ -78,6 +78,24 @@ def test_multiply_qspace(runner):
     assert "4.0*x1^2*x2" in r.output
 
 
+@pytest.mark.parametrize(
+    "args, exit_code, output",
+    [
+        (["multiply", "x2^3", "x1^3", "--q-mod", "1e-120"], 1,
+         "Error: 1e-120**-9 leaves the double range"),
+        # the pair past the cap is dropped before its power is formed
+        (["multiply", "x2^3", "x1^3", "--q-mod", "1e-120", "--cap", "5"], 0,
+         "0  [saturated, lower-bound]"),
+        (["multiply", "1e300*x1", "1e300*x2"], 1,
+         "Error: coefficient overflow: a result leaves the double range"),
+    ],
+    ids=["power", "past-cap", "coefficient"],
+)
+def test_multiply_at_the_double_range(runner, args, exit_code, output):
+    r = invoke(runner, args, ok=False)
+    assert (r.exit_code, r.output.strip()) == (exit_code, output)
+
+
 def test_multiply_free_mode(runner, tmp_path):
     out = tmp_path / "m.json"
     invoke(runner, ["multiply", "z1", "z2*z1", "--mode", "free", "--json", str(out)])

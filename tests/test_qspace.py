@@ -15,6 +15,7 @@ from qdomains.qcombinatorics import (
     inv_count,
     log_w_q,
     multi_indices_up_to,
+    p_proj,
     words_of_degree,
 )
 from test_qcombinatorics import log_q_factorial
@@ -27,7 +28,6 @@ from qdomains.qspace import (
     QParameter,
     ball_norm,
     multiply,
-    normal_order_exponent,
     normal_order_word,
     polydisk_norm,
     reversal_iso,
@@ -57,6 +57,54 @@ def test_qparameter_basics():
         QParameter(0.0, 0.0)
 
 
+def normal_order_exponent(k, m):
+    """Integer e with x^k x^m = q**e x^(k+m); equals -sum_{i<j} k_j m_i."""
+    total = 0
+    prefix = 0  # sum of m_i over i < current position
+    for i in range(len(k)):
+        total += k[i] * prefix
+        prefix += m[i]
+    return -total
+
+
+def loop_multiply(a, b):
+    """Oracle: the product one term pair at a time, summed onto a dict."""
+    a._check_compatible(b)
+    out = {}
+    truncated = False
+    q = a.q
+    cap = a.cap
+    for k, ck in a.coefficients.items():
+        for m, cm in b.coefficients.items():
+            s = tuple(x + y for x, y in zip(k, m))
+            if degree(s) > cap:
+                truncated = True
+                continue
+            c = ck * cm * q.power(normal_order_exponent(k, m))
+            acc = out.get(s, 0j) + c
+            if acc == 0:
+                out.pop(s, None)
+            else:
+                out[s] = acc
+    return a._with(out, a.saturated or b.saturated or truncated)
+
+
+def restart_scan_normal_order_word(word, q, n):
+    """Oracle: swap the first adjacent descent and scan again from the start."""
+    letters = list(word)
+    coeff = 1.0 + 0.0j
+    q_inv = q.power(-1)
+    while True:
+        for s in range(len(letters) - 1):
+            if letters[s] > letters[s + 1]:
+                letters[s], letters[s + 1] = letters[s + 1], letters[s]
+                coeff *= q_inv
+                break
+        else:
+            break
+    return coeff, p_proj(tuple(letters), n)
+
+
 def test_rewriting_oracle_is_inversion_count():
     # every adjacent descent swap costs one factor of 1/q
     for q in (Q_HALF, Q_UNIT, Q_BIG):
@@ -66,6 +114,15 @@ def test_rewriting_oracle_is_inversion_count():
                     coeff, k = normal_order_word(w, q, n)
                     assert sum(k) == d
                     assert coeff == pytest.approx(q.power(-inv_count(w)), rel=1e-12)
+
+
+def test_insertion_pass_makes_the_restart_scan_swaps():
+    # the normal-ordering suite's three parameters, every word of length <= 7
+    for q in (QParameter(0.5, 0.0), QParameter(1.0, math.pi / 3), QParameter(2.0, 1.0)):
+        for n in (1, 2, 3):
+            for d in range(8):
+                for w in words_of_degree(n, d):
+                    assert normal_order_word(w, q, n) == restart_scan_normal_order_word(w, q, n)
 
 
 def test_closed_form_product_matches_oracle():
@@ -80,6 +137,83 @@ def test_closed_form_product_matches_oracle():
                 e = normal_order_exponent(k, m)
                 assert total == tuple(a + b for a, b in zip(k, m))
                 assert coeff == pytest.approx(q.power(e), rel=1e-12)
+
+
+# |q| log-uniform in [1e-3, 1e3] or |q| = 1, any phase; coefficients from a
+# seeded generator, so no partial sum cancels exactly and then comes back
+@settings(max_examples=200, deadline=None)
+@given(
+    log_mod=st.one_of(st.just(0.0), st.floats(min_value=math.log(1e-3), max_value=math.log(1e3))),
+    phase=st.floats(min_value=0.0, max_value=2 * math.pi),
+    n=st.integers(min_value=1, max_value=3),
+    cap=st.integers(min_value=0, max_value=8),
+    sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_multiply_matches_the_term_pair_loop(log_mod, phase, n, cap, sizes, seed):
+    rng = np.random.default_rng(seed)
+    q = QParameter(math.exp(log_mod), phase)
+    a, b = (
+        QElement(n, q, {
+            tuple(int(e) for e in rng.multinomial(int(rng.integers(0, cap + 1)), [1 / n] * n)):
+            complex(*rng.standard_normal(2))
+            for _ in range(size)
+        }, cap=cap)
+        for size in sizes
+    )
+    got, want = multiply(a, b), loop_multiply(a, b)
+    assert list(got.coefficients) == list(want.coefficients)
+    assert got.saturated == want.saturated
+    for key, c in got.coefficients.items():
+        moduli = math.fsum(
+            abs(ck) * abs(cm) * abs(q.power(normal_order_exponent(k, m)))
+            for k, ck in a.coefficients.items()
+            for m, cm in b.coefficients.items()
+            if tuple(x + y for x, y in zip(k, m)) == key
+        )
+        assert abs(c - want.coefficients[key]) <= 4 * math.ulp(moduli)
+
+
+@pytest.mark.parametrize(
+    "n, cap, degrees",
+    [(2, 12, (12, 12)), (3, 6, (6, 6)), (20, 16, (1, 2))],
+    ids=["n2-square", "n3-square", "n20-python-ints"],
+)
+def test_multiply_has_the_bits_of_the_loop(n, cap, degrees):
+    # at n = 20, 17^20 > 2^63: keys packed base cap + 1 and exponents are Python ints
+    q = QParameter(0.7, 0.3)
+    a, b = (
+        QElement(n, q, {
+            k: complex(math.sin(i + d), math.cos(2 * i - d))
+            for i, k in enumerate(multi_indices_up_to(n, d))
+        }, cap=cap)
+        for d in degrees
+    )
+    got, want = multiply(a, b), loop_multiply(a, b)
+    assert list(got.coefficients.items()) == list(want.coefficients.items())
+    assert got.saturated == want.saturated
+
+
+def test_multiply_edge_cases():
+    # (x1 + x2)(x2 - q x1) at q = 2: x1*x2 and q^-1 x2*x1 cancel exactly, no key is left
+    q = QParameter(2.0, 0.0)
+    a = QElement(2, q, {(1, 0): 1.0, (0, 1): 1.0}, cap=4)
+    b = QElement(2, q, {(0, 1): 1.0, (1, 0): -2.0}, cap=4)
+    assert list(multiply(a, b).coefficients.items()) == [((2, 0), -2.0), ((0, 2), 1.0)]
+    # an empty factor gives an empty product, saturated only if a factor is
+    zero = QElement.zero(2, q, cap=4)
+    for x, y in ((a, zero), (zero, a), (zero, zero)):
+        p = multiply(x, y)
+        assert p.is_zero() and not p.saturated and p.q is q
+    sat = QElement(2, q, {}, cap=4, saturated=True)
+    assert multiply(a, sat).saturated and multiply(sat, a).saturated
+    # operands must share n, cap and q, empty or not
+    for other in (QElement(3, q, {(1, 0, 0): 1.0}, cap=4), QElement(2, q, {(1, 0): 1.0}, cap=5),
+                  QElement(2, Q_HALF, {(1, 0): 1.0}, cap=4), QElement.zero(2, Q_HALF, cap=4)):
+        with pytest.raises(IncompatibilityError):
+            multiply(a, other)
+        with pytest.raises(IncompatibilityError):
+            multiply(other, a)
 
 
 def test_multiply_spot():

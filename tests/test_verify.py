@@ -2,6 +2,7 @@
 
 import pytest
 
+from qdomains import verify
 from qdomains.verify import SUITES, Check, SuiteResult, run_suite
 
 EXPECTED_SUITES = [
@@ -53,6 +54,37 @@ def test_normal_ordering_checks_every_monomial_pair():
     assert check.detail.startswith("3486 monomial pairs")
     assert (check.op, check.target) == ("<=", 1e-12)
     assert check.passed
+
+
+def _spoil_one_pair(monkeypatch, spoil):
+    # one pair of the 3486, at n = 3 and |q| = 1, where a wrong power is a pure phase
+    kernel = verify._pair_kernel
+
+    def spoiled(K, M, n, cap, q):
+        keep, keys, powers = kernel(K, M, n, cap, q)
+        if n == 3 and q.modulus == 1.0:
+            spoil(keys, powers, q)
+        return keep, keys, powers
+
+    monkeypatch.setattr(verify, "_pair_kernel", spoiled)
+
+
+def test_normal_ordering_fails_on_one_wrong_exponent(monkeypatch):
+    def spoil(keys, powers, q):
+        powers[len(powers) // 2] *= q.value  # q**(e + 1) in place of q**e
+
+    _spoil_one_pair(monkeypatch, spoil)
+    (check,) = run_suite("normal-ordering").checks
+    assert not check.passed
+
+
+def test_normal_ordering_fails_on_one_wrong_key(monkeypatch):
+    def spoil(keys, powers, q):
+        keys[len(keys) // 2, 0] += 1
+
+    _spoil_one_pair(monkeypatch, spoil)
+    (check,) = run_suite("normal-ordering").checks
+    assert not check.passed
 
 
 def test_unknown_suite_rejected():
