@@ -6,13 +6,11 @@ i < j.  Products above the degree cap are dropped and the element is
 marked saturated; norms of saturated elements are lower bounds for the
 untruncated values.
 
-Every product of monomials goes through one numpy pair kernel,
-:func:`_pair_kernel`: for all term pairs at once it forms the kept mask,
-the keys k + m and the powers q^e(k,m), the exponents from one integer
-matrix product.  :func:`multiply` accumulates on it and the normal-ordering
-suite checks it pair by pair against the rewriting oracle
-:func:`normal_order_word`; the tests keep the term-pair loop it replaced as
-their reference.
+:func:`multiply` forms products one term pair at a time from the closed
+form x^k x^m = q^e(k,m) x^(k+m).  The normal-ordering suite checks that
+closed form on all monomial pairs of a (q, n) at once through the numpy
+pair kernel :func:`_pair_kernel`, against the rewriting oracle
+:func:`normal_order_word`.
 """
 
 from __future__ import annotations
@@ -74,6 +72,16 @@ class QParameter:
 
     def inverse(self) -> "QParameter":
         return QParameter(1.0 / self.modulus, -self.phase)
+
+
+def normal_order_exponent(k: MultiIndex, m: MultiIndex) -> int:
+    """Integer e with x^k x^m = q**e x^(k+m); equals -sum_{i<j} k_j m_i."""
+    total = 0
+    prefix = 0  # sum of m_i over i < current position
+    for i in range(len(k)):
+        total += k[i] * prefix
+        prefix += m[i]
+    return -total
 
 
 def normal_order_word(word: Word, q: QParameter, n: int) -> tuple[complex, MultiIndex]:
@@ -295,25 +303,22 @@ class QElement(_TruncatedSeries):
 
 def _pair_kernel(
     K: list[MultiIndex], M: list[MultiIndex], n: int, cap: int, q: QParameter
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every monomial pair x^k x^m = q**e(k,m) x^(k+m), k a row of K, m a row of M.
 
-    Returns the A x B mask of the pairs with |k| + |m| <= cap, and for the
-    kept pairs in row-major order their keys k + m and powers q**e(k,m).
-    e(k,m) = -sum_{i<j} k_j m_i, the sign pinned down by the rewriting
-    oracle :func:`normal_order_word`, is -K.(exclusive cumsum of M)^T, one
-    matrix product.  Each distinct exponent's power is one
+    Returns, for the pairs with |k| + |m| <= cap in row-major order, their
+    rows in K, their rows in M, their keys k + m and their powers
+    q**e(k,m).  The exponents :func:`normal_order_exponent` of all pairs
+    are -K.(exclusive cumsum of M)^T, one int64 matrix product (none
+    exceeds cap^2 in size).  Each distinct exponent's power is one
     :meth:`QParameter.power` call, made in order of first appearance, so a
     power past double range raises the ValueError the first such pair
-    would.  The integers are int64 while max(n, 2) bits(cap + 1) <= 63,
-    which bounds every exponent and every key packed base cap + 1 (see
-    :func:`multiply`), and exact Python ints otherwise.
+    would.  Used by the normal-ordering suite; :func:`multiply` stays a
+    term-pair loop, which is faster on the few-term products it is given.
     """
-    dtype = np.int64 if max(n, 2) * (cap + 1).bit_length() <= 63 else object
-    K = np.array(K, dtype).reshape(-1, n)
-    M = np.array(M, dtype).reshape(-1, n)
-    keep = K.sum(1)[:, None] + M.sum(1) <= cap
-    rows, cols = keep.nonzero()
+    K = np.array(K, np.int64).reshape(-1, n)
+    M = np.array(M, np.int64).reshape(-1, n)
+    rows, cols = (K.sum(1)[:, None] + M.sum(1) <= cap).nonzero()
     exponents, first, inverse = np.unique(
         (K @ (M.cumsum(1) - M).T)[rows, cols], return_index=True, return_inverse=True
     )
@@ -321,48 +326,34 @@ def _pair_kernel(
     exponents = exponents.tolist()
     for i in np.argsort(first).tolist():
         table[i] = q.power(-exponents[i])
-    return keep, K[rows] + M[cols], table[inverse]
+    return rows, cols, K[rows] + M[cols], table[inverse]
 
 
 def multiply(a: QElement, b: QElement) -> QElement:
     """Product in the q-commuting algebra, truncated at the common cap.
 
-    Uses the closed form x^k x^m = q**e(k,m) x^(k+m) for all term pairs at
-    once (:func:`_pair_kernel`).  The term products ck cm q**e are formed
-    from real and imaginary parts, as Python's complex product forms them,
-    and summed onto each key in pair order (keys packed base cap + 1), so
-    every coefficient has the bits of the term-pair loop the tests keep as
-    the oracle.  Keys come in order of first appearance; a sum that is
-    exactly 0 drops its key, a pair past the cap marks the result
-    saturated, and a power or a sum past double range raises ValueError.
+    Uses the closed form x^k x^m = q**e(k,m) x^(k+m) with
+    e(k,m) = -sum_{i<j} k_j m_i, whose sign is pinned down by the
+    rewriting oracle :func:`normal_order_word`.
     """
     a._check_compatible(b)
-    if not a.coefficients or not b.coefficients:
-        return a._with({}, a.saturated or b.saturated)
-    n, cap = a.n, a.cap
-    keep, keys, powers = _pair_kernel(list(a.coefficients), list(b.coefficients), n, cap, a.q)
-    rows, cols = keep.nonzero()
-    ca = np.array(list(a.coefficients.values()), complex)
-    cb = np.array(list(b.coefficients.values()), complex)
-    # numpy's complex multiply may fuse to FMA; separate real ops round as Python does
-    with np.errstate(over="ignore", invalid="ignore"):
-        ar, ai, br, bi = ca.real[rows], ca.imag[rows], cb.real[cols], cb.imag[cols]
-        cr, ci = ar * br - ai * bi, ar * bi + ai * br
-        pr, pi = powers.real, powers.imag
-        tr, ti = cr * pr - ci * pi, cr * pi + ci * pr
-    _, first, inverse = np.unique(
-        keys @ (cap + 1) ** np.arange(n, dtype=keys.dtype), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    re, im = np.bincount(inverse, tr)[order], np.bincount(inverse, ti)[order]
-    nonzero = (re != 0) | (im != 0)
-    out = dict(
-        zip(
-            map(tuple, keys[first[order][nonzero]].tolist()),
-            map(complex, re[nonzero].tolist(), im[nonzero].tolist()),
-        )
-    )
-    return a._with(out, a.saturated or b.saturated or not keep.all())
+    out: dict[MultiIndex, complex] = {}
+    truncated = False
+    q = a.q
+    cap = a.cap
+    for k, ck in a.coefficients.items():
+        for m, cm in b.coefficients.items():
+            s = tuple(x + y for x, y in zip(k, m))
+            if degree(s) > cap:
+                truncated = True
+                continue
+            c = ck * cm * q.power(normal_order_exponent(k, m))
+            acc = out.get(s, 0j) + c
+            if acc == 0:
+                out.pop(s, None)
+            else:
+                out[s] = acc
+    return a._with(out, a.saturated or b.saturated or truncated)
 
 
 def scale_auto(a: QElement, rho: float) -> QElement:

@@ -150,9 +150,10 @@ def _canonical_word(k: MultiIndex) -> tuple[int, ...]:
 def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
     """Closed-form monomial products against the brute rewriting procedure.
 
-    The pair kernel behind :func:`multiply` runs once per (q, n) on every
-    pair of monomials up to degree 6; each kept pair's key and power must
-    match the rewriting of the concatenated words, taken once per word.
+    The closed form behind :func:`multiply` runs once per (q, n) through
+    :func:`qdomains.qspace._pair_kernel` on every pair of monomials up to
+    degree 6; each kept pair's key and power must match the rewriting of
+    the concatenated words, taken once per word.
     """
     qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 3), QParameter(2.0, 1.0)]
     worst = 0.0
@@ -161,14 +162,13 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
         for n in (1, 2, 3):
             idxs = list(multi_indices_up_to(n, 6))
             words = [_canonical_word(k) for k in idxs]
-            keep, keys, powers = _pair_kernel(idxs, idxs, n, 6, q)
+            rows, cols, keys, powers = _pair_kernel(idxs, idxs, n, 6, q)
             # idxs is graded, so the partners m with |m| <= 6 - |k| are a prefix
-            for row, k in zip(keep, idxs):
-                partners = math.comb(6 - degree(k) + n, n)
-                if not row[:partners].all() or row[partners:].any():
-                    worst = math.inf
+            partners = np.array([math.comb(6 - degree(k) + n, n) for k in idxs])
+            counts = np.bincount(rows, minlength=len(idxs))
+            if not np.array_equal(counts, partners) or (cols >= partners[rows]).any():
+                worst = math.inf
             rewritten: dict[tuple[int, ...], tuple[complex, MultiIndex]] = {}
-            rows, cols = keep.nonzero()
             for i, j, key, power in zip(rows.tolist(), cols.tolist(), keys.tolist(), powers.tolist()):
                 word = words[i] + words[j]
                 if word not in rewritten:

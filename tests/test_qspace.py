@@ -27,7 +27,9 @@ from qdomains.qspace import (
     QElement,
     QParameter,
     ball_norm,
+    _pair_kernel,
     multiply,
+    normal_order_exponent,
     normal_order_word,
     polydisk_norm,
     reversal_iso,
@@ -55,38 +57,6 @@ def test_qparameter_basics():
         QParameter(-1.0, 0.0)
     with pytest.raises(ValueError):
         QParameter(0.0, 0.0)
-
-
-def normal_order_exponent(k, m):
-    """Integer e with x^k x^m = q**e x^(k+m); equals -sum_{i<j} k_j m_i."""
-    total = 0
-    prefix = 0  # sum of m_i over i < current position
-    for i in range(len(k)):
-        total += k[i] * prefix
-        prefix += m[i]
-    return -total
-
-
-def loop_multiply(a, b):
-    """Oracle: the product one term pair at a time, summed onto a dict."""
-    a._check_compatible(b)
-    out = {}
-    truncated = False
-    q = a.q
-    cap = a.cap
-    for k, ck in a.coefficients.items():
-        for m, cm in b.coefficients.items():
-            s = tuple(x + y for x, y in zip(k, m))
-            if degree(s) > cap:
-                truncated = True
-                continue
-            c = ck * cm * q.power(normal_order_exponent(k, m))
-            acc = out.get(s, 0j) + c
-            if acc == 0:
-                out.pop(s, None)
-            else:
-                out[s] = acc
-    return a._with(out, a.saturated or b.saturated or truncated)
 
 
 def restart_scan_normal_order_word(word, q, n):
@@ -139,8 +109,7 @@ def test_closed_form_product_matches_oracle():
                 assert coeff == pytest.approx(q.power(e), rel=1e-12)
 
 
-# |q| log-uniform in [1e-3, 1e3] or |q| = 1, any phase; coefficients from a
-# seeded generator, so no partial sum cancels exactly and then comes back
+# |q| log-uniform in [1e-3, 1e3] or |q| = 1, any phase
 @settings(max_examples=200, deadline=None)
 @given(
     log_mod=st.one_of(st.just(0.0), st.floats(min_value=math.log(1e-3), max_value=math.log(1e3))),
@@ -150,48 +119,30 @@ def test_closed_form_product_matches_oracle():
     sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_multiply_matches_the_term_pair_loop(log_mod, phase, n, cap, sizes, seed):
+def test_pair_kernel_matches_the_closed_form(log_mod, phase, n, cap, sizes, seed):
     rng = np.random.default_rng(seed)
     q = QParameter(math.exp(log_mod), phase)
-    a, b = (
-        QElement(n, q, {
-            tuple(int(e) for e in rng.multinomial(int(rng.integers(0, cap + 1)), [1 / n] * n)):
-            complex(*rng.standard_normal(2))
-            for _ in range(size)
-        }, cap=cap)
+    K, M = (
+        [tuple(int(e) for e in rng.multinomial(int(rng.integers(0, cap + 1)), [1 / n] * n))
+         for _ in range(size)]
         for size in sizes
     )
-    got, want = multiply(a, b), loop_multiply(a, b)
-    assert list(got.coefficients) == list(want.coefficients)
-    assert got.saturated == want.saturated
-    for key, c in got.coefficients.items():
-        moduli = math.fsum(
-            abs(ck) * abs(cm) * abs(q.power(normal_order_exponent(k, m)))
-            for k, ck in a.coefficients.items()
-            for m, cm in b.coefficients.items()
-            if tuple(x + y for x, y in zip(k, m)) == key
-        )
-        assert abs(c - want.coefficients[key]) <= 4 * math.ulp(moduli)
+    rows, cols, keys, powers = _pair_kernel(K, M, n, cap, q)
+    want = [
+        (i, j, tuple(x + y for x, y in zip(k, m)), q.power(normal_order_exponent(k, m)))
+        for i, k in enumerate(K)
+        for j, m in enumerate(M)
+        if degree(k) + degree(m) <= cap
+    ]
+    got = list(zip(rows.tolist(), cols.tolist(), map(tuple, keys.tolist()), powers.tolist()))
+    assert got == want
 
 
-@pytest.mark.parametrize(
-    "n, cap, degrees",
-    [(2, 12, (12, 12)), (3, 6, (6, 6)), (20, 16, (1, 2))],
-    ids=["n2-square", "n3-square", "n20-python-ints"],
-)
-def test_multiply_has_the_bits_of_the_loop(n, cap, degrees):
-    # at n = 20, 17^20 > 2^63: keys packed base cap + 1 and exponents are Python ints
-    q = QParameter(0.7, 0.3)
-    a, b = (
-        QElement(n, q, {
-            k: complex(math.sin(i + d), math.cos(2 * i - d))
-            for i, k in enumerate(multi_indices_up_to(n, d))
-        }, cap=cap)
-        for d in degrees
-    )
-    got, want = multiply(a, b), loop_multiply(a, b)
-    assert list(got.coefficients.items()) == list(want.coefficients.items())
-    assert got.saturated == want.saturated
+def test_pair_kernel_raises_the_first_pairs_range_error():
+    # the pairs' exponents are -16, -12, -12, -9, all past range: the first is named
+    q = QParameter(1e-120, 0.0)
+    with pytest.raises(ValueError, match=r"^1e-120\*\*-16 leaves the double range$"):
+        _pair_kernel([(0, 4), (0, 3)], [(4, 0), (3, 0)], 2, 8, q)
 
 
 def test_multiply_edge_cases():

@@ -61,10 +61,10 @@ def _spoil_one_pair(monkeypatch, spoil):
     kernel = verify._pair_kernel
 
     def spoiled(K, M, n, cap, q):
-        keep, keys, powers = kernel(K, M, n, cap, q)
+        rows, cols, keys, powers = kernel(K, M, n, cap, q)
         if n == 3 and q.modulus == 1.0:
             spoil(keys, powers, q)
-        return keep, keys, powers
+        return rows, cols, keys, powers
 
     monkeypatch.setattr(verify, "_pair_kernel", spoiled)
 
