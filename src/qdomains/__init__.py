@@ -43,8 +43,6 @@ from .qcombinatorics import (
     cross_degree_sum,
     degree,
     inv_count,
-    log_ball_weight,
-    log_w_q,
     monomial_sup,
     multi_indices_of_degree,
     multi_indices_up_to,
@@ -115,8 +113,6 @@ __all__ = [
     "free_ball_norm",
     "free_polydisk_norm",
     "inv_count",
-    "log_ball_weight",
-    "log_w_q",
     "monomial_sup",
     "multi_indices_of_degree",
     "multi_indices_up_to",

@@ -29,19 +29,21 @@ of blocks, and ||B||^2 is their largest top eigenvalue.  Every monomial
 gives one-column blocks; other elements give blocks whose size depends on
 how the support differences link the window's columns.  Blocks of one width
 get one stacked dense eigvalsh; ARPACK takes only those too wide for it.
-scipy.sparse is imported by the functions that build or norm a matrix, so
-importing this module, or checking the twisted CCR, does not load it.
+
+A representation is plain data: a ``RepMatrix`` holds its entries as row,
+column and value arrays, sorted by row.  Only ``op_norm`` (component search
+and ARPACK) and the ``RepMatrix.matrix`` view import scipy.sparse, so
+importing this module, building a representation or checking the twisted
+CCR does not load it.
 
 The twisted-CCR residuals need no matrix: a generator, its adjoint and a
 product of two of them send each basis vector to a multiple of at most one
 other, so every product is one index lookup on such weighted partial maps.
-They are formed once per truncation, in one pass that gives the window and
-the all-column maxima together.
+One pass gives the window and the all-column maxima together.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -89,6 +91,13 @@ class FockTruncation:
         self.basis: tuple[MultiIndex, ...] = tuple(multi_indices_up_to(n, cap))
         self.exponents = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), n)
         self.degrees = self.exponents.sum(axis=1)
+        # [d, b] counts the b-part multi-indices of degree below d, C(d - 1 + b, b):
+        # the hockey-stick sum of column b - 1.  No count exceeds the basis size.
+        below = np.ones((cap + 1, n + 1), dtype=np.int64)
+        below[0] = 0
+        for b in range(1, n + 1):
+            below[:, b] = np.cumsum(below[:, b - 1])
+        self._binomials = below
 
     @property
     def size(self) -> int:
@@ -100,27 +109,13 @@ class FockTruncation:
         The basis is graded, and inside a degree the first entry descends
         (recursively), so a position is a sum of binomial counts.
         """
-        n = self.n
-        binom = self._binomials
+        n, below = self.n, self._binomials
         remaining = exponents.sum(axis=1)
-        pos = binom[remaining + n - 1, n]  # multi-indices of lower degree
+        pos = below[remaining, n]  # multi-indices of lower degree
         for i in range(n - 1):
-            parts = n - i
-            pos = pos + binom[remaining - exponents[:, i] + parts - 2, parts - 1]
             remaining = remaining - exponents[:, i]
+            pos = pos + below[remaining, n - i - 1]
         return pos
-
-    @functools.cached_property
-    def _tw_ccr_residuals(self) -> tuple[float, float]:
-        return _tw_ccr_residuals(self)
-
-    @functools.cached_property
-    def _binomials(self) -> np.ndarray:
-        n = self.n
-        return np.array(
-            [[math.comb(a, b) for b in range(n + 1)] for a in range(self.cap + n + 1)],
-            dtype=np.int64,
-        )
 
     def __repr__(self) -> str:
         return f"FockTruncation(n={self.n}, q={self.q:g}, cap={self.cap}, size={self.size})"
@@ -128,11 +123,25 @@ class FockTruncation:
 
 @dataclass
 class RepMatrix:
-    """Truncated operator matrix plus the degree window where it is exact."""
+    """Truncated operator entries, sorted by row, plus the degree window where it is exact.
 
-    matrix: sp.csr_matrix
+    Entry i is ``values[i]`` at (``rows[i]``, ``cols[i]``); no two share a
+    position.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     fock: FockTruncation
     valid_degree: int
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        """The entries as a scipy CSR matrix, built on each access."""
+        import scipy.sparse as sp
+
+        shape = (self.fock.size, self.fock.size)
+        return sp.csr_matrix((self.values, (self.rows, self.cols)), shape=shape)
 
     def window_columns(self) -> np.ndarray:
         return np.nonzero(self.fock.degrees <= self.valid_degree)[0]
@@ -165,27 +174,19 @@ def _rep_terms(
     Term k fills the columns of its ``_monomial_entries``: column l gets
     c_k times the amplitude of x^k e_l in row l + k.
     """
-    import scipy.sparse as sp
-
     P = log_pochhammer_table(fock.cap, fock.q)
-    # int32 column indices and row pointers, which scipy would otherwise
-    # scan and copy down to int32 itself
-    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int32)]
-    data = [np.zeros(0, dtype=complex)]
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    values = [np.zeros(0, dtype=complex)]
     for k, c in terms:
         row, amp = _monomial_entries(k, fock, P)
         rows.append(row)
-        cols.append(np.arange(row.size, dtype=np.int32))
-        data.append(c * amp)
+        cols.append(np.arange(row.size))
+        values.append(c * amp)
     row = np.concatenate(rows)
     order = np.argsort(row, kind="stable")
-    indptr = np.zeros(fock.size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=fock.size), out=indptr[1:])
-    mat = sp.csr_matrix(
-        (np.concatenate(data)[order], np.concatenate(cols)[order], indptr),
-        shape=(fock.size, fock.size),
+    return RepMatrix(
+        row[order], np.concatenate(cols)[order], np.concatenate(values)[order], fock, valid_degree
     )
-    return RepMatrix(mat, fock, valid_degree)
 
 
 def rep_generator(j: int, fock: FockTruncation) -> RepMatrix:
@@ -225,10 +226,8 @@ def op_norm(M: RepMatrix) -> float:
     width = M.window_columns().size
     if width == 0:
         raise ValueError("empty validity window")
-    A = M.matrix.tocsr()
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    keep = A.indices < width  # the window is a prefix of the graded basis
-    rows, cols, data = rows[keep], A.indices[keep], A.data[keep]
+    keep = M.cols < width  # the window is a prefix of the graded basis
+    rows, cols, data = M.rows[keep], M.cols[keep], M.values[keep]
     scale = float(np.max(np.abs(data))) if data.size else 0.0
     if scale == 0.0:
         return 0.0
@@ -304,25 +303,6 @@ def vaksman_norm(a: QElement, rho: float, fock: FockTruncation) -> float:
     return op_norm(rep_element(scale_auto(a, rho), fock))
 
 
-def verify_tw_ccr(fock: FockTruncation, include_boundary: bool = False) -> float:
-    """Max residual of the twisted commutation relations on the window.
-
-    Checks, with X_i the truncated generators and * the adjoint:
-      X_i X_j - q X_j X_i            (i < j)
-      X_i* X_j - q X_j X_i*          (i != j)
-      X_i* X_i - q^2 X_i X_i* - (1-q^2)(1 - sum_{k>i} X_k X_k*)
-    on columns |k| <= cap-2; ``include_boundary`` widens to all columns,
-    where the truncation makes the relations genuinely fail.  The generators
-    are the entries ``rep_generator`` builds, composed as weighted partial
-    maps without a sparse matrix; both maxima come from one pass over the
-    relations, kept on ``fock``.
-    """
-    if fock.cap < 2:
-        raise ValueError("need cap >= 2 to compose two generators")
-    window, everywhere = fock._tw_ccr_residuals
-    return everywhere if include_boundary else window
-
-
 # A weighted partial map over size + 1 slots: column c goes to row to[c] with
 # value val[c].  Slot ``size`` stands for "no column": it maps to itself with
 # value 0, so a column the truncation drops stays zero through any product.
@@ -352,14 +332,22 @@ def _compose(a: _PartialMap, b: _PartialMap) -> _PartialMap:
     return a[0][b[0]], a[1][b[0]] * b[1]
 
 
-def _tw_ccr_residuals(fock: FockTruncation) -> tuple[float, float]:
-    """``verify_tw_ccr``'s maxima: over the columns |k| <= cap-2, and over all.
+def verify_tw_ccr(fock: FockTruncation) -> tuple[float, float]:
+    """Max residuals of the twisted commutation relations: (window, everywhere).
 
-    A generator sends each column to at most one row, and so do its adjoint
-    and every product of two of them: they are weighted partial maps, read
-    off the entries ``rep_generator`` puts in its matrix.  The terms of all
-    relations are summed per (relation, row, column) key in one pass.
+    Checks, with X_i the truncated generators and * the adjoint:
+      X_i X_j - q X_j X_i            (i < j)
+      X_i* X_j - q X_j X_i*          (i != j)
+      X_i* X_i - q^2 X_i X_i* - (1-q^2)(1 - sum_{k>i} X_k X_k*)
+    The first maximum is over the columns |k| <= cap-2, where the relations
+    hold; the second over all columns, where the truncation makes them
+    genuinely fail.  A generator sends each column to at most one row, and
+    so do its adjoint and every product of two of them: they are weighted
+    partial maps, read off the entries ``rep_generator`` holds.  The terms
+    of all relations are summed per (relation, row, column) key in one pass.
     """
+    if fock.cap < 2:
+        raise ValueError("need cap >= 2 to compose two generators")
     n, q, size = fock.n, fock.q, fock.size
     P = log_pochhammer_table(fock.cap, q)
     deltas = np.eye(n, dtype=np.int64)

@@ -123,7 +123,12 @@ def canonical_partials(
 
 
 def _log_q_factorial_table(d_max: int, e: float) -> np.ndarray:
-    """Table c with c[m] = log [m]_x!, x = exp(-e) <= 1, m = 0..d_max (log m! at e = 0)."""
+    """Table c with c[m] = log [m]_x!, x = exp(-e) <= 1, m = 0..d_max (log m! at e = 0).
+
+    Kept apart from ``log_pochhammer_table``: each [j]_x, an expm1 ratio,
+    keeps its digits as |q| -> 1 (``test_partials_near_unit_modulus_match_mpmath``,
+    rel 5e-15).
+    """
     j = np.arange(1, d_max + 1, dtype=float)
     terms = np.log(j) if e == 0.0 else np.log(np.expm1(-j * e) / math.expm1(-e))
     out = np.zeros(d_max + 1)

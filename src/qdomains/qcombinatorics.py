@@ -107,6 +107,10 @@ def log_pochhammer_table(d_max: int, q_mod: float) -> np.ndarray:
     sum_i k_i = |k| are ever used, terms linear in m cancel in them, and
     log m! is the limit of P[m] - m log(1 - s) as s -> 1.  For the same
     reason P stands in for log [m]_s! = P[m] - m log(1 - s) in such sums.
+
+    Kept apart from the jsr module's log [m]_s! table: log (s; s)_m stays
+    bounded, so these differences keep their digits away from |q| = 1
+    (``test_weight_ratio_scan_extremes_match_mpmath``, rel 4.5e-16).
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")

@@ -462,6 +462,8 @@ def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
     terms, so neighbouring indices whose ratios differ by a few ulps still
     come out in the right order.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     law = weight_law(q_mod, d_max)
     # dropping the first entry of the degree-d_max indices with n + 1 parts
     # leaves every |k| <= d_max in multi_indices_up_to order

@@ -61,6 +61,8 @@ class IdealSlice:
 
 def build_slice(n: int, q: QParameter, d: int) -> IdealSlice:
     """All vectors z_b (z_i z_j - q z_j z_i) z_c with |b| + |c| = d - 2, i < j."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if d < 0:
         raise ValueError("degree must be >= 0")
     gens: list[FreeElement] = []
@@ -103,6 +105,10 @@ def slice_rank(s: IdealSlice) -> int:
 
 def theoretical_slice_rank(n: int, d: int) -> int:
     """n^d minus the number of degree-d monomials, i.e. the kernel dimension."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     return n ** d - math.comb(d + n - 1, n - 1)
 
 

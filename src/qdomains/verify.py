@@ -418,11 +418,9 @@ def _suite_fock_ccr(rng: np.random.Generator) -> Iterator[Check]:
     for n in (1, 2):
         for cap in (6, 12):
             for qv in (0.3, 0.5, 0.8):
-                fock = FockTruncation(n, qv, cap)
-                worst_window = max(worst_window, verify_tw_ccr(fock))
-                min_boundary = min(
-                    min_boundary, verify_tw_ccr(fock, include_boundary=True)
-                )
+                window, everywhere = verify_tw_ccr(FockTruncation(n, qv, cap))
+                worst_window = max(worst_window, window)
+                min_boundary = min(min_boundary, everywhere)
     yield _le(
         "fock-ccr-window",
         worst_window,

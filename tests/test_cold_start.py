@@ -31,16 +31,37 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def cold_run(*commands):
-    """(stdout less the last line, scipy modules loaded) of a fresh interpreter."""
+# builds Fock representations, then norms one; prints the scipy modules loaded
+# after the builds and after the norm
+FOCK_CHILD = """
+import json, sys
+from qdomains.fock import FockTruncation, element_for, op_norm, rep_element, rep_generator
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+fock = FockTruncation(2, 0.5, 12)
+rep_generator(1, fock)
+R = rep_element(element_for(fock, {(1, 0): 1.0, (0, 1): 0.5, (1, 1): -0.25}), fock)
+built = scipy_modules()
+op_norm(R)
+print(json.dumps([built, scipy_modules()]))
+"""
+
+
+def fresh_stdout(script, *argv):
+    """Stdout of ``script`` run in a fresh interpreter that imports qdomains from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    *lines, modules = proc.stdout.splitlines()
+    return proc.stdout
+
+
+def cold_run(*commands):
+    """(stdout less the last line, scipy modules loaded) of a fresh interpreter."""
+    *lines, modules = fresh_stdout(CHILD, json.dumps(commands)).splitlines()
     return "".join(line + "\n" for line in lines), json.loads(modules)
 
 
@@ -49,10 +70,11 @@ def test_import_loads_no_scipy():
 
 
 def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse():
-    """Commands that draw no Sobol sample and build no sparse matrix.
+    """Commands that draw no Sobol sample and take no Fock norm.
 
     The twisted-CCR suite composes the Fock generators as partial maps, so it
-    is one of them; Fock norms build a CSR matrix and are not.
+    is one of them; Fock norms search the Gram pattern's components with
+    scipy.sparse and are not.
     """
     _, modules = cold_run(
         ["norm", "x1*x2 + 0.5*x1", "--family", "ball", "--q-mod", "0.5"],
@@ -81,3 +103,9 @@ def test_scipy_paths_from_a_cold_start_print_the_in_process_values(args):
     in_process = CliRunner().invoke(main, args)
     assert in_process.exit_code == 0, in_process.output
     assert output == in_process.output
+
+
+def test_fock_representations_load_no_scipy_until_normed():
+    built, normed = json.loads(fresh_stdout(FOCK_CHILD))
+    assert built == []
+    assert [m for m in normed if m.startswith("scipy.sparse")]

@@ -4,6 +4,7 @@ import cmath
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -496,6 +497,38 @@ def test_weight_ratio_scan_depends_on_min_of_q_and_inverse():
     for n, d_max in ((2, 50), (3, 20)):
         a, b = weight_ratio_scan(2.0, n, d_max), weight_ratio_scan(0.5, n, d_max)
         assert (a.min_ratio, a.max_ratio, a.min_at, a.max_at) == (b.min_ratio, b.max_ratio, b.min_at, b.max_at)
+
+
+def mp_weight_ratio_extremes(q_mod, n, d_max):
+    """Oracle: min and max of ball_weight / w_q over |k| <= d_max, from 40 digits.
+
+    The ratio is exp((sum_i P[k_i] - P[|k|]) / 2), P[m] = log (s; s)_m,
+    s = min(|q|, 1/|q|)^2.  P is summed in mpmath and held as integers in
+    units of 2^-200, so the scan over every index adds exact integers.
+    """
+    with mpmath.workdps(40):
+        s = mpmath.mpf(q_mod) ** (2 if q_mod < 1 else -2)
+        logs = [mpmath.fsum(mpmath.log1p(-s**j) for j in range(1, m + 1)) for m in range(d_max + 1)]
+        P = [int(mpmath.nint(mpmath.ldexp(v, 200))) for v in logs]
+        sums = [sum(P[e] for e in k) - P[sum(k)] for k in multi_indices_up_to(n, d_max)]
+        return tuple(float(mpmath.exp(mpmath.ldexp(v, -201))) for v in (min(sums), max(sums)))
+
+
+@pytest.mark.parametrize("q_mod", [0.5, 3.0])
+def test_weight_ratio_scan_extremes_match_mpmath(q_mod):
+    # weight_law reads the log (s; s)_m table of log_pochhammer_table; the
+    # jsr module's expm1-ratio table of log [m]_x! gives the same law but
+    # puts these extremes 3e-15 to 8e-15 off, so the two tables stay separate
+    scan = weight_ratio_scan(q_mod, 3, 50)
+    lo, hi = mp_weight_ratio_extremes(q_mod, 3, 50)
+    assert scan.min_ratio == pytest.approx(lo, rel=4.5e-16, abs=0)
+    assert scan.max_ratio == pytest.approx(hi, rel=4.5e-16, abs=0)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_weight_ratio_scan_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        weight_ratio_scan(2.0, n, 5)
 
 
 def test_overflowing_arithmetic_raises():

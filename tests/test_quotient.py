@@ -51,6 +51,16 @@ def test_slice_rank_matches_kernel_count():
                 assert slice_rank(s) == theoretical_slice_rank(n, d)
 
 
+@pytest.mark.parametrize(
+    "n, d, message", [(0, 2, "n must be >= 1"), (2, -1, "degree must be >= 0")], ids=["n", "d"]
+)
+def test_slice_inputs_are_checked(n, d, message):
+    with pytest.raises(ValueError, match=message):
+        build_slice(n, QS[0], d)
+    with pytest.raises(ValueError, match=message):
+        theoretical_slice_rank(n, d)
+
+
 def test_slice_matrix_rows_are_relation_multiples():
     q = QS[0]
     s = build_slice(2, q, 3)
