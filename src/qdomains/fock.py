@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .qcombinatorics import MultiIndex, check_positive, log_pochhammer_table, multi_indices_up_to
+from .qcombinatorics import MultiIndex, check_positive, compositions_up_to, log_pochhammer_table
 from .qspace import QElement, QParameter, scale_auto
 
 if TYPE_CHECKING:
@@ -63,14 +63,13 @@ if TYPE_CHECKING:
 # 364-406, eigsh 2.7-4.8 and 4.1-5.8 ms.
 _DENSE_MAX_COLS = 240
 
-# Largest basis a truncation enumerates.  n = 3 at cap 60 has 39,711 elements;
-# a norm at 40-50 thousand takes 0.3-1.5 s, and one Python tuple per element
-# makes a truncation far past this limit exhaust memory before any error.
+# Largest basis a truncation enumerates, which bounds a request's time: n = 3 at
+# cap 60 has 39,711 elements, and a norm at 40-50 thousand takes 0.3-1.5 s.
 BASIS_LIMIT = 100_000
 
 
 class FockTruncation:
-    """Graded basis e_k, |k| <= cap; ``positions`` finds multi-indices in it."""
+    """Graded basis e_k, |k| <= cap, as the rows of ``exponents``; ``positions`` finds k in it."""
 
     def __init__(self, n: int, q: float, cap: int) -> None:
         if n < 1:
@@ -88,8 +87,8 @@ class FockTruncation:
         self.n = n
         self.q = float(q)
         self.cap = cap
-        self.basis: tuple[MultiIndex, ...] = tuple(multi_indices_up_to(n, cap))
-        self.exponents = np.array(self.basis, dtype=np.int64).reshape(len(self.basis), n)
+        # a C-contiguous copy: Fock norms read it a few percent faster than the strided view
+        self.exponents = np.ascontiguousarray(compositions_up_to(n, cap))
         self.degrees = self.exponents.sum(axis=1)
         # [d, b] counts the b-part multi-indices of degree below d, C(d - 1 + b, b):
         # the hockey-stick sum of column b - 1.  No count exceeds the basis size.
@@ -101,7 +100,7 @@ class FockTruncation:
 
     @property
     def size(self) -> int:
-        return len(self.basis)
+        return len(self.exponents)
 
     def positions(self, exponents: np.ndarray) -> np.ndarray:
         """Basis positions of the rows of an int array of multi-indices, |k| <= cap.

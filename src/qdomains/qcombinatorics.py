@@ -76,6 +76,11 @@ def p_proj(word: Word, n: int) -> MultiIndex:
     return tuple(counts)
 
 
+def _canonical_word(k: MultiIndex) -> Word:
+    """The nondecreasing word with letter counts k, the right inverse of :func:`p_proj`."""
+    return tuple(i + 1 for i, e in enumerate(k) for _ in range(e))
+
+
 def inv_count(word: Word) -> int:
     """Number of inversions: pairs s < t with word[s] > word[t]."""
     total = 0
@@ -222,12 +227,11 @@ def weight_law(
     pochhammer = log_pochhammer_table(d_max, q_mod) if ball else None
 
     def law(k, j=0):
-        d = sum(k)
-        # cross(k) = (|k|^2 - sum_i k_i^2) / 2, weighed only for |q| < 1
-        log_w = ((d * d - sum(e * e for e in k)) // 2 * small + j) * log_q
+        # cross(k) is weighed only for |q| < 1
+        log_w = (cross_degree_sum(k) * small + j) * log_q
         if pochhammer is None:
             return log_w, 0.0
-        return log_w, 0.5 * (sum(pochhammer[e] for e in k) - pochhammer[d])
+        return log_w, 0.5 * (sum(pochhammer[e] for e in k) - pochhammer[sum(k)])
 
     return law
 
@@ -334,6 +338,8 @@ def sampled_monomial_sup(
     seed) and kept, so each call is one matrix-vector product.
     """
     check_positive("r", r)
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     if domain not in ("polydisk", "ball"):
         raise ValueError(f"unknown domain {domain!r}")
     kk = as_multi_index(k)
@@ -354,31 +360,26 @@ def sampled_monomial_sup(
 
 def multi_indices_of_degree(n: int, d: int) -> Iterator[MultiIndex]:
     """All length-n multi-indices of total degree d, first entry descending."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d, -1, -1):
-        for rest in multi_indices_of_degree(n - 1, d - first):
-            yield (first,) + rest
+    return map(tuple, composition_array(n, d).tolist())
 
 
 def multi_indices_up_to(n: int, d_max: int) -> Iterator[MultiIndex]:
-    for d in range(d_max + 1):
-        yield from multi_indices_of_degree(n, d)
+    """All length-n multi-indices of degree <= d_max, graded."""
+    return map(tuple, compositions_up_to(n, d_max).tolist())
 
 
 def composition_array(n: int, d: int) -> np.ndarray:
-    """All length-n multi-indices of degree d as an int array, one per row.
+    """All length-n multi-indices of degree d as an int array, one per row: the one enumeration.
 
-    The rows come in ``multi_indices_of_degree`` order: (d - |r|, r) for
-    the (n-1)-part indices r with |r| <= d, graded.  Those are built part
-    by part from the empty index: the degree-e indices with one more part
-    are (e - |r|, r) for the rows r up to degree e, a prefix.
+    The first entry descends, and the rest follow recursively: the rows are
+    (d - |r|, r) for the (n-1)-part indices r with |r| <= d, graded.  Those
+    are built part by part from the empty index: the degree-e indices with
+    one more part are (e - |r|, r) for the rows r up to degree e, a prefix.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if d < 0:
+        raise ValueError("degree must be >= 0")
     degrees = np.arange(d + 1, dtype=np.int64)
     rows, deg = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for _ in range(n - 1):
@@ -387,6 +388,12 @@ def composition_array(n: int, d: int) -> np.ndarray:
         e = np.repeat(degrees, counts)
         rows, deg = np.column_stack([e - deg[prefix], rows[prefix]]), e
     return np.column_stack([d - deg, rows])
+
+
+def compositions_up_to(n: int, d_max: int) -> np.ndarray:
+    """All length-n multi-indices of degree <= d_max, graded, as a strided int array view."""
+    # the degree-d_max indices with n + 1 parts, first entry dropped
+    return composition_array(n + 1, d_max)[:, 1:]
 
 
 def words_of_degree(n: int, d: int) -> Iterator[Word]:

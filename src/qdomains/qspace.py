@@ -28,7 +28,7 @@ from .qcombinatorics import (
     as_multi_index,
     check_positive,
     checked_power,
-    composition_array,
+    compositions_up_to,
     cross_degree_sum,
     degree,
     p_proj,
@@ -465,9 +465,7 @@ def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
     if n < 1:
         raise ValueError("n must be >= 1")
     law = weight_law(q_mod, d_max)
-    # dropping the first entry of the degree-d_max indices with n + 1 parts
-    # leaves every |k| <= d_max in multi_indices_up_to order
-    K = composition_array(n + 1, d_max)[:, 1:]
+    K = compositions_up_to(n, d_max)
     ratio = np.exp(law(K.T)[1])
     lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
     return WeightRatioScan(

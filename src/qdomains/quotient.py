@@ -24,7 +24,8 @@ ValueError.
 
 The explicit slices (``build_slice``, ``slice_matrix``, ``slice_rank``) stay
 as the independent description of the ideal: the slice-rank suite counts
-their rank and the tests solve the quotient problems on them directly.
+their rank and the tests solve the quotient problems on them directly.  A
+slice is built as a dense matrix, its entries placed by base-n index arithmetic.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 from .freeseries import FreeElement
 from .qcombinatorics import (
     MultiIndex,
+    _canonical_word,
     Word,
     as_multi_index,
     check_positive,
@@ -51,56 +53,48 @@ from .qspace import QParameter, check_tau, weighted_degree_sums
 
 @dataclass(frozen=True)
 class IdealSlice:
-    """Spanning vectors of the degree-d slice of the commutation ideal."""
+    """Degree-d slice of the commutation ideal: the columns of ``matrix`` span it.
+
+    Row r of ``matrix`` is the coefficient of ``words[r]``; the words are sorted.
+    """
 
     n: int
     q: QParameter
     degree: int
-    generators: tuple[FreeElement, ...]
+    words: list[Word]
+    matrix: np.ndarray
 
 
 def build_slice(n: int, q: QParameter, d: int) -> IdealSlice:
-    """All vectors z_b (z_i z_j - q z_j z_i) z_c with |b| + |c| = d - 2, i < j."""
+    """All vectors z_b (z_i z_j - q z_j z_i) z_c with |b| + |c| = d - 2, i < j.
+
+    Columns run over |b|, then the word bc, then (i, j), each ascending; a
+    word's row is its base-n numeral (digits letter - 1).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 0:
         raise ValueError("degree must be >= 0")
-    gens: list[FreeElement] = []
-    qv = q.value
-    for a in range(max(d - 1, 0)):
-        for beta in words_of_degree(n, a):
-            for gamma in words_of_degree(n, d - 2 - a):
-                for i in range(1, n + 1):
-                    for j in range(i + 1, n + 1):
-                        gens.append(
-                            FreeElement(
-                                n,
-                                {
-                                    beta + (i, j) + gamma: 1.0,
-                                    beta + (j, i) + gamma: -qv,
-                                },
-                                cap=d,
-                            )
-                        )
-    return IdealSlice(n, q, d, tuple(gens))
+    i, j = np.triu_indices(n, 1)
+    tail = n ** np.arange(d - 1)[::-1, None, None]  # n^|c| for |b| = 0, 1, ..., d - 2
+    bc = np.arange(n ** max(d - 2, 0))[:, None]  # the word bc as one numeral
+    head = bc // tail * (n * n * tail) + bc % tail  # the numeral of b _ _ c
+    plus = (head + (i * n + j) * tail).ravel()
+    minus = (head + (j * n + i) * tail).ravel()
+    cols = np.arange(plus.size)
+    matrix = np.zeros((n ** d, plus.size), dtype=complex)
+    matrix[plus, cols] = 1.0
+    matrix[minus, cols] = -q.value
+    return IdealSlice(n, q, d, list(words_of_degree(n, d)), matrix)
 
 
 def slice_matrix(s: IdealSlice) -> tuple[list[Word], np.ndarray]:
     """Degree-d word list (sorted) and the matrix whose columns span the slice."""
-    words = sorted(words_of_degree(s.n, s.degree))
-    index = {w: i for i, w in enumerate(words)}
-    mat = np.zeros((len(words), len(s.generators)), dtype=complex)
-    for col, g in enumerate(s.generators):
-        for w, c in g.coefficients.items():
-            mat[index[w], col] = c
-    return words, mat
+    return s.words, s.matrix
 
 
 def slice_rank(s: IdealSlice) -> int:
-    if not s.generators:
-        return 0
-    _, mat = slice_matrix(s)
-    return int(np.linalg.matrix_rank(mat))
+    return int(np.linalg.matrix_rank(s.matrix)) if s.matrix.size else 0
 
 
 def theoretical_slice_rank(n: int, d: int) -> int:
@@ -115,7 +109,7 @@ def theoretical_slice_rank(n: int, d: int) -> int:
 def canonical_lift(k: Sequence[int], *, cap: int | None = None) -> FreeElement:
     """The nondecreasing word with letter counts k, as a free element."""
     kk = as_multi_index(k)
-    word = tuple(i + 1 for i, e in enumerate(kk) for _ in range(e))
+    word = _canonical_word(kk)
     if cap is None:
         cap = len(word)
     return FreeElement(len(kk), {word: 1.0}, cap=cap)

@@ -36,6 +36,7 @@ from .freeseries import (
 from .jsr import estimate_canonical_jsr
 from .qcombinatorics import (
     MultiIndex,
+    _canonical_word,
     ball_weight,
     degree,
     monomial_sup,
@@ -116,14 +117,13 @@ def _finite(name: str, value: float, detail: str = "") -> Check:
 
 
 def _random_qelement(
-    rng: np.random.Generator, n: int, q: QParameter, cap: int, max_deg: int, terms: int
+    rng: np.random.Generator, support: list[MultiIndex], q: QParameter, cap: int, terms: int
 ) -> QElement:
-    ks = list(multi_indices_up_to(n, max_deg))
-    idx = rng.choice(len(ks), size=min(terms, len(ks)), replace=False)
+    idx = rng.choice(len(support), size=min(terms, len(support)), replace=False)
     coeffs = {
-        ks[i]: complex(rng.standard_normal(), rng.standard_normal()) for i in idx
+        support[i]: complex(rng.standard_normal(), rng.standard_normal()) for i in idx
     }
-    return QElement(n, q, coeffs, cap=cap)
+    return QElement(len(support[0]), q, coeffs, cap=cap)
 
 
 def _random_free(
@@ -139,10 +139,6 @@ def _random_free(
     return FreeElement(n, coeffs, cap=cap)
 
 
-def _canonical_word(k: MultiIndex) -> tuple[int, ...]:
-    return tuple(i + 1 for i, e in enumerate(k) for _ in range(e))
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -156,15 +152,17 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
     the concatenated words, taken once per word.
     """
     qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 3), QParameter(2.0, 1.0)]
+    tables = {}
+    for n in (1, 2, 3):
+        idxs = list(multi_indices_up_to(n, 6))
+        # idxs is graded, so the partners m with |m| <= 6 - |k| are a prefix
+        partners = np.array([math.comb(6 - degree(k) + n, n) for k in idxs])
+        tables[n] = idxs, [_canonical_word(k) for k in idxs], partners
     worst = 0.0
     pairs = 0
     for q in qs:
-        for n in (1, 2, 3):
-            idxs = list(multi_indices_up_to(n, 6))
-            words = [_canonical_word(k) for k in idxs]
+        for n, (idxs, words, partners) in tables.items():
             rows, cols, keys, powers = _pair_kernel(idxs, idxs, n, 6, q)
-            # idxs is graded, so the partners m with |m| <= 6 - |k| are a prefix
-            partners = np.array([math.comb(6 - degree(k) + n, n) for k in idxs])
             counts = np.bincount(rows, minlength=len(idxs))
             if not np.array_equal(counts, partners) or (cols >= partners[rows]).any():
                 worst = math.inf
@@ -194,6 +192,7 @@ def _suite_submultiplicativity(rng: np.random.Generator) -> Iterator[Check]:
         "free_taylor": taylor_norm,
         "free_ball": free_ball_norm,
     }
+    support = list(multi_indices_up_to(2, 4))
     for family, norm in norms.items():
         worst = -math.inf
         for t in range(trials):
@@ -202,7 +201,7 @@ def _suite_submultiplicativity(rng: np.random.Generator) -> Iterator[Check]:
             if family.startswith("free"):
                 a, b = (_random_free(rng, 2, cap=8, max_deg=4, terms=5) for _ in range(2))
             else:
-                a, b = (_random_qelement(rng, 2, q, cap=8, max_deg=4, terms=5) for _ in range(2))
+                a, b = (_random_qelement(rng, support, q, cap=8, terms=5) for _ in range(2))
             na, nb = norm(a, rho), norm(b, rho)
             if na * nb == 0.0:
                 continue
@@ -224,11 +223,11 @@ def _suite_reversal(rng: np.random.Generator) -> Iterator[Check]:
         QParameter(0.8, 2.0),
         QParameter(1.6, 0.5),
     ]
+    supports = {n: list(multi_indices_up_to(n, 4)) for n in (2, 3)}
     worst_norm = 0.0
     for t in range(500):
         q = qs[t % len(qs)]
-        n = 2 + t % 2
-        a = _random_qelement(rng, n, q, cap=8, max_deg=4, terms=5)
+        a = _random_qelement(rng, supports[2 + t % 2], q, cap=8, terms=5)
         b = reversal_iso(a)
         for norm in (polydisk_norm, ball_norm):
             na, nb = norm(a, 0.9), norm(b, 0.9)
@@ -242,9 +241,9 @@ def _suite_reversal(rng: np.random.Generator) -> Iterator[Check]:
     worst_hom = 0.0
     for t in range(200):
         q = qs[t % len(qs)]
-        n = 2 + t % 2
-        a = _random_qelement(rng, n, q, cap=8, max_deg=4, terms=5)
-        b = _random_qelement(rng, n, q, cap=8, max_deg=4, terms=5)
+        support = supports[2 + t % 2]
+        a = _random_qelement(rng, support, q, cap=8, terms=5)
+        b = _random_qelement(rng, support, q, cap=8, terms=5)
         lhs = reversal_iso(multiply(a, b))
         rhs = multiply(reversal_iso(a), reversal_iso(b))
         diff = lhs - rhs

@@ -363,6 +363,12 @@ def test_sampled_sup_matches_a_fresh_sample():
                 assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("points", [0, -1, -1024])
+def test_sampled_sup_rejects_point_counts_below_one(points):
+    with pytest.raises(ValueError, match=f"points must be >= 1, got {points}"):
+        sampled_monomial_sup((1, 1), "ball", 1.0, points=points)
+
+
 def test_sample_cache_is_read_only_and_keyed():
     sample = qcombinatorics._log_sample("ball", 3, 10, 7)
     assert qcombinatorics._log_sample("ball", 3, 10, 7) is sample
@@ -466,6 +472,16 @@ def test_stirling_ratio_monotone_toward_one():
     assert vals[-1] < 1.01
 
 
+def recursive_multi_indices(n, d):
+    """Oracle: the length-n multi-indices of degree d by recursion, first entry descending."""
+    if n == 1:
+        yield (d,)
+        return
+    for first in range(d, -1, -1):
+        for rest in recursive_multi_indices(n - 1, d - first):
+            yield (first,) + rest
+
+
 def test_multi_index_enumeration_counts():
     for n in (1, 2, 3):
         for d in range(0, 6):
@@ -476,14 +492,33 @@ def test_multi_index_enumeration_counts():
     assert len(list(multi_indices_up_to(2, 4))) == sum(d + 1 for d in range(5))
 
 
+def test_enumerations_match_recursive_oracle():
+    for n in range(1, 5):
+        for d in range(0, 9):
+            want = list(recursive_multi_indices(n, d))
+            got = list(multi_indices_of_degree(n, d))
+            assert got == want
+            assert all(type(e) is int for k in got for e in k)
+            graded = [k for e in range(d + 1) for k in recursive_multi_indices(n, e)]
+            assert list(multi_indices_up_to(n, d)) == graded
+
+
 def test_composition_array_matches_iterator():
     for n, d_max in ((1, 12), (2, 12), (3, 60), (4, 12), (5, 12), (6, 12)):
         for d in range(0, d_max + 1):
             arr = composition_array(n, d)
-            ks = np.array(list(multi_indices_of_degree(n, d)), dtype=np.int64).reshape(-1, n)
+            ks = np.array(list(recursive_multi_indices(n, d)), dtype=np.int64).reshape(-1, n)
             assert arr.dtype == np.int64
             assert arr.shape == ks.shape
             assert np.array_equal(arr, ks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_negative_degree_is_rejected(n):
+    # composition_array(1, -1) once gave [[-1]], and every n >= 2 an empty list
+    for enumerate_ in (composition_array, multi_indices_of_degree, multi_indices_up_to):
+        with pytest.raises(ValueError, match="degree must be >= 0"):
+            enumerate_(n, -1)
 
 
 def test_words_and_fibers():

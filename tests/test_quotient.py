@@ -61,6 +61,38 @@ def test_slice_inputs_are_checked(n, d, message):
         theoretical_slice_rank(n, d)
 
 
+def free_element_slice(n, q, d):
+    """Oracle: one free element per vector z_b (z_i z_j - q z_j z_i) z_c, copied into a matrix.
+
+    The rows are the sorted degree-d words, the columns the vectors in build order.
+    """
+    gens = []
+    for a in range(max(d - 1, 0)):
+        for b in product(range(1, n + 1), repeat=a):
+            for c in product(range(1, n + 1), repeat=d - 2 - a):
+                for i in range(1, n + 1):
+                    for j in range(i + 1, n + 1):
+                        gens.append(FreeElement(n, {b + (i, j) + c: 1.0, b + (j, i) + c: -q.value}, cap=d))
+    words = sorted(product(range(1, n + 1), repeat=d))
+    index = {w: r for r, w in enumerate(words)}
+    mat = np.zeros((len(words), len(gens)), dtype=complex)
+    for col, g in enumerate(gens):
+        for w, c in g.coefficients.items():
+            mat[index[w], col] = c
+    return words, mat
+
+
+@pytest.mark.parametrize("q", [QParameter(0.5, 0.0), QParameter(2.0, 0.7)], ids=["q0.5", "q2-phase"])
+def test_slice_matches_free_element_oracle(q):
+    for n in range(1, 5):
+        for d in range(0, 6):
+            s = build_slice(n, q, d)
+            words, mat = free_element_slice(n, q, d)
+            assert s.words == words
+            assert s.matrix.shape == mat.shape
+            assert np.array_equal(s.matrix, mat)
+
+
 def test_slice_matrix_rows_are_relation_multiples():
     q = QS[0]
     s = build_slice(2, q, 3)
