@@ -170,8 +170,9 @@ def norm(expression, family, n, q_mod, q_phase, rho, tau, cap, fock_cap, json_pa
     """Seminorm of EXPRESSION in the selected family."""
     if family not in _FREE_FAMILIES:
         check_tau(tau, unweighted=family)
+    q = QParameter(q_mod, q_phase)  # checked also where the family ignores q
     if family in _Q_FAMILIES:
-        a = parse_qelement(expression, n, QParameter(q_mod, q_phase), cap)
+        a = parse_qelement(expression, n, q, cap)
         value = (polydisk_norm if family == "polydisk" else ball_norm)(a, rho)
         flags = _element_flags(a.saturated)
     elif family in _FREE_FAMILIES:
@@ -202,8 +203,8 @@ def norm(expression, family, n, q_mod, q_phase, rho, tau, cap, fock_cap, json_pa
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def multiply_cmd(expr_a, expr_b, mode, n, q_mod, q_phase, cap, json_path):
     """Product of EXPR_A and EXPR_B (normal-ordered in qspace mode)."""
+    q = QParameter(q_mod, q_phase)  # checked also in free mode, which ignores q
     if mode == "qspace":
-        q = QParameter(q_mod, q_phase)
         prod = multiply(
             parse_qelement(expr_a, n, q, cap), parse_qelement(expr_b, n, q, cap)
         )
@@ -267,8 +268,8 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_pat
 def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
     """Joint l^p spectral radius of the canonical generators and its certified bracket."""
     internal = family.replace("-", "_")
-    q = QParameter(q_mod, q_phase) if family in _Q_FAMILIES else None
-    est = estimate_canonical_jsr(internal, n, q, p, r, d_max=dmax, tau=tau)
+    # the free families ignore q, but it is checked for them too
+    est = estimate_canonical_jsr(internal, n, QParameter(q_mod, q_phase), p, r, d_max=dmax, tau=tau)
     results = [
         _result("jsr-extrapolated", est.extrapolated, detail="closed-form limit"),
         _result("jsr-lower", est.lower),

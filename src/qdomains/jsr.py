@@ -53,7 +53,7 @@ from .qspace import (
 
 FREE_FAMILIES = ("free_taylor", "free_ball", "free_polydisk")
 
-#: refuse general-tuple enumeration beyond this many word products
+#: refuse general-tuple enumeration beyond this many word products (jsr_partials only)
 ENUMERATION_LIMIT = 200_000
 
 #: refuse canonical partials beyond this degree: the q-side convolution
@@ -157,6 +157,8 @@ def _free_log_partials(family: str, n: int, p: float, j: np.ndarray, tau: float)
     return log_sum / (p * j)
 
 
+# A test oracle kept here, with ENUMERATION_LIMIT, because perfbench's spans.py
+# wraps it by name; ROADMAP item 1 moves both into tests/test_jsr.py.
 def jsr_partials(
     generators: Sequence[QElement],
     p: float,
@@ -215,11 +217,13 @@ class JsrEstimate:
     extrapolated: float
     lower: float
     upper: float
+    # always empty; perfbench's execute.py reads it until ROADMAP item 1 drops it
     flags: list[str] = field(default_factory=list)
     family: str | None = None
     n: int | None = None
 
 
+# perfbench's spans.py wraps this by name; ROADMAP item 1 folds it into the caller.
 def jsr_extrapolate(seq: Sequence[tuple[int, float]], r: float, p: float) -> JsrEstimate:
     """Certified bracket [r, min_d R_d] of the partials (d, R_d) at rho = r; extrapolated = upper.
 

@@ -7,9 +7,9 @@ marked saturated; norms of saturated elements are lower bounds for the
 untruncated values.
 
 :func:`multiply` forms products one term pair at a time from the closed
-form x^k x^m = q^e(k,m) x^(k+m).  The normal-ordering suite checks that
-closed form on all monomial pairs of a (q, n) at once through the numpy
-pair kernel :func:`_pair_kernel`, against the rewriting oracle
+form x^k x^m = q^e(k,m) x^(k+m), with e from :func:`normal_order_exponent`.
+The normal-ordering suite runs that same function on the index columns of
+all monomial pairs of an n at once, against the rewriting oracle
 :func:`normal_order_word`.
 """
 
@@ -75,7 +75,10 @@ class QParameter:
 
 
 def normal_order_exponent(k: MultiIndex, m: MultiIndex) -> int:
-    """Integer e with x^k x^m = q**e x^(k+m); equals -sum_{i<j} k_j m_i."""
+    """Integer e with x^k x^m = q**e x^(k+m); equals -sum_{i<j} k_j m_i.
+
+    Also takes the columns ``K.T`` of int arrays, one pair per column.
+    """
     total = 0
     prefix = 0  # sum of m_i over i < current position
     for i in range(len(k)):
@@ -299,34 +302,6 @@ class QElement(_TruncatedSeries):
             f"QElement(n={self.n}, |q|={self.q.modulus:g}, arg q={self.q.phase:g}, "
             f"terms={len(self.coefficients)}, cap={self.cap}, saturated={self.saturated})"
         )
-
-
-def _pair_kernel(
-    K: list[MultiIndex], M: list[MultiIndex], n: int, cap: int, q: QParameter
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every monomial pair x^k x^m = q**e(k,m) x^(k+m), k a row of K, m a row of M.
-
-    Returns, for the pairs with |k| + |m| <= cap in row-major order, their
-    rows in K, their rows in M, their keys k + m and their powers
-    q**e(k,m).  The exponents :func:`normal_order_exponent` of all pairs
-    are -K.(exclusive cumsum of M)^T, one int64 matrix product (none
-    exceeds cap^2 in size).  Each distinct exponent's power is one
-    :meth:`QParameter.power` call, made in order of first appearance, so a
-    power past double range raises the ValueError the first such pair
-    would.  Used by the normal-ordering suite; :func:`multiply` stays a
-    term-pair loop, which is faster on the few-term products it is given.
-    """
-    K = np.array(K, np.int64).reshape(-1, n)
-    M = np.array(M, np.int64).reshape(-1, n)
-    rows, cols = (K.sum(1)[:, None] + M.sum(1) <= cap).nonzero()
-    exponents, first, inverse = np.unique(
-        (K @ (M.cumsum(1) - M).T)[rows, cols], return_index=True, return_inverse=True
-    )
-    table = np.empty(len(exponents), complex)
-    exponents = exponents.tolist()
-    for i in np.argsort(first).tolist():
-        table[i] = q.power(-exponents[i])
-    return rows, cols, K[rows] + M[cols], table[inverse]
 
 
 def multiply(a: QElement, b: QElement) -> QElement:

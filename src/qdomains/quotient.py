@@ -88,6 +88,7 @@ def build_slice(n: int, q: QParameter, d: int) -> IdealSlice:
     return IdealSlice(n, q, d, list(words_of_degree(n, d)), matrix)
 
 
+# perfbench's spans.py wraps this by name; ROADMAP item 1 may drop it with the span.
 def slice_matrix(s: IdealSlice) -> tuple[list[Word], np.ndarray]:
     """Degree-d word list (sorted) and the matrix whose columns span the slice."""
     return s.words, s.matrix
@@ -120,8 +121,8 @@ class QuotientResult:
     value: float
     per_degree: dict[int, float]
     flags: list[str] = field(default_factory=list)
-    # The closed form runs no iteration; both are kept for callers that
-    # count solver work.
+    # The closed form runs no iteration: always 0 and True.  perfbench reads
+    # both (run.py, execute.py); ROADMAP item 1 removes them with its reads.
     iterations: int = 0
     converged: bool = True
 

@@ -208,6 +208,37 @@ def test_jsr_refuses_bad_input_cleanly(runner):
     assert invoke(runner, ["jsr", "--grid", "12"], ok=False).exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["norm", "z1", "--family", "free-taylor", "--q-mod", "nan"], "modulus must be positive"),
+        (["norm", "z1", "--family", "free-ball", "--q-mod", "-3"], "modulus must be positive"),
+        (["jsr", "--family", "free-taylor", "--q-mod", "0"], "modulus must be positive"),
+        (["jsr", "--family", "free-polydisk", "--q-phase", "inf"], "phase must be finite"),
+        (["multiply", "z1", "z2", "--mode", "free", "--q-mod", "nan"], "modulus must be positive"),
+    ],
+    ids=["norm-taylor-nan", "norm-ball-negative", "jsr-taylor-zero", "jsr-polydisk-phase-inf",
+         "multiply-free-nan"],
+)
+def test_malformed_q_is_refused_where_the_family_ignores_q(runner, args, message):
+    r = invoke(runner, args, ok=False)
+    assert_clean_error(r)
+    assert message in r.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "z1", "--family", "free-ball", "--q-mod", "1e-320"],
+        ["norm", "z1", "--family", "free-taylor", "--q-mod", "2", "--q-phase", "1"],
+        ["jsr", "--family", "free-polydisk", "--q-mod", "1e-300", "--dmax", "20"],
+        ["multiply", "z1", "z2", "--mode", "free", "--q-mod", "0.5"],
+    ],
+)
+def test_valid_q_is_accepted_where_the_family_ignores_q(runner, args):
+    invoke(runner, args)
+
+
 def test_fock_norm_power(runner, tmp_path):
     out = tmp_path / "f.json"
     invoke(runner, ["fock-norm", "x1^3", "--rho", "0.5", "--json", str(out)])

@@ -28,7 +28,6 @@ from qdomains.qspace import (
     QElement,
     QParameter,
     ball_norm,
-    _pair_kernel,
     multiply,
     normal_order_exponent,
     normal_order_word,
@@ -110,40 +109,27 @@ def test_closed_form_product_matches_oracle():
                 assert coeff == pytest.approx(q.power(e), rel=1e-12)
 
 
-# |q| log-uniform in [1e-3, 1e3] or |q| = 1, any phase
 @settings(max_examples=200, deadline=None)
 @given(
-    log_mod=st.one_of(st.just(0.0), st.floats(min_value=math.log(1e-3), max_value=math.log(1e3))),
-    phase=st.floats(min_value=0.0, max_value=2 * math.pi),
     n=st.integers(min_value=1, max_value=3),
     cap=st.integers(min_value=0, max_value=8),
     sizes=st.tuples(st.integers(0, 6), st.integers(0, 6)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_pair_kernel_matches_the_closed_form(log_mod, phase, n, cap, sizes, seed):
+def test_normal_order_exponent_on_index_columns_matches_tuples(n, cap, sizes, seed):
+    # the array form the normal-ordering suite runs, against the tuple form multiply runs
     rng = np.random.default_rng(seed)
-    q = QParameter(math.exp(log_mod), phase)
     K, M = (
         [tuple(int(e) for e in rng.multinomial(int(rng.integers(0, cap + 1)), [1 / n] * n))
          for _ in range(size)]
         for size in sizes
     )
-    rows, cols, keys, powers = _pair_kernel(K, M, n, cap, q)
-    want = [
-        (i, j, tuple(x + y for x, y in zip(k, m)), q.power(normal_order_exponent(k, m)))
-        for i, k in enumerate(K)
-        for j, m in enumerate(M)
-        if degree(k) + degree(m) <= cap
-    ]
-    got = list(zip(rows.tolist(), cols.tolist(), map(tuple, keys.tolist()), powers.tolist()))
-    assert got == want
-
-
-def test_pair_kernel_raises_the_first_pairs_range_error():
-    # the pairs' exponents are -16, -12, -12, -9, all past range: the first is named
-    q = QParameter(1e-120, 0.0)
-    with pytest.raises(ValueError, match=r"^1e-120\*\*-16 leaves the double range$"):
-        _pair_kernel([(0, 4), (0, 3)], [(4, 0), (3, 0)], 2, 8, q)
+    pairs = [(i, j) for i, k in enumerate(K) for j, m in enumerate(M) if degree(k) + degree(m) <= cap]
+    rows, cols = np.array(pairs, np.int64).reshape(-1, 2).T
+    KA, MA = (np.array(X, np.int64).reshape(-1, n) for X in (K, M))
+    got = normal_order_exponent(KA.T[:, rows], MA.T[:, cols])
+    assert got.dtype == np.int64
+    assert got.tolist() == [normal_order_exponent(K[i], M[j]) for i, j in pairs]
 
 
 def test_multiply_edge_cases():

@@ -260,6 +260,25 @@ def test_l1_quotient_matches_whole_slice_lp():
         assert quotient_norm_l1(target, rho, tau, q=q).value == pytest.approx(want, rel=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=3),
+    log_mod=st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
+    phase=st.floats(min_value=0.0, max_value=2 * math.pi),
+    rho=st.floats(min_value=0.3, max_value=1.5),
+)
+def test_tau_one_is_the_plain_coefficient_quotient(seed, n, log_mod, phase, rho):
+    # log tau = 0 adds nothing to any term: the quotient-polydisk suite reads
+    # its Taylor certificate off the tau = 1 runs
+    target = _random_target(np.random.default_rng(seed), n, complex_coeffs=True)
+    q = QParameter(math.exp(log_mod), phase)
+    plain = quotient_norm_l1(target, rho, q=q)
+    at_one = quotient_norm_l1(target, rho, 1.0, q=q)
+    assert at_one.value == plain.value
+    assert at_one.per_degree == plain.per_degree
+
+
 def test_l2_quotient_matches_whole_slice_projection():
     rng = np.random.default_rng(5)
     for case in range(30):

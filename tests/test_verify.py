@@ -56,33 +56,30 @@ def test_normal_ordering_checks_every_monomial_pair():
     assert check.passed
 
 
-def _spoil_one_pair(monkeypatch, spoil):
-    # one pair of the 3486, at n = 3 and |q| = 1, where a wrong power is a pure phase
-    kernel = verify._pair_kernel
-
-    def spoiled(K, M, n, cap, q):
-        rows, cols, keys, powers = kernel(K, M, n, cap, q)
-        if n == 3 and q.modulus == 1.0:
-            spoil(keys, powers, q)
-        return rows, cols, keys, powers
-
-    monkeypatch.setattr(verify, "_pair_kernel", spoiled)
-
-
 def test_normal_ordering_fails_on_one_wrong_exponent(monkeypatch):
-    def spoil(keys, powers, q):
-        powers[len(powers) // 2] *= q.value  # q**(e + 1) in place of q**e
+    exponent = verify.normal_order_exponent
 
-    _spoil_one_pair(monkeypatch, spoil)
+    def spoiled(k, m):
+        e = exponent(k, m)
+        if len(k) == 3:  # one pair of the 3486, at n = 3: q**(e + 1) in place of q**e
+            e[len(e) // 2] += 1
+        return e
+
+    monkeypatch.setattr(verify, "normal_order_exponent", spoiled)
     (check,) = run_suite("normal-ordering").checks
     assert not check.passed
 
 
 def test_normal_ordering_fails_on_one_wrong_key(monkeypatch):
-    def spoil(keys, powers, q):
-        keys[len(keys) // 2, 0] += 1
+    rewrite = verify.normal_order_word
 
-    _spoil_one_pair(monkeypatch, spoil)
+    def spoiled(word, q, n):
+        coeff, key = rewrite(word, q, n)
+        if word == (1, 2, 3):  # one word of the n = 3 pairs, read as x1^2 x2 x3
+            key = (2, 1, 1)
+        return coeff, key
+
+    monkeypatch.setattr(verify, "normal_order_word", spoiled)
     (check,) = run_suite("normal-ordering").checks
     assert not check.passed
 
