@@ -25,16 +25,19 @@ A monomial x^k sends e_l to a multiple of e_{l+k}, so column l of B lives
 on the rows l + k, k in the support.  Columns l and l' share a row only
 when l - l' is a difference of two support indices; the connected
 components of that relation split the Gram matrix B^H B into a direct sum
-of blocks, and ||B||^2 is their largest top eigenvalue.  Every monomial
-gives one-column blocks; other elements give blocks whose size depends on
-how the support differences link the window's columns.  Blocks of one width
-get one stacked dense eigvalsh; ARPACK takes only those too wide for it.
+of blocks, and ||B||^2 is their largest top eigenvalue.  When no two
+entries share a row, as for every monomial, the Gram matrix is diagonal
+and ||B||^2 is its largest column sum of squares.  Other elements give
+blocks whose size depends on how the support differences link the window's
+columns.  Blocks of one width get one stacked dense eigvalsh; ARPACK takes
+only those too wide for it.
 
 A representation is plain data: a ``RepMatrix`` holds its entries as row,
-column and value arrays, sorted by row.  Only ``op_norm`` (component search
-and ARPACK) and the ``RepMatrix.matrix`` view import scipy.sparse, so
-importing this module, building a representation or checking the twisted
-CCR does not load it.
+column and value arrays, sorted by row.  Only ``op_norm`` on a Gram matrix
+that is not diagonal (component search and ARPACK) and the
+``RepMatrix.matrix`` view import scipy.sparse, so importing this module,
+building a representation, norming a monomial or checking the twisted CCR
+does not load it.
 
 The twisted-CCR residuals need no matrix: a generator, its adjoint and a
 product of two of them send each basis vector to a multiple of at most one
@@ -214,8 +217,10 @@ def rep_element(a: QElement, fock: FockTruncation) -> RepMatrix:
 def op_norm(M: RepMatrix) -> float:
     """Largest singular value of the window-column block B, computed exactly.
 
-    ||B||^2 is the top eigenvalue of the Gram matrix G = B^H B.  Columns of B
-    that share no row act on orthogonal pieces, so G splits into the
+    ||B||^2 is the top eigenvalue of the Gram matrix G = B^H B.  When no two
+    entries share a row, every monomial's case, G is diagonal and ||B||^2 is
+    the largest column sum of |d|^2, with no scipy import.  Otherwise columns
+    of B that share no row act on orthogonal pieces, so G splits into the
     connected components of its pattern and ||B|| is the largest component
     norm.  Components of up to ``_DENSE_MAX_COLS`` columns, one-column ones
     included, are stacked by width, one batched ``eigvalsh`` per width; a
@@ -231,6 +236,10 @@ def op_norm(M: RepMatrix) -> float:
     if scale == 0.0:
         return 0.0
     data = data / scale  # unit largest entry: squares neither overflow nor underflow
+    if not (rows[1:] == rows[:-1]).any():
+        # no two entries share a row: G is diagonal, column c holding sum |d|^2
+        squares = (data.conj() * data).real
+        return scale * math.sqrt(float(np.bincount(cols, squares, minlength=width).max()))
 
     # the entries are sorted by row; every two that share a row, i and j
     # (i = j included), give the Gram entry (c_i, c_j, conj(d_i) d_j)

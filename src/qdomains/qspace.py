@@ -10,7 +10,9 @@ untruncated values.
 form x^k x^m = q^e(k,m) x^(k+m), with e from :func:`normal_order_exponent`.
 The normal-ordering suite runs that same function on the index columns of
 all monomial pairs of an n at once, against the rewriting oracle
-:func:`normal_order_word`.
+:func:`normal_order_word`.  The rewriting itself does not depend on q, so
+the suite rewrites each word once and forms the oracle's coefficients for
+every q from the swap count, by the same chain of multiplications.
 """
 
 from __future__ import annotations
@@ -87,27 +89,41 @@ def normal_order_exponent(k: MultiIndex, m: MultiIndex) -> int:
     return -total
 
 
-def normal_order_word(word: Word, q: QParameter, n: int) -> tuple[complex, MultiIndex]:
-    """Brute-force rewriting oracle for the normal form of a generator word.
+def _rewrite_word(word: Word, n: int) -> tuple[int, MultiIndex]:
+    """Swaps made and normal-ordered key reached by rewriting a generator word.
 
     Applies the defining relation literally: an adjacent descent
-    x_j x_i (j > i) is swapped to x_i x_j at the cost of one factor
-    q^(-1).  One left-to-right insertion pass makes the swaps: each letter
-    moves left past the greater letters before it, one swap at a time,
-    which is the order in which repeatedly swapping the first descent
-    makes them.  Kept as the independent reference for the closed form
-    used by :func:`multiply`; do not use in hot paths.
+    x_j x_i (j > i) is swapped to x_i x_j.  One left-to-right insertion
+    pass makes the swaps: each letter moves left past the greater letters
+    before it, one swap at a time, which is the order in which repeatedly
+    swapping the first descent makes them.  Neither the swaps nor the key
+    depend on q.
     """
     letters: list[int] = []
-    coeff = 1.0 + 0.0j
-    q_inv = q.power(-1)
+    swaps = 0
     for letter in word:
         s = len(letters)
         while s and letters[s - 1] > letter:
             s -= 1
-            coeff *= q_inv
+            swaps += 1
         letters.insert(s, letter)
-    return coeff, p_proj(tuple(letters), n)
+    return swaps, p_proj(tuple(letters), n)
+
+
+def normal_order_word(word: Word, q: QParameter, n: int) -> tuple[complex, MultiIndex]:
+    """Brute-force rewriting oracle for the normal form of a generator word.
+
+    Each swap of :func:`_rewrite_word` costs one factor q^(-1), multiplied
+    into the coefficient one swap at a time.  Kept as the independent
+    reference for the closed form used by :func:`multiply`; do not use in
+    hot paths.
+    """
+    swaps, key = _rewrite_word(word, n)
+    coeff = 1.0 + 0.0j
+    q_inv = q.power(-1)
+    for _ in range(swaps):
+        coeff *= q_inv
+    return coeff, key
 
 
 def finite(c: complex) -> complex:

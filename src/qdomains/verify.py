@@ -51,10 +51,10 @@ from .qcombinatorics import (
 from .qspace import (
     QElement,
     QParameter,
+    _rewrite_word,
     ball_norm,
     multiply,
     normal_order_exponent,
-    normal_order_word,
     polydisk_norm,
     reversal_iso,
     weight_ratio_scan,
@@ -149,31 +149,41 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
 
     :func:`normal_order_exponent`, the exponent :func:`multiply` uses, runs
     once per n on the index columns of every pair of monomials up to
-    degree 6; at each q each pair's key and power must match the rewriting
-    of the concatenated words, taken once per word.
+    degree 6.  The concatenated word of each pair is rewritten once, by
+    :func:`_rewrite_word`; the rewriting does not depend on q.  At each q,
+    ``table[s]`` is the coefficient :func:`normal_order_word` gives after s
+    swaps, made by the same repeated multiplications by q^(-1), and each
+    pair's power and key must match its word's.  A wrong key reads ``inf``.
     """
     qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 3), QParameter(2.0, 1.0)]
-    tables = {}
+    cases = []
     for n in (1, 2, 3):
         K = compositions_up_to(n, 6)
         deg = K.sum(1)
         rows, cols = (deg[:, None] + deg <= 6).nonzero()
-        exponents = normal_order_exponent(K.T[:, rows], K.T[:, cols]).tolist()
-        table = list(zip(rows.tolist(), cols.tolist(), (K[rows] + K[cols]).tolist(), exponents))
-        tables[n] = [_canonical_word(k) for k in K.tolist()], table, set(exponents)
+        words = [_canonical_word(k) for k in K.tolist()]
+        pair_words = [words[i] + words[j] for i, j in zip(rows.tolist(), cols.tolist())]
+        rewritten = {word: _rewrite_word(word, n) for word in dict.fromkeys(pair_words)}
+        swaps, keys = zip(*map(rewritten.__getitem__, pair_words))
+        matches = (K[rows] + K[cols] == np.array(keys)).all(axis=1)
+        exponents, where = np.unique(
+            normal_order_exponent(K.T[:, rows], K.T[:, cols]), return_inverse=True
+        )
+        cases.append((np.array(swaps), matches, exponents.tolist(), where))
+    longest = max(int(swaps.max()) for swaps, *_ in cases)
     worst = 0.0
     pairs = 0
     for q in qs:
-        for n, (words, table, exponents) in tables.items():
-            powers = {e: q.power(e) for e in exponents}
-            rewritten: dict[tuple[int, ...], tuple[complex, MultiIndex]] = {}
-            for i, j, key, e in table:
-                word = words[i] + words[j]
-                if word not in rewritten:
-                    rewritten[word] = normal_order_word(word, q, n)
-                coeff, expected = rewritten[word]
-                worst = max(worst, abs(powers[e] - coeff) if tuple(key) == expected else math.inf)
-            pairs += len(table)
+        q_inv = q.power(-1)
+        table = [1.0 + 0.0j]
+        for _ in range(longest):
+            table.append(table[-1] * q_inv)
+        coeffs = np.array(table)
+        for swaps, matches, exponents, where in cases:
+            powers = np.array([q.power(e) for e in exponents])[where]
+            errors = np.where(matches, np.abs(powers - coeffs[swaps]), math.inf)
+            worst = max(worst, float(errors.max()))
+            pairs += len(swaps)
     yield _le(
         "closed-product-matches-rewriting",
         worst,

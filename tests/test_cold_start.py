@@ -70,10 +70,12 @@ def test_import_loads_no_scipy():
 
 
 def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse():
-    """Commands that draw no Sobol sample and take no Fock norm.
+    """Commands that draw no Sobol sample and search no Fock Gram pattern.
 
-    The twisted-CCR suite composes the Fock generators as partial maps, so it
-    is one of them; Fock norms search the Gram pattern's components with
+    The twisted-CCR suite composes the Fock generators as partial maps, and a
+    monomial's Fock norm reads a diagonal Gram matrix, so they are among them;
+    the vaksman suite norms only monomials.  Fock norms of elements whose
+    window entries share a row search the Gram pattern's components with
     scipy.sparse and are not.
     """
     _, modules = cold_run(
@@ -84,6 +86,8 @@ def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse(
         ["radius", "z1 + 0.5*z1*z2"],
         ["verify", "normal-ordering"],
         ["verify", "fock-ccr"],
+        ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5"],
+        ["verify", "vaksman"],
     )
     assert [m for m in modules if m.startswith(("scipy.stats", "scipy.sparse"))] == []
 
@@ -93,7 +97,7 @@ def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse(
     [
         ["verify", "stirling"],
         ["fock-norm", "x1 + x2", "--n", "2"],
-        ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5"],
+        ["norm", "x1 + x1^2", "--family", "vaksman", "--n", "1", "--q-mod", "0.5"],
     ],
     ids=" ".join,
 )

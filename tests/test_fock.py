@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,6 +208,32 @@ def test_op_norm_matches_dense_svd_property(case):
     fock, coeffs = case
     R = rep_element(element_for(fock, coeffs), fock)
     assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-10)
+
+
+def _no_component_search(*args, **kwargs):
+    raise AssertionError("a diagonal Gram matrix needs no component search")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monomial_norms_match_dense_svd(monkeypatch, n):
+    # a monomial's window entries lie in distinct rows, so its Gram matrix is diagonal
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", _no_component_search)
+    for q in (0.05, 0.5, 0.95):
+        for cap in (0, 3, 6):
+            fock = FockTruncation(n, q, cap)
+            for k in multi_indices_up_to(n, cap):
+                R = rep_element(element_for(fock, {k: 0.3 - 2.7j}), fock)
+                assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-15, abs=0)
+
+
+def test_one_column_window_with_several_entries_matches_dense_svd(monkeypatch):
+    # x1^3 + x2^3 at cap 3 keeps only the vacuum column, which has two entries
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", _no_component_search)
+    fock = FockTruncation(2, 0.5, 3)
+    R = rep_element(element_for(fock, {(3, 0): 1.0, (0, 3): 1.0}), fock)
+    assert R.window_columns().tolist() == [0]
+    assert np.count_nonzero(R.cols == 0) == 2
+    assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-15, abs=0)
 
 
 # elements whose window splits into components of several columns; in the

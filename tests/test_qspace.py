@@ -27,6 +27,7 @@ from qdomains.qspace import (
     IncompatibilityError,
     QElement,
     QParameter,
+    _rewrite_word,
     ball_norm,
     multiply,
     normal_order_exponent,
@@ -93,6 +94,16 @@ def test_insertion_pass_makes_the_restart_scan_swaps():
             for d in range(8):
                 for w in words_of_degree(n, d):
                     assert normal_order_word(w, q, n) == restart_scan_normal_order_word(w, q, n)
+
+
+def test_rewriting_swaps_are_the_inversion_count():
+    # every word of length <= 7, n <= 3: the q-free part of the oracle
+    for n in (1, 2, 3):
+        for d in range(8):
+            for w in words_of_degree(n, d):
+                swaps, key = _rewrite_word(w, n)
+                assert swaps == inv_count(w)
+                assert key == p_proj(tuple(sorted(w)), n)
 
 
 def test_closed_form_product_matches_oracle():

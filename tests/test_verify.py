@@ -71,17 +71,32 @@ def test_normal_ordering_fails_on_one_wrong_exponent(monkeypatch):
 
 
 def test_normal_ordering_fails_on_one_wrong_key(monkeypatch):
-    rewrite = verify.normal_order_word
+    rewrite = verify._rewrite_word
 
-    def spoiled(word, q, n):
-        coeff, key = rewrite(word, q, n)
+    def spoiled(word, n):
+        swaps, key = rewrite(word, n)
         if word == (1, 2, 3):  # one word of the n = 3 pairs, read as x1^2 x2 x3
             key = (2, 1, 1)
-        return coeff, key
+        return swaps, key
 
-    monkeypatch.setattr(verify, "normal_order_word", spoiled)
+    monkeypatch.setattr(verify, "_rewrite_word", spoiled)
     (check,) = run_suite("normal-ordering").checks
     assert not check.passed
+
+
+def test_normal_ordering_rewrites_each_word_once(monkeypatch):
+    # once per distinct (n, word), not once per q: 7 + 98 + 546 words
+    calls = []
+    rewrite = verify._rewrite_word
+
+    def counting(word, n):
+        calls.append((n, word))
+        return rewrite(word, n)
+
+    monkeypatch.setattr(verify, "_rewrite_word", counting)
+    (check,) = run_suite("normal-ordering").checks
+    assert check.passed
+    assert len(calls) == len(set(calls)) == 651
 
 
 def test_unknown_suite_rejected():
