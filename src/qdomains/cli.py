@@ -126,6 +126,11 @@ def _element_flags(saturated: bool) -> tuple[str, ...]:
     return ("saturated", "lower-bound") if saturated else ()
 
 
+def _flagged(line: str, flags: tuple[str, ...]) -> str:
+    """``line`` with its flags appended in brackets, if it has any."""
+    return f"{line}  [{', '.join(flags)}]" if flags else line
+
+
 def _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap):
     if q_phase != 0.0 or not 0.0 < q_mod < 1.0:
         raise click.ClickException(
@@ -133,7 +138,7 @@ def _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap):
         )
     fock = FockTruncation(n, q_mod, fock_cap)
     a = parse_qelement(expression, n, QParameter(q_mod, 0.0), fock_cap)
-    return vaksman_norm(a, rho, fock), a
+    return vaksman_norm(a, rho, fock), ("lower-bound",) + _element_flags(a.saturated)
 
 
 class _Main(click.Group):
@@ -185,11 +190,9 @@ def norm(expression, family, n, q_mod, q_phase, rho, tau, cap, fock_cap, json_pa
             value = free_ball_norm(a, rho)
         flags = _element_flags(a.saturated)
     else:
-        value, a = _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap)
-        flags = ("lower-bound",) + _element_flags(a.saturated)
+        value, flags = _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap)
     report = _report([_result("norm", value, flags)])
-    suffix = f"  [{', '.join(flags)}]" if flags else ""
-    _emit(report, json_path, [f"norm[{family}] = {value!r}{suffix}"])
+    _emit(report, json_path, [_flagged(f"norm[{family}] = {value!r}", flags)])
 
 
 @main.command(name="multiply")
@@ -221,8 +224,7 @@ def multiply_cmd(expr_a, expr_b, mode, n, q_mod, q_phase, cap, json_path):
     ]
     report = _report(results)
     report["expression"] = text
-    suffix = f"  [{', '.join(flags)}]" if flags else ""
-    _emit(report, json_path, [text + suffix])
+    _emit(report, json_path, [_flagged(text, flags)])
 
 
 @main.command(name="quotient-norm")
@@ -250,8 +252,7 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_pat
     for d, v in sorted(res.per_degree.items()):
         results.append(_result(f"degree-{d}", v, flags))
     report = _report(results)
-    suffix = f"  [{', '.join(flags)}]" if flags else ""
-    _emit(report, json_path, [f"quotient-norm[{family}] = {res.value!r}{suffix}"])
+    _emit(report, json_path, [_flagged(f"quotient-norm[{family}] = {res.value!r}", flags)])
 
 
 @main.command()
@@ -291,10 +292,9 @@ def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
 @click.option("--json", "json_path", type=click.Path(), default=None)
 def fock_norm(expression, n, q_mod, rho, fock_cap, json_path):
     """Sup-style norm of EXPRESSION via the truncated shift representation."""
-    value, a = _vaksman_value(expression, n, q_mod, 0.0, rho, fock_cap)
-    flags = ("lower-bound",) + _element_flags(a.saturated)
+    value, flags = _vaksman_value(expression, n, q_mod, 0.0, rho, fock_cap)
     report = _report([_result("fock-norm", value, flags)])
-    _emit(report, json_path, [f"fock-norm = {value!r}  [{', '.join(flags)}]"])
+    _emit(report, json_path, [_flagged(f"fock-norm = {value!r}", flags)])
 
 
 @main.command()

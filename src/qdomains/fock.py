@@ -72,7 +72,10 @@ BASIS_LIMIT = 100_000
 
 
 class FockTruncation:
-    """Graded basis e_k, |k| <= cap, as the rows of ``exponents``; ``positions`` finds k in it."""
+    """Graded basis e_k, |k| <= cap, as the rows of ``exponents``; ``positions`` finds k in it.
+
+    The e_k with |k| <= D are the first ``prefix(D)`` rows; every window is one.
+    """
 
     def __init__(self, n: int, q: float, cap: int) -> None:
         if n < 1:
@@ -92,7 +95,6 @@ class FockTruncation:
         self.cap = cap
         # a C-contiguous copy: Fock norms read it a few percent faster than the strided view
         self.exponents = np.ascontiguousarray(compositions_up_to(n, cap))
-        self.degrees = self.exponents.sum(axis=1)
         # [d, b] counts the b-part multi-indices of degree below d, C(d - 1 + b, b):
         # the hockey-stick sum of column b - 1.  No count exceeds the basis size.
         below = np.ones((cap + 1, n + 1), dtype=np.int64)
@@ -104,6 +106,10 @@ class FockTruncation:
     @property
     def size(self) -> int:
         return len(self.exponents)
+
+    def prefix(self, d: int) -> int:
+        """Number of basis elements of degree <= d, C(d + n, n); 0 for d < 0."""
+        return math.comb(d + self.n, self.n) if d >= 0 else 0
 
     def positions(self, exponents: np.ndarray) -> np.ndarray:
         """Basis positions of the rows of an int array of multi-indices, |k| <= cap.
@@ -146,7 +152,7 @@ class RepMatrix:
         return sp.csr_matrix((self.values, (self.rows, self.cols)), shape=shape)
 
     def window_columns(self) -> np.ndarray:
-        return np.nonzero(self.fock.degrees <= self.valid_degree)[0]
+        return np.arange(self.fock.prefix(self.valid_degree))
 
 
 def _monomial_entries(
@@ -154,12 +160,12 @@ def _monomial_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row and amplitude of x^k e_l for each column l = 0..width-1 it keeps.
 
-    Those are the columns |l| <= cap - |k|, a prefix of the graded basis.
-    Column l goes to row l + k with the module docstring's c, read off
-    ``P = log_pochhammer_table(cap, q)``.
+    Those are the columns |l| <= cap - |k|, the prefix of the graded basis
+    of length width = C(cap - |k| + n, n).  Column l goes to row l + k with
+    the module docstring's c, read off ``P = log_pochhammer_table(cap, q)``.
     """
     k = np.array(k, dtype=np.int64)
-    width = int(np.searchsorted(fock.degrees, fock.cap - k.sum(), side="right"))
+    width = fock.prefix(fock.cap - int(k.sum()))
     l = fock.exponents[:width]
     target = l + k
     # sum_j k_j sum_{i>j} target_i = sum_i target_i (k_1 + ... + k_{i-1})
@@ -217,17 +223,19 @@ def rep_element(a: QElement, fock: FockTruncation) -> RepMatrix:
 def op_norm(M: RepMatrix) -> float:
     """Largest singular value of the window-column block B, computed exactly.
 
-    ||B||^2 is the top eigenvalue of the Gram matrix G = B^H B.  When no two
-    entries share a row, every monomial's case, G is diagonal and ||B||^2 is
-    the largest column sum of |d|^2, with no scipy import.  Otherwise columns
-    of B that share no row act on orthogonal pieces, so G splits into the
-    connected components of its pattern and ||B|| is the largest component
-    norm.  Components of up to ``_DENSE_MAX_COLS`` columns, one-column ones
-    included, are stacked by width, one batched ``eigvalsh`` per width; a
-    wider one gives its sparse Gram block to ARPACK (``eigsh``).  ARPACK
-    failing to converge raises ValueError; no estimate is returned.
+    The window |k| <= D, D = ``M.valid_degree``, is the prefix of
+    C(D + n, n) columns of the graded basis.  ||B||^2 is the top eigenvalue
+    of the Gram matrix G = B^H B.  When no two entries share a row, every
+    monomial's case, G is diagonal and ||B||^2 is the largest column sum of
+    |d|^2, with no scipy import.  Otherwise columns of B that share no row
+    act on orthogonal pieces, so G splits into the connected components of
+    its pattern and ||B|| is the largest component norm.  Components of up
+    to ``_DENSE_MAX_COLS`` columns, one-column ones included, are stacked by
+    width, one batched ``eigvalsh`` per width; a wider one gives its sparse
+    Gram block to ARPACK (``eigsh``).  ARPACK failing to converge raises
+    ValueError; no estimate is returned.
     """
-    width = M.window_columns().size
+    width = M.fock.prefix(M.valid_degree)
     if width == 0:
         raise ValueError("empty validity window")
     keep = M.cols < width  # the window is a prefix of the graded basis
@@ -348,11 +356,12 @@ def verify_tw_ccr(fock: FockTruncation) -> tuple[float, float]:
       X_i* X_j - q X_j X_i*          (i != j)
       X_i* X_i - q^2 X_i X_i* - (1-q^2)(1 - sum_{k>i} X_k X_k*)
     The first maximum is over the columns |k| <= cap-2, where the relations
-    hold; the second over all columns, where the truncation makes them
-    genuinely fail.  A generator sends each column to at most one row, and
-    so do its adjoint and every product of two of them: they are weighted
-    partial maps, read off the entries ``rep_generator`` holds.  The terms
-    of all relations are summed per (relation, row, column) key in one pass.
+    hold: the prefix of C(cap - 2 + n, n) columns of the graded basis.  The
+    second is over all columns, where the truncation makes them genuinely
+    fail.  A generator sends each column to at most one row, and so do its
+    adjoint and every product of two of them: they are weighted partial
+    maps, read off the entries ``rep_generator`` holds.  The terms of all
+    relations are summed per (relation, row, column) key in one pass.
     """
     if fock.cap < 2:
         raise ValueError("need cap >= 2 to compose two generators")
@@ -383,8 +392,7 @@ def verify_tw_ccr(fock: FockTruncation) -> tuple[float, float]:
     sums = np.zeros(keys.size, dtype=val.dtype)
     np.add.at(sums, where, val.ravel())
     residual = np.abs(sums)
-    # the basis is graded, so the window columns are a prefix
-    width = int(np.count_nonzero(fock.degrees <= fock.cap - 2))
+    width = fock.prefix(fock.cap - 2)
     window = float(residual[keys % size < width].max(initial=0.0))
     return window, float(residual.max(initial=0.0))
 

@@ -310,10 +310,8 @@ def _log_sample(domain: Domain, n: int, m: int, seed: int) -> np.ndarray:
             s = qmc.Sobol(d=n - 1, scramble=True, seed=seed).random_base2(m)
             s.sort(axis=1)
             u = np.diff(s, axis=1, prepend=0.0, append=1.0)
-    elif domain == "polydisk":
+    else:  # polydisk; sampled_monomial_sup rejects any other domain
         u = qmc.Sobol(d=n, scramble=True, seed=seed).random_base2(m)
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
     with np.errstate(divide="ignore"):
         np.log(u, out=u)
     u.flags.writeable = False

@@ -10,9 +10,9 @@ untruncated values.
 form x^k x^m = q^e(k,m) x^(k+m), with e from :func:`normal_order_exponent`.
 The normal-ordering suite runs that same function on the index columns of
 all monomial pairs of an n at once, against the rewriting oracle
-:func:`normal_order_word`.  The rewriting itself does not depend on q, so
-the suite rewrites each word once and forms the oracle's coefficients for
-every q from the swap count, by the same chain of multiplications.
+:func:`normal_order_word`.  The rewriting does not depend on q, so the
+suite rewrites each word once, matches exponents to swap counts as integers,
+and calls the oracle once per q and swap count.
 """
 
 from __future__ import annotations

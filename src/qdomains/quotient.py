@@ -177,11 +177,10 @@ def quotient_norm_l1(
 ) -> QuotientResult:
     """Quotient of the weighted-l1 family by the commutation ideal.
 
-    tau=None gives the plain coefficient (Taylor) weights rho^|w|;
-    numeric tau >= 1 adds the block-count factor tau^(s(w)+1).
+    tau >= 1 adds the block-count factor tau^(s(w)+1) to the coefficient
+    (Taylor) weights rho^|w|; tau=None is tau = 1, the plain weights.
     """
-    if tau is None:
-        return _quotient(target, q, rho, ball=False)
+    tau = 1.0 if tau is None else tau
     check_tau(tau)
     return _quotient(target, q, rho, ball=False, log_tau=math.log(tau))
 

@@ -55,6 +55,7 @@ from .qspace import (
     ball_norm,
     multiply,
     normal_order_exponent,
+    normal_order_word,
     polydisk_norm,
     reversal_iso,
     weight_ratio_scan,
@@ -149,14 +150,17 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
 
     :func:`normal_order_exponent`, the exponent :func:`multiply` uses, runs
     once per n on the index columns of every pair of monomials up to
-    degree 6.  The concatenated word of each pair is rewritten once, by
-    :func:`_rewrite_word`; the rewriting does not depend on q.  At each q,
-    ``table[s]`` is the coefficient :func:`normal_order_word` gives after s
-    swaps, made by the same repeated multiplications by q^(-1), and each
-    pair's power and key must match its word's.  A wrong key reads ``inf``.
+    degree 6.  Each pair's concatenated word is rewritten once, by
+    :func:`_rewrite_word`, which does not depend on q; the pair's exponent
+    must equal minus the word's swap count, and its key the word's key, as
+    integers, or the check reads ``inf``.  At each q, q^(-s) is compared
+    with the coefficient :func:`normal_order_word` gives one word of each
+    swap count s.
     """
     qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 3), QParameter(2.0, 1.0)]
-    cases = []
+    worst = 0.0
+    pairs = 0
+    by_swaps: dict[int, tuple[tuple[int, ...], int]] = {}  # swap count -> (word, n)
     for n in (1, 2, 3):
         K = compositions_up_to(n, 6)
         deg = K.sum(1)
@@ -165,25 +169,15 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
         pair_words = [words[i] + words[j] for i, j in zip(rows.tolist(), cols.tolist())]
         rewritten = {word: _rewrite_word(word, n) for word in dict.fromkeys(pair_words)}
         swaps, keys = zip(*map(rewritten.__getitem__, pair_words))
-        matches = (K[rows] + K[cols] == np.array(keys)).all(axis=1)
-        exponents, where = np.unique(
-            normal_order_exponent(K.T[:, rows], K.T[:, cols]), return_inverse=True
-        )
-        cases.append((np.array(swaps), matches, exponents.tolist(), where))
-    longest = max(int(swaps.max()) for swaps, *_ in cases)
-    worst = 0.0
-    pairs = 0
+        exponents = normal_order_exponent(K.T[:, rows], K.T[:, cols])
+        if (K[rows] + K[cols] != keys).any() or (exponents != -np.array(swaps)).any():
+            worst = math.inf
+        for word, (s, _) in rewritten.items():
+            by_swaps.setdefault(s, (word, n))
+        pairs += len(swaps) * len(qs)
     for q in qs:
-        q_inv = q.power(-1)
-        table = [1.0 + 0.0j]
-        for _ in range(longest):
-            table.append(table[-1] * q_inv)
-        coeffs = np.array(table)
-        for swaps, matches, exponents, where in cases:
-            powers = np.array([q.power(e) for e in exponents])[where]
-            errors = np.where(matches, np.abs(powers - coeffs[swaps]), math.inf)
-            worst = max(worst, float(errors.max()))
-            pairs += len(swaps)
+        for s, (word, n) in by_swaps.items():
+            worst = max(worst, abs(q.power(-s) - normal_order_word(word, q, n)[0]))
     yield _le(
         "closed-product-matches-rewriting",
         worst,

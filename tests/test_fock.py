@@ -146,7 +146,7 @@ def _dense_tw_ccr(fock):
     for i in range(n):
         tail = sum((X[k] @ Xs[k] for k in range(i + 1, n)), np.zeros_like(eye))
         rels.append(Xs[i] @ X[i] - q * q * X[i] @ Xs[i] - (1 - q * q) * (eye - tail))
-    width = int(np.count_nonzero(fock.degrees <= fock.cap - 2))
+    width = int(np.count_nonzero(fock.exponents.sum(axis=1) <= fock.cap - 2))
     return (
         max(float(np.abs(r[:, :width]).max()) for r in rels),
         max(float(np.abs(r).max()) for r in rels),
@@ -307,6 +307,23 @@ def test_one_mode_generator_norm_closed_form(q, cap):
 def test_positions_invert_the_basis(n, cap):
     fock = FockTruncation(n, 0.5, cap)
     assert np.array_equal(fock.positions(fock.exponents), np.arange(fock.size))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prefix_and_windows_match_a_scan_of_the_basis(n):
+    # the oracle scans the degrees of the basis; prefix(d) is the count C(d + n, n)
+    for cap in range(13):
+        fock = FockTruncation(n, 0.5, cap)
+        degrees = fock.exponents.sum(axis=1)
+        for d in range(-1, cap + 1):
+            assert fock.prefix(d) == np.count_nonzero(degrees <= d)
+        # generator windows |k| <= cap - 1 (empty at cap 0), monomials' |k| <= cap - e
+        reps = [rep_generator(j, fock) for j in range(1, n + 1)]
+        for e in range(cap + 1):
+            reps.append(rep_element(element_for(fock, {(0,) * (n - 1) + (e,): 1.0}), fock))
+        for R in reps:
+            want = np.nonzero(degrees <= R.valid_degree)[0]
+            assert np.array_equal(R.window_columns(), want)
 
 
 def test_generator_norm_approaches_one_from_below():

@@ -3,6 +3,7 @@
 import pytest
 
 from qdomains import verify
+from qdomains.qspace import _rewrite_word
 from qdomains.verify import SUITES, Check, SuiteResult, run_suite
 
 EXPECTED_SUITES = [
@@ -82,6 +83,22 @@ def test_normal_ordering_fails_on_one_wrong_key(monkeypatch):
     monkeypatch.setattr(verify, "_rewrite_word", spoiled)
     (check,) = run_suite("normal-ordering").checks
     assert not check.passed
+
+
+def test_normal_ordering_runs_the_rewriting_oracle(monkeypatch):
+    # the oracle's coefficient after 3 swaps, off by 1e-9 relative, must fail the 1e-12 bound
+    oracle = verify.normal_order_word
+
+    def spoiled(word, q, n):
+        coeff, key = oracle(word, q, n)
+        if _rewrite_word(word, n)[0] == 3:
+            coeff *= 1 + 1e-9
+        return coeff, key
+
+    monkeypatch.setattr(verify, "normal_order_word", spoiled)
+    (check,) = run_suite("normal-ordering").checks
+    assert not check.passed
+    assert 1e-12 < check.value < 1e-7  # the coefficient, not an integer mismatch (inf)
 
 
 def test_normal_ordering_rewrites_each_word_once(monkeypatch):
