@@ -2,7 +2,7 @@
 
 Every subcommand can write a machine-readable JSON report (``--json PATH``)
 with schema { command, params, results: [ {name, value, flags, assert} ] }.
-Reports are deterministic: identical command plus seed produces
+Reports are deterministic: an identical command produces
 byte-identical JSON (floats serialized with full round-trip precision, no
 timestamps).  A ValueError from any subcommand, or a report path that
 cannot be written, is a one-line ``Error:`` and exit status 1.
@@ -322,10 +322,9 @@ def radius(expression, n, cap, json_path, csv_path):
 
 @main.command()
 @click.argument("suites", nargs=-1)
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--list", "list_only", is_flag=True, default=False)
 @click.option("--json", "json_path", type=click.Path(), default=None)
-def verify(suites, seed, list_only, json_path):
+def verify(suites, list_only, json_path):
     """Run verification suites (all of them when none are named)."""
     if list_only:
         for name in SUITES:
@@ -341,7 +340,7 @@ def verify(suites, seed, list_only, json_path):
     results: list[dict] = []
     n_pass = n_total = 0
     for name in suites:
-        for check in run_suite(name, seed).checks:
+        for check in run_suite(name).checks:
             n_total += 1
             n_pass += check.passed
             status = "PASS" if check.passed else "FAIL"

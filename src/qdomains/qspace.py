@@ -362,7 +362,7 @@ def reversal_iso(a: QElement) -> QElement:
     Sends x_i to x_{n+1-i}; on monomials x^k the image normal-orders to
     q**cross_degree_sum(k) x^(reversed k), the coefficient fixed by the
     rewriting oracle.  Isometric for both norm families and multiplicative
-    (checked in the tests).
+    (checked on every monomial pair up to a degree by the reversal suite).
     """
     out: dict[MultiIndex, complex] = {}
     for k, c in a.coefficients.items():

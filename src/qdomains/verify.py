@@ -2,7 +2,9 @@
 
 Each suite is a generator of :class:`Check` records; ``run_suite`` drains
 it and the CLI ``verify`` subcommand and the acceptance tests share the
-results.  Suites are deterministic for a fixed seed.
+results.  No suite takes a seed: each one's checks are fixed (the stirling
+suite's Sobol points carry their own), and the submultiplicativity and
+reversal suites cover every monomial, word or fiber pair up to a degree.
 
 A failing check is reported, never silenced: one of the rho-tau quotient
 checks measures a deviation that is structurally there (the computed
@@ -29,24 +31,28 @@ from .fock import (
 )
 from .freeseries import (
     FreeElement,
+    concat_multiply,
     free_ball_norm,
     free_polydisk_norm,
     taylor_norm,
 )
 from .jsr import estimate_canonical_jsr
 from .qcombinatorics import (
-    MultiIndex,
     _canonical_word,
     ball_weight,
     compositions_up_to,
+    cross_degree_sum,
     degree,
     monomial_sup,
     multi_indices_of_degree,
     multi_indices_up_to,
+    p_proj,
     s_stat,
     sampled_monomial_sup,
     stirling_ratio,
     w_q,
+    weight_law,
+    words_of_degree,
 )
 from .qspace import (
     QElement,
@@ -115,37 +121,25 @@ def _finite(name: str, value: float, detail: str = "") -> Check:
 
 
 # ---------------------------------------------------------------------------
-# random element helpers
-
-
-def _random_qelement(
-    rng: np.random.Generator, support: list[MultiIndex], q: QParameter, cap: int, terms: int
-) -> QElement:
-    idx = rng.choice(len(support), size=min(terms, len(support)), replace=False)
-    coeffs = {
-        support[i]: complex(rng.standard_normal(), rng.standard_normal()) for i in idx
-    }
-    return QElement(len(support[0]), q, coeffs, cap=cap)
-
-
-def _random_free(
-    rng: np.random.Generator, n: int, cap: int, max_deg: int, terms: int
-) -> FreeElement:
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for _ in range(terms):
-        d = int(rng.integers(0, max_deg + 1))
-        w = tuple(int(a) for a in rng.integers(1, n + 1, size=d))
-        coeffs[w] = coeffs.get(w, 0j) + complex(
-            rng.standard_normal(), rng.standard_normal()
-        )
-    return FreeElement(n, coeffs, cap=cap)
-
-
-# ---------------------------------------------------------------------------
 # suites
 
+_MODULI = (1e-3, 0.5, 1.0, 2.0, 1e3)  # closed under |q| -> 1/|q|
 
-def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
+
+def _pairs_up_to(K: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row numbers (i, j) of every pair of rows of K with |K[i]| + |K[j]| <= d."""
+    deg = K.sum(1)
+    return (deg[:, None] + deg <= d).nonzero()
+
+
+def _gap(a: QElement, expect: dict) -> float:
+    """Worst relative deviation of a's coefficients from ``expect``; inf if the keys differ."""
+    if a.coefficients.keys() != expect.keys():
+        return math.inf
+    return max(abs(c / expect[k] - 1.0) for k, c in a.coefficients.items())
+
+
+def _suite_normal_ordering() -> Iterator[Check]:
     """Closed-form monomial products against the brute rewriting procedure.
 
     :func:`normal_order_exponent`, the exponent :func:`multiply` uses, runs
@@ -163,8 +157,7 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
     by_swaps: dict[int, tuple[tuple[int, ...], int]] = {}  # swap count -> (word, n)
     for n in (1, 2, 3):
         K = compositions_up_to(n, 6)
-        deg = K.sum(1)
-        rows, cols = (deg[:, None] + deg <= 6).nonzero()
+        rows, cols = _pairs_up_to(K, 6)
         words = [_canonical_word(k) for k in K.tolist()]
         pair_words = [words[i] + words[j] for i, j in zip(rows.tolist(), cols.tolist())]
         rewritten = {word: _rewrite_word(word, n) for word in dict.fromkeys(pair_words)}
@@ -186,75 +179,139 @@ def _suite_normal_ordering(rng: np.random.Generator) -> Iterator[Check]:
     )
 
 
-def _suite_submultiplicativity(rng: np.random.Generator) -> Iterator[Check]:
-    qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 4), QParameter(2.0, 1.0)]
-    trials = 1000
-    norms: dict[str, Callable[[QElement | FreeElement, float], float]] = {
-        "polydisk": polydisk_norm,
-        "ball": ball_norm,
-        "free_polydisk": lambda a, rho: free_polydisk_norm(a, rho, 1.5),
-        "free_taylor": taylor_norm,
-        "free_ball": free_ball_norm,
-    }
-    support = list(multi_indices_up_to(2, 4))
-    for family, norm in norms.items():
-        worst = -math.inf
-        for t in range(trials):
-            q = qs[t % len(qs)]
-            rho = 0.7 if t % 2 else 1.3
-            if family.startswith("free"):
-                a, b = (_random_free(rng, 2, cap=8, max_deg=4, terms=5) for _ in range(2))
-            else:
-                a, b = (_random_qelement(rng, support, q, cap=8, terms=5) for _ in range(2))
-            na, nb = norm(a, rho), norm(b, rho)
-            if na * nb == 0.0:
-                continue
-            worst = max(worst, (norm(a * b, rho) - na * nb) / (na * nb))
-        yield _le(
-            f"submultiplicative-{family}",
-            worst,
-            1e-9,
-            f"worst relative excess of |ab| over |a||b|, {trials} pairs, n=2"
-            + (", tau=1.5" if family == "free_polydisk" else ""),
-        )
+def _suite_submultiplicativity() -> Iterator[Check]:
+    """Every norm against the weighted-l1 criterion, on every pair of basis elements.
+
+    sum |c_k| W(k) rho^|k| is submultiplicative iff |q|^e(k,m) W(k+m) <= W(k) W(m)
+    for all monomials (words, e = 0) k, m: rho^|k| cancels and a cap only drops
+    terms (Dales, Banach Algebras and Automatic Continuity, 2000, 4.6).  A value
+    is the worst relative excess over all pairs up to a degree, from
+    :func:`weight_law` with e(k,m) as its integer power or from integer block
+    counts, or the library norm's deviation from that table on the sum of all
+    basis elements up to half the degree.  free_ball is l2 on letter-count
+    fibers, and concatenation is injective on a pair of fibers.
+    """
+    rho, tau = 0.9, 1.5
+    worst = dict.fromkeys(["polydisk", "ball", "free_polydisk", "free_taylor", "free_ball"], 0.0)
+    pairs = word_pairs = fiber_pairs = 0
+    for n in (2, 3):
+        K = compositions_up_to(n, 16)
+        deg = K.sum(1)
+        rows, cols = _pairs_up_to(K, 16)
+        e = normal_order_exponent(K.T[:, rows], K.T[:, cols])
+        pairs += len(rows) * len(_MODULI)
+        for q_mod in _MODULI:
+            law = weight_law(q_mod, 16)
+            (log_w, factor), (log_w_km, factor_km) = law(K.T), law(K.T[:, rows] + K.T[:, cols], e)
+            q = QParameter(q_mod, 0.7)
+            a = QElement(n, q, dict.fromkeys(multi_indices_up_to(n, 8), 1), cap=8)
+            for family, norm in (("polydisk", polydisk_norm), ("ball", ball_norm)):
+                if family == "ball":
+                    log_w, log_w_km = log_w + factor, log_w_km + factor_km
+                excess = np.expm1(log_w_km - (log_w[rows] + log_w[cols])).max()
+                table = np.exp(log_w + deg * math.log(rho))[deg <= 8].sum()
+                worst[family] = max(worst[family], excess, abs(norm(a, rho) / table - 1.0))
+    word_excess = -1  # the largest blocks(uv) - blocks(u) - blocks(v)
+    for n, length in ((2, 8), (3, 6)):
+        words = [list(words_of_degree(n, d)) for d in range(length + 1)]
+        blocks = [np.array([s_stat(w) + 1 for w in ws]) for ws in words]
+        for d_u in range(length + 1):
+            for d_v in range(length + 1 - d_u):
+                # in lexicographic order, u v is word number i n^|v| + j of its length
+                uv = blocks[d_u + d_v].reshape(n ** d_u, n ** d_v)
+                word_excess = max(word_excess, (uv - blocks[d_u][:, None] - blocks[d_v]).max())
+                word_pairs += uv.size
+        half = [w for ws in words[: length // 2 + 1] for w in ws]
+        a = FreeElement(n, dict.fromkeys(half, 1), cap=length)
+        for family, t, value in (
+            ("free_polydisk", tau, free_polydisk_norm(a, rho, tau)),
+            ("free_taylor", 1.0, taylor_norm(a, rho)),
+        ):
+            table = sum(t ** (s_stat(w) + 1) * rho ** len(w) for w in half)
+            worst[family] = max(worst[family], t ** word_excess - 1.0, abs(value / table - 1.0))
+        by_fiber: dict[tuple[int, ...], dict] = {}
+        for w in (w for ws in words for w in ws):
+            by_fiber.setdefault(p_proj(w, n), {})[w] = 1
+        fibers = {k: FreeElement(n, ws, cap=length) for k, ws in by_fiber.items()}
+        norms = {k: free_ball_norm(f, rho) for k, f in fibers.items()}
+        for k, f in fibers.items():
+            table = math.sqrt(len(f.coefficients)) * rho ** sum(k)  # l2 on the fiber
+            worst["free_ball"] = max(worst["free_ball"], abs(norms[k] / table - 1.0))
+            for m, g in fibers.items():
+                if sum(k) + sum(m) <= length:
+                    fg = concat_multiply(f, g)
+                    gap = abs(free_ball_norm(fg, rho) / (norms[k] * norms[m]) - 1.0)
+                    if len(fg.coefficients) != len(f.coefficients) * len(g.coefficients):
+                        gap = math.inf  # two word pairs concatenated to one word
+                    worst["free_ball"] = max(worst["free_ball"], gap)
+                    fiber_pairs += 1
+    q_set = (
+        f"{pairs} monomial pairs, |k|+|m| <= 16, n = 2, 3, |q| in {{1e-3, 0.5, 1, 2, 1e3}}; "
+        "library norm of the sum of all x^k, |k| <= 8"
+    )
+    w_set = f"{word_pairs} word pairs, |u|+|v| <= 8 at n = 2, <= 6 at n = 3"
+    w_norm = "; library norm of the sum of all words up to half that length"
+    f_set = (
+        f"{fiber_pairs} letter-count fiber pairs, |k|+|m| <= 8 at n = 2, <= 6 at n = 3; library "
+        "norms of the fibers' word sums and of their products, one term per word pair"
+    )
+    details = (q_set, q_set, f"{w_set}, tau = {tau:g}{w_norm}", w_set + w_norm, f_set)
+    for (family, value), detail in zip(worst.items(), details):
+        yield _le(f"submultiplicative-{family}", value, 1e-9, detail)
 
 
-def _suite_reversal(rng: np.random.Generator) -> Iterator[Check]:
-    qs = [
-        QParameter(0.5, 0.0),
-        QParameter(1.0, math.pi / 4),
-        QParameter(2.0, 1.3),
-        QParameter(0.8, 2.0),
-        QParameter(1.6, 0.5),
-    ]
-    supports = {n: list(multi_indices_up_to(n, 4)) for n in (2, 3)}
-    worst_norm = 0.0
-    for t in range(500):
-        q = qs[t % len(qs)]
-        a = _random_qelement(rng, supports[2 + t % 2], q, cap=8, terms=5)
-        b = reversal_iso(a)
-        for norm in (polydisk_norm, ball_norm):
-            na, nb = norm(a, 0.9), norm(b, 0.9)
-            worst_norm = max(worst_norm, abs(na - nb) / max(na, 1.0))
+def _suite_reversal() -> Iterator[Check]:
+    """The reversal x^k -> q^cross(k) x^(rev k) onto the algebra at 1/q, on every monomial pair.
+
+    Multiplicativity is the integer identity e(k,m) + cross(k+m) = cross(k) +
+    cross(m) - e(rev k, rev m), a mismatch reading ``inf``; isometry is
+    |q|^cross(k) W_(1/|q|)(rev k) = W_|q|(k), from :func:`weight_law` at |q|
+    and 1/|q| with cross(k) as its integer power.  On the sum A of all x^k up
+    to half the degree, :func:`reversal_iso` must give that closed form and
+    keep both norms at each |q|, and reversal_iso(A A) must be its image squared.
+    """
+    worst_iso = worst_hom = 0.0
+    pairs = indices = 0
+    for n, d in ((2, 12), (3, 12), (4, 8)):
+        K = compositions_up_to(n, d)
+        KT, RT = K.T, K.T[::-1]
+        rows, cols = _pairs_up_to(K, d)
+        cross = cross_degree_sum(KT)
+        e, e_rev = (normal_order_exponent(T[:, rows], T[:, cols]) for T in (KT, RT))
+        cross_km = cross_degree_sum(KT[:, rows] + KT[:, cols])
+        if (e + cross_km != cross[rows] + cross[cols] - e_rev).any():
+            worst_hom = math.inf
+        pairs += len(rows)
+        indices += len(K) * len(_MODULI)
+        for q_mod in _MODULI:
+            log_w, factor = weight_law(q_mod, d)(KT)
+            log_w_rev, factor_rev = weight_law(1.0 / q_mod, d)(RT, -cross)
+            for gap in (log_w_rev - log_w, (log_w_rev + factor_rev) - (log_w + factor)):
+                worst_iso = max(worst_iso, np.abs(np.expm1(gap)).max())
+            q = QParameter(q_mod, 1.3)
+            a = QElement(n, q, dict.fromkeys(multi_indices_up_to(n, d // 2), 1), cap=d)
+            image = reversal_iso(a)
+            closed = {k[::-1]: q.power(cross_degree_sum(k)) for k in a.coefficients}
+            worst_iso = max(worst_iso, _gap(image, closed))
+            for norm in (polydisk_norm, ball_norm):
+                worst_iso = max(worst_iso, abs(norm(image, 0.9) / norm(a, 0.9) - 1.0))
+            if q_mod == 0.5 and n < 4:  # the products are most of the suite's time
+                square = multiply(image, image).coefficients
+                worst_hom = max(worst_hom, _gap(reversal_iso(multiply(a, a)), square))
     yield _le(
         "reversal-isometry",
-        worst_norm,
+        worst_iso,
         1e-12,
-        "both families, 500 elements, moduli {0.5, 0.8, 1, 1.6, 2}",
+        f"{indices} monomial weights, |k| <= 12 at n = 2, 3 and <= 8 at n = 4, both families, "
+        "|q| in {1e-3, 0.5, 1, 2, 1e3}; reversal_iso and both norms on A",
     )
-    worst_hom = 0.0
-    for t in range(200):
-        q = qs[t % len(qs)]
-        support = supports[2 + t % 2]
-        a = _random_qelement(rng, support, q, cap=8, terms=5)
-        b = _random_qelement(rng, support, q, cap=8, terms=5)
-        lhs = reversal_iso(multiply(a, b))
-        rhs = multiply(reversal_iso(a), reversal_iso(b))
-        diff = lhs - rhs
-        scale = max(max((abs(c) for c in lhs.coefficients.values()), default=0.0), 1.0)
-        err = max((abs(c) for c in diff.coefficients.values()), default=0.0)
-        worst_hom = max(worst_hom, err / scale)
-    yield _le("reversal-multiplicative", worst_hom, 1e-12, "200 product pairs")
+    yield _le(
+        "reversal-multiplicative",
+        worst_hom,
+        1e-12,
+        f"{pairs} monomial pairs, |k|+|m| <= 12 at n = 2, 3 and <= 8 at n = 4, as integers; "
+        "reversal_iso(A A) vs reversal_iso(A)^2 at n = 2, 3, q = 0.5 e^(1.3i)",
+    )
 
 
 _QUOTIENT_QS = (
@@ -272,7 +329,7 @@ def _quotient_cases(n_values=(2, 3), d_max=5):
                     yield q, k, rho
 
 
-def _suite_quotient_polydisk(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_quotient_polydisk() -> Iterator[Check]:
     # tau = 1 is the plain coefficient quotient: one pass gives all three laws
     worst_taylor = 0.0
     worst_invariance = 0.0
@@ -322,7 +379,7 @@ def _suite_quotient_polydisk(rng: np.random.Generator) -> Iterator[Check]:
     )
 
 
-def _suite_quotient_ball(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_quotient_ball() -> Iterator[Check]:
     worst = 0.0
     cases = 0
     for q, k, rho in _quotient_cases():
@@ -347,7 +404,7 @@ def _suite_quotient_ball(rng: np.random.Generator) -> Iterator[Check]:
     )
 
 
-def _suite_jsr_separation(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_jsr_separation() -> Iterator[Check]:
     q = QParameter(1.0, math.pi / 4)
     detail = "|q|=1 (phase pi/4), p=2, r=1, closed-form limit"
     poly2 = estimate_canonical_jsr("polydisk", 2, q, p=2.0, r=1.0, d_max=200)
@@ -401,7 +458,7 @@ def _euler_product(t: float) -> float:
         m += 1
 
 
-def _suite_weight_equivalence(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_weight_equivalence() -> Iterator[Check]:
     for q_mod in (2.0, 3.0):
         phi = _euler_product(min(q_mod, 1.0 / q_mod) ** 2)
         lo, hi = math.inf, -math.inf
@@ -414,7 +471,7 @@ def _suite_weight_equivalence(rng: np.random.Generator) -> Iterator[Check]:
         yield _le(f"weight-ratio-upper-q{q_mod:g}", hi, 1.0 + 1e-6, detail)
 
 
-def _suite_fock_ccr(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_fock_ccr() -> Iterator[Check]:
     worst_window = 0.0
     min_boundary = math.inf
     for n in (1, 2):
@@ -437,7 +494,7 @@ def _suite_fock_ccr(rng: np.random.Generator) -> Iterator[Check]:
     )
 
 
-def _suite_vaksman(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_vaksman() -> Iterator[Check]:
     fock60 = FockTruncation(1, 0.5, 60)
     gnorm = op_norm(rep_generator(1, fock60))
     yield _le(
@@ -478,7 +535,7 @@ def _suite_vaksman(rng: np.random.Generator) -> Iterator[Check]:
     )
 
 
-def _suite_stirling(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_stirling() -> Iterator[Check]:
     worst_low = 0.0
     worst_high = 0.0
     count = 0
@@ -525,7 +582,7 @@ def _suite_stirling(rng: np.random.Generator) -> Iterator[Check]:
     )
 
 
-def _suite_slice_rank(rng: np.random.Generator) -> Iterator[Check]:
+def _suite_slice_rank() -> Iterator[Check]:
     mismatches = 0
     total = 0
     for q in (QParameter(0.5, 0.0), QParameter(2.0, 1.0)):
@@ -546,7 +603,7 @@ def _suite_slice_rank(rng: np.random.Generator) -> Iterator[Check]:
     )
 
 
-SUITES: dict[str, Callable[[np.random.Generator], Iterator[Check]]] = {
+SUITES: dict[str, Callable[[], Iterator[Check]]] = {
     "normal-ordering": _suite_normal_ordering,
     "submultiplicativity": _suite_submultiplicativity,
     "reversal": _suite_reversal,
@@ -578,8 +635,9 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
     fn = SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    # no suite reads the seed; it stays for callers that pass one (ROADMAP item 1)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     start = time.monotonic()
-    checks = list(fn(np.random.default_rng(seed)))
+    checks = list(fn())
     return SuiteResult(name, seed, checks, time.monotonic() - start)

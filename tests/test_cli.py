@@ -338,7 +338,7 @@ def test_verify_list_names(runner):
 
 
 def test_verify_passing_suite_exit_zero(runner):
-    r = invoke(runner, ["verify", "slice-rank", "--seed", "0"])
+    r = invoke(runner, ["verify", "slice-rank"])
     assert "[PASS]" in r.output
     assert r.output.strip().endswith("checks passed")
 
@@ -363,20 +363,19 @@ def test_verify_reports_suites_in_the_named_order(runner, tmp_path):
 def test_verify_json_is_byte_identical_across_runs(runner, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
-        invoke(runner, ["verify", "slice-rank", "normal-ordering", "--seed", "3", "--json", str(path)])
+        invoke(runner, ["verify", "slice-rank", "normal-ordering", "--json", str(path)])
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_verify_takes_no_seed(runner):
+    # no suite draws random numbers, so there is no seed to set
+    assert "--seed" not in invoke(runner, ["verify", "--help"]).output
 
 
 def test_verify_unknown_suite_is_an_error(runner):
     r = invoke(runner, ["verify", "nonsense"], ok=False)
     assert r.exit_code != 0
     assert "unknown suite" in r.output
-
-
-def test_verify_negative_seed_names_the_option(runner):
-    r = invoke(runner, ["verify", "fock-ccr", "--seed", "-1"], ok=False)
-    assert_clean_error(r)
-    assert r.output.strip() == "Error: seed must be a non-negative integer, got -1"
 
 
 def test_parse_errors_become_clean_cli_errors(runner):

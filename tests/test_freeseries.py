@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdomains.freeseries import (
@@ -112,6 +113,25 @@ def test_norms_are_submultiplicative_spot():
         free_polydisk_norm(a, 0.8, 2.0) * free_polydisk_norm(b, 0.8, 2.0) + 1e-12
     )
     assert free_ball_norm(p, 0.8) <= free_ball_norm(a, 0.8) * free_ball_norm(b, 0.8) + 1e-12
+
+
+def random_free(rng, n, cap=8):
+    """Up to 5 words of length <= cap / 2 with complex normal coefficients."""
+    lengths = rng.integers(0, cap // 2 + 1, size=5)
+    words = (tuple(int(a) for a in rng.integers(1, n + 1, size=d)) for d in lengths)
+    return FreeElement(n, {w: complex(*rng.standard_normal(2)) for w in words}, cap=cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=3), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_products_are_submultiplicative(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_free(rng, n), random_free(rng, n)
+    rho, tau = float(rng.uniform(0.3, 1.5)), float(rng.uniform(1.0, 4.0))
+    for norm in (lambda e: free_polydisk_norm(e, rho, tau),
+                 lambda e: taylor_norm(e, rho),
+                 lambda e: free_ball_norm(e, rho)):
+        assert norm(concat_multiply(a, b)) <= norm(a) * norm(b) * (1 + 1e-12)
 
 
 def test_radius_partials_geometric():

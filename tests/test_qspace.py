@@ -416,6 +416,56 @@ def test_reversal_is_isometric(q):
             assert norm(ra, rho) == pytest.approx(norm(a, rho), rel=1e-12)
 
 
+def random_qelement(rng, n, q, cap=8):
+    """Up to 5 terms of degree <= cap / 2 with complex normal coefficients."""
+    terms = {
+        tuple(int(e) for e in rng.multinomial(d, [1.0 / n] * n)): complex(*rng.standard_normal(2))
+        for d in rng.integers(0, cap // 2 + 1, size=int(rng.integers(1, 6)))
+    }
+    return QElement(n, q, terms, cap=cap)
+
+
+def random_q_pair(log_mod, n, seed):
+    rng = np.random.default_rng(seed)
+    q = QParameter(math.exp(log_mod), float(rng.uniform(0.0, 2.0 * math.pi)))
+    return random_qelement(rng, n, q), random_qelement(rng, n, q), float(rng.uniform(0.3, 1.5))
+
+
+def moduli(a):
+    """a with every coefficient replaced by its modulus, at |q| with phase 0."""
+    return QElement(a.n, QParameter(a.q.modulus), {k: abs(c) for k, c in a.items()}, cap=a.cap)
+
+
+RANDOM_PAIRS = {
+    "log_mod": st.floats(min_value=-7.0, max_value=7.0),
+    "n": st.integers(min_value=1, max_value=3),
+    "seed": st.integers(min_value=0, max_value=2**32 - 1),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(**RANDOM_PAIRS)
+def test_random_products_are_submultiplicative(log_mod, n, seed):
+    a, b, rho = random_q_pair(log_mod, n, seed)
+    for norm in (polydisk_norm, ball_norm):
+        assert norm(multiply(a, b), rho) <= norm(a, rho) * norm(b, rho) * (1 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**RANDOM_PAIRS)
+def test_random_reversal_is_an_isometric_homomorphism(log_mod, n, seed):
+    a, b, rho = random_q_pair(log_mod, n, seed)
+    for norm in (polydisk_norm, ball_norm):
+        assert norm(reversal_iso(a), rho) == pytest.approx(norm(a, rho), rel=1e-12, abs=0)
+    lhs = reversal_iso(multiply(a, b))
+    rhs = multiply(reversal_iso(a), reversal_iso(b))
+    # a coefficient is a sum of products, rounded relative to the sum of their moduli
+    size = reversal_iso(multiply(moduli(a), moduli(b)))
+    assert set(lhs.coefficients) <= set(size.coefficients) >= set(rhs.coefficients)
+    for k, bound in size.coefficients.items():
+        assert abs(lhs.coefficient(k) - rhs.coefficient(k)) <= 1e-12 * bound.real
+
+
 def test_weight_ratio_scan_pinches():
     scan = weight_ratio_scan(2.0, 2, 50)
     assert scan.max_ratio == pytest.approx(1.0, abs=1e-15)

@@ -1,5 +1,8 @@
 """Verification-suite plumbing: check records, suite registry."""
 
+import math
+
+import numpy as np
 import pytest
 
 from qdomains import verify
@@ -43,10 +46,76 @@ def test_run_suite_slice_rank_passes():
     assert res.checks[0].name
 
 
-def test_run_suite_is_seed_deterministic():
-    a = run_suite("reversal", seed=3)
-    b = run_suite("reversal", seed=3)
-    assert [c.value for c in a.checks] == [c.value for c in b.checks]
+def test_pair_suites_do_not_read_the_seed():
+    for name in ("submultiplicativity", "reversal"):
+        assert run_suite(name, seed=0).checks == run_suite(name, seed=3).checks
+
+
+@pytest.mark.parametrize(
+    "suite, counts",
+    [
+        (
+            "submultiplicativity",
+            {
+                "submultiplicative-polydisk": "397290 monomial pairs",
+                "submultiplicative-ball": "397290 monomial pairs",
+                "submultiplicative-free_polydisk": "11205 word pairs",
+                "submultiplicative-free_taylor": "11205 word pairs",
+                "submultiplicative-free_ball": "1419 letter-count fiber pairs",
+            },
+        ),
+        (
+            "reversal",
+            {
+                "reversal-isometry": "5205 monomial weights",
+                "reversal-multiplicative": "33254 monomial pairs",
+            },
+        ),
+    ],
+)
+def test_pair_suites_check_every_pair(suite, counts):
+    # the pair sets: |k|+|m| <= 16 at n = 2, 3 and five moduli; words |u|+|v| <= 8 at n = 2 and
+    # <= 6 at n = 3, and their letter-count fibers; for the reversal |k|+|m| <= 12 at n = 2, 3
+    # and <= 8 at n = 4
+    checks = run_suite(suite).checks
+    assert {c.name: c.detail.split(",")[0] for c in checks} == counts
+    targets = {"submultiplicativity": 1e-9, "reversal": 1e-12}[suite]
+    assert all((c.op, c.target, c.passed) == ("<=", targets, True) for c in checks)
+
+
+def test_submultiplicativity_fails_on_a_ball_weight_off_by_0_3_percent(monkeypatch):
+    law_of = verify.weight_law
+
+    def spoiled(q_mod, d_max, ball=True):
+        law = law_of(q_mod, d_max, ball)
+
+        def scaled(k, j=0):
+            log_w, factor = law(k, j)
+            if len(k) == 2:  # the ball weight of k = (2, 0), times 1.003
+                factor = factor + np.where((k[0] == 2) & (k[1] == 0), math.log(1.003), 0.0)
+            return log_w, factor
+
+        return scaled
+
+    monkeypatch.setattr(verify, "weight_law", spoiled)
+    checks = {c.name: c for c in run_suite("submultiplicativity").checks}
+    assert not checks["submultiplicative-ball"].passed
+    assert checks["submultiplicative-polydisk"].passed
+
+
+def test_reversal_fails_on_one_wrong_exponent(monkeypatch):
+    exponent = verify.normal_order_exponent
+
+    def spoiled(k, m):
+        e = exponent(k, m)
+        if len(k) == 3:  # one pair at n = 3: e + 1 in place of e, forward and reversed alike
+            e[len(e) // 2] += 1
+        return e
+
+    monkeypatch.setattr(verify, "normal_order_exponent", spoiled)
+    checks = {c.name: c for c in run_suite("reversal").checks}
+    assert not checks["reversal-multiplicative"].passed
+    assert checks["reversal-isometry"].passed
 
 
 def test_normal_ordering_checks_every_monomial_pair():
