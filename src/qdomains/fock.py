@@ -360,8 +360,8 @@ def verify_tw_ccr(fock: FockTruncation) -> tuple[float, float]:
     second is over all columns, where the truncation makes them genuinely
     fail.  A generator sends each column to at most one row, and so do its
     adjoint and every product of two of them: they are weighted partial
-    maps, read off the entries ``rep_generator`` holds.  The terms of all
-    relations are summed per (relation, row, column) key in one pass.
+    maps, read off the entries ``rep_generator`` holds.  All terms of a relation
+    move a column by one multi-index, so they meet on one row (or vanish).
     """
     if fock.cap < 2:
         raise ValueError("need cap >= 2 to compose two generators")
@@ -383,18 +383,9 @@ def verify_tw_ccr(fock: FockTruncation) -> tuple[float, float]:
         + [(1.0 - q * q, _compose(X[k], Xs[k])) for k in range(i + 1, n)]
         for i in range(n)
     ]
-    relation = np.repeat(np.arange(len(rels)), [len(terms) for terms in rels])
-    terms = [term for terms in rels for term in terms]
-    to = np.stack([m[0][:size] for _, m in terms])
-    val = np.stack([c * m[1][:size] for c, m in terms])
-    keys = ((relation[:, None] * (size + 1) + to) * size + np.arange(size)).ravel()
-    keys, where = np.unique(keys, return_inverse=True)
-    sums = np.zeros(keys.size, dtype=val.dtype)
-    np.add.at(sums, where, val.ravel())
-    residual = np.abs(sums)
+    residual = np.abs([sum(c * m[1][:size] for c, m in terms) for terms in rels])
     width = fock.prefix(fock.cap - 2)
-    window = float(residual[keys % size < width].max(initial=0.0))
-    return window, float(residual.max(initial=0.0))
+    return float(residual[:, :width].max(initial=0.0)), float(residual.max(initial=0.0))
 
 
 def element_for(fock: FockTruncation, coefficients) -> QElement:

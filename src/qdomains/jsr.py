@@ -211,20 +211,16 @@ def jsr_partials(
 class JsrEstimate:
     """Limit of the partials at rho = r, with the certified bracket [lower, upper]."""
 
-    p: float
-    r: float
     partials: dict[tuple[float, int], float]
     extrapolated: float
     lower: float
     upper: float
     # always empty; perfbench's execute.py reads it until ROADMAP item 1 drops it
     flags: list[str] = field(default_factory=list)
-    family: str | None = None
-    n: int | None = None
 
 
 # perfbench's spans.py wraps this by name; ROADMAP item 1 folds it into the caller.
-def jsr_extrapolate(seq: Sequence[tuple[int, float]], r: float, p: float) -> JsrEstimate:
+def jsr_extrapolate(seq: Sequence[tuple[int, float]], r: float) -> JsrEstimate:
     """Certified bracket [r, min_d R_d] of the partials (d, R_d) at rho = r; extrapolated = upper.
 
     The bracket is certified for the canonical tuples: every x_i^d has
@@ -235,9 +231,7 @@ def jsr_extrapolate(seq: Sequence[tuple[int, float]], r: float, p: float) -> Jsr
     converges to the JSR as d_max grows.
     """
     upper = min(v for _, v in seq)
-    return JsrEstimate(
-        p=p, r=r, partials={(r, d): v for d, v in seq}, extrapolated=upper, lower=r, upper=upper
-    )
+    return JsrEstimate({(r, d): v for d, v in seq}, extrapolated=upper, lower=r, upper=upper)
 
 
 def _canonical_limit(family: str, n: int, q: QParameter | None, p: float, tau: float) -> float:
@@ -269,8 +263,6 @@ def estimate_canonical_jsr(
     d_max certify independently of them, with the partials in ``partials``.
     """
     check_positive("r", r)
-    est = jsr_extrapolate(canonical_partials(family, n, q, p, d_max, rho=r, tau=tau), r, p)
+    est = jsr_extrapolate(canonical_partials(family, n, q, p, d_max, rho=r, tau=tau), r)
     est.extrapolated = r * _canonical_limit(family, n, q, p, tau)
-    est.family = family
-    est.n = n
     return est

@@ -5,9 +5,9 @@ normal-ordered monomials), words are tuples over the letter alphabet
 ``1..n``.  Next to the scalar helpers sit the graded-table kernels: the
 log q-Pochhammer table behind every ball and q-multinomial weight, the
 log-domain convolution power that sums a letter-separable term over every
-multi-index of each degree at once, and the Sobol sample behind the sampled
-suprema, drawn once per (domain, n, point count, seed) and kept read-only;
-scipy.stats, slow to import, is loaded when the first sample is drawn.
+multi-index of each degree at once, and the closed monomial suprema.  The
+Sobol estimate of those suprema serves only perfbench; no suite or command
+draws it, and scipy.stats, slow to import, is loaded only when it does.
 :func:`sum_of_terms` is the one term sum behind every coefficient seminorm.
 Everything in this module is a pure function of its arguments; the stateful
 containers live in :mod:`qdomains.qspace` and :mod:`qdomains.freeseries`.
@@ -293,6 +293,8 @@ def stirling_ratio(k: Sequence[int]) -> float:
     return math.exp((num - den) / (2.0 * d))
 
 
+# _log_sample and sampled_monomial_sup stay only because perfbench's kernels
+# "sampled" ops and spans.py name the latter; ROADMAP item 1 moves both into the tests.
 @functools.lru_cache(maxsize=4)
 def _log_sample(domain: Domain, n: int, m: int, seed: int) -> np.ndarray:
     """Read-only logs of 2^m scrambled Sobol points, one row per point.

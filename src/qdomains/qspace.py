@@ -431,9 +431,6 @@ def ball_norm(a: QElement, rho: float) -> float:
 class WeightRatioScan:
     """Extremes of ball_weight(k)/w_q(k) over all |k| <= d_max in dimension n."""
 
-    q_mod: float
-    n: int
-    d_max: int
     min_ratio: float
     max_ratio: float
     min_at: MultiIndex
@@ -460,6 +457,5 @@ def weight_ratio_scan(q_mod: float, n: int, d_max: int) -> WeightRatioScan:
     ratio = np.exp(law(K.T)[1])
     lo, hi = int(np.argmin(ratio)), int(np.argmax(ratio))
     return WeightRatioScan(
-        q_mod, n, d_max, float(ratio[lo]), float(ratio[hi]),
-        tuple(K[lo].tolist()), tuple(K[hi].tolist()),
+        float(ratio[lo]), float(ratio[hi]), tuple(K[lo].tolist()), tuple(K[hi].tolist())
     )

@@ -2,9 +2,10 @@
 
 Each suite is a generator of :class:`Check` records; ``run_suite`` drains
 it and the CLI ``verify`` subcommand and the acceptance tests share the
-results.  No suite takes a seed: each one's checks are fixed (the stirling
-suite's Sobol points carry their own), and the submultiplicativity and
-reversal suites cover every monomial, word or fiber pair up to a degree.
+results.  No suite samples or takes a seed: the submultiplicativity and
+reversal suites cover every monomial, word or fiber pair up to a degree,
+and the stirling suite reads the sphere suprema off an exact simplex grid,
+so the battery loads no scipy.
 
 A failing check is reported, never silenced: one of the rho-tau quotient
 checks measures a deviation that is structurally there (the computed
@@ -14,6 +15,7 @@ failing on purpose as a record of the measured behavior.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ from .jsr import estimate_canonical_jsr
 from .qcombinatorics import (
     _canonical_word,
     ball_weight,
+    composition_array,
     compositions_up_to,
     cross_degree_sum,
     degree,
@@ -48,7 +51,6 @@ from .qcombinatorics import (
     multi_indices_up_to,
     p_proj,
     s_stat,
-    sampled_monomial_sup,
     stirling_ratio,
     w_q,
     weight_law,
@@ -149,7 +151,8 @@ def _suite_normal_ordering() -> Iterator[Check]:
     must equal minus the word's swap count, and its key the word's key, as
     integers, or the check reads ``inf``.  At each q, q^(-s) is compared
     with the coefficient :func:`normal_order_word` gives one word of each
-    swap count s.
+    swap count s, and :func:`multiply` on sum x_i times sum j x_j at n = 3,
+    where pair order matters, with j q^(-s) summed over the words x_i x_j.
     """
     qs = [QParameter(0.5, 0.0), QParameter(1.0, math.pi / 3), QParameter(2.0, 1.0)]
     worst = 0.0
@@ -168,14 +171,30 @@ def _suite_normal_ordering() -> Iterator[Check]:
         for word, (s, _) in rewritten.items():
             by_swaps.setdefault(s, (word, n))
         pairs += len(swaps) * len(qs)
+    x = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    worst_product = 0.0
     for q in qs:
         for s, (word, n) in by_swaps.items():
             worst = max(worst, abs(q.power(-s) - normal_order_word(word, q, n)[0]))
+        expect: dict = {}
+        for i, j in itertools.product((1, 2, 3), repeat=2):
+            s, key = rewritten[i, j]  # the n = 3 words; x_i x_j has coefficient j
+            expect[key] = expect.get(key, 0) + j * q.power(-s)
+        a = QElement(3, q, dict.fromkeys(x, 1), cap=2)
+        b = QElement(3, q, dict(zip(x, (1, 2, 3))), cap=2)
+        worst_product = max(worst_product, _gap(multiply(a, b), expect))
     yield _le(
         "closed-product-matches-rewriting",
         worst,
         1e-12,
         f"{pairs} monomial pairs, n <= 3, |k|+|m| <= 6, 3 parameter values",
+    )
+    yield _le(
+        "multiply-matches-rewriting",
+        worst_product,
+        1e-12,
+        "multiply(sum x_i, sum i x_i) vs the rewritten words' coefficients, n = 3, "
+        "3 parameter values",
     )
 
 
@@ -472,23 +491,19 @@ def _suite_weight_equivalence() -> Iterator[Check]:
 
 
 def _suite_fock_ccr() -> Iterator[Check]:
-    worst_window = 0.0
-    min_boundary = math.inf
-    for n in (1, 2):
-        for cap in (6, 12):
-            for qv in (0.3, 0.5, 0.8):
-                window, everywhere = verify_tw_ccr(FockTruncation(n, qv, cap))
-                worst_window = max(worst_window, window)
-                min_boundary = min(min_boundary, everywhere)
+    windows, boundaries = zip(*(
+        verify_tw_ccr(FockTruncation(n, qv, cap))
+        for n in (1, 2) for cap in (6, 12) for qv in (0.3, 0.5, 0.8)
+    ))
     yield _le(
         "fock-ccr-window",
-        worst_window,
+        max(windows),
         1e-12,
         "twisted relations on validity windows, n <= 2, K <= 12, 3 q values",
     )
     yield _ge(
         "fock-ccr-boundary-artifact",
-        min_boundary,
+        min(boundaries),
         1e-6,
         "the same relations must visibly fail on the truncation boundary",
     )
@@ -536,30 +551,34 @@ def _suite_vaksman() -> Iterator[Check]:
 
 
 def _suite_stirling() -> Iterator[Check]:
-    worst_low = 0.0
-    worst_high = 0.0
+    """The ball's monomial suprema on an exact grid, and the q = 1 ball weight's drift from them."""
+    worst_low = worst_high = 0.0
     count = 0
+    sizes = []
     for n in (2, 3):
+        # sup |z^k| is attained at the squared moduli k/|k| (weighted AM-GM), a point of this
+        # grid for every |k| <= 6, as 60 = lcm(1..6)
+        U = composition_array(n, 60) / 60.0
+        K = compositions_up_to(n, 6)[1:]  # k = 0 dropped
+        unit_sup = (U[:, None, :] ** (0.5 * K)).prod(axis=2).max(axis=0)
+        sizes.append(f"{len(U)} points at n = {n}")
         for r in (0.8, 1.0):
-            for k in multi_indices_up_to(n, 6):
-                if degree(k) == 0:
-                    continue
-                closed = monomial_sup(k, "ball", r)
-                samp = sampled_monomial_sup(k, "ball", r, points=1 << 18, seed=7)
-                worst_low = max(worst_low, (closed - samp) / closed)
-                worst_high = max(worst_high, (samp - closed) / closed)
-                count += 1
+            closed = np.array([monomial_sup(k, "ball", r) for k in K.tolist()])
+            excess = (unit_sup * r ** K.sum(axis=1) - closed) / closed
+            worst_low, worst_high = max(worst_low, -excess.min()), max(worst_high, excess.max())
+            count += len(K)
     yield _le(
-        "ball-sup-sampled-gap",
+        "ball-sup-grid-gap",
         worst_low,
-        0.01,
-        f"closed sphere supremum vs 2^18-point Sobol estimate, {count} monomials",
+        1e-12,
+        f"closed sphere supremum vs its maximum on the 1/60 simplex grid of squared moduli "
+        f"({', '.join(sizes)}), {count} monomials, |k| <= 6",
     )
     yield _le(
-        "ball-sup-sampled-onesided",
+        "ball-sup-grid-onesided",
         worst_high,
-        1e-9,
-        "the sampled value may never exceed the closed supremum",
+        1e-12,
+        "no grid point may exceed the closed supremum",
     )
     yield _window(
         "stirling-spot-deg2",
@@ -620,8 +639,6 @@ SUITES: dict[str, Callable[[], Iterator[Check]]] = {
 
 @dataclass
 class SuiteResult:
-    suite: str
-    seed: int
     checks: list[Check]
     elapsed: float
 
@@ -640,4 +657,4 @@ def run_suite(name: str, seed: int = 0) -> SuiteResult:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     start = time.monotonic()
     checks = list(fn())
-    return SuiteResult(name, seed, checks, time.monotonic() - start)
+    return SuiteResult(checks, time.monotonic() - start)

@@ -25,7 +25,7 @@ BOUNDS = {
     "jsr-separation": 120.0,
     "weight-equivalence": 20.0,
     "fock": 120.0,
-    "stirling": 60.0,
+    "stirling": 5.0,
 }
 
 _cache: dict[str, object] = {}
@@ -219,16 +219,16 @@ def test_criterion_08_fock_representation(suite):
 def test_criterion_09_monomial_suprema(suite):
     res = suite("stirling")
     cs = checks_by_name(res)
-    gap = cs["ball-sup-sampled-gap"]
-    side = cs["ball-sup-sampled-onesided"]
+    gap = cs["ball-sup-grid-gap"]
+    side = cs["ball-sup-grid-onesided"]
     spot = cs["stirling-spot-deg2"]
     tail = cs["stirling-ratio-deg200"]
-    assert gap.target == 0.01 and tail.target == 0.05
+    assert gap.target == side.target == 1e-12 and tail.target == 0.05
     ok = all(c.passed for c in (gap, side, spot, tail))
     announce(
-        "9 sampled suprema and stirling drift",
+        "9 grid suprema and stirling drift",
         ok and res.elapsed < BOUNDS["stirling"],
-        f"sampling gap {gap.value:.4f} <= 1%, overshoot {side.value:.2g}, "
+        f"grid gap {gap.value:.2g} <= 1e-12, overshoot {side.value:.2g}, "
         f"deg-200 ratio drift {tail.value:.4f} <= 0.05, {res.elapsed:.2f}s",
     )
     assert ok

@@ -74,8 +74,9 @@ def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse(
 
     The twisted-CCR suite composes the Fock generators as partial maps, and a
     monomial's Fock norm reads a diagonal Gram matrix, so they are among them;
-    the vaksman suite norms only monomials.  Fock norms of elements whose
-    window entries share a row search the Gram pattern's components with
+    the vaksman suite norms only monomials, and the stirling suite reads the
+    sphere suprema off an exact grid.  Fock norms of elements whose window
+    entries share a row search the Gram pattern's components with
     scipy.sparse and are not.
     """
     _, modules = cold_run(
@@ -88,6 +89,7 @@ def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse(
         ["verify", "fock-ccr"],
         ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5"],
         ["verify", "vaksman"],
+        ["verify", "stirling"],
     )
     assert [m for m in modules if m.startswith(("scipy.stats", "scipy.sparse"))] == []
 
@@ -95,7 +97,6 @@ def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse(
 @pytest.mark.parametrize(
     "args",
     [
-        ["verify", "stirling"],
         ["fock-norm", "x1 + x2", "--n", "2"],
         ["norm", "x1 + x1^2", "--family", "vaksman", "--n", "1", "--q-mod", "0.5"],
     ],
@@ -107,6 +108,20 @@ def test_scipy_paths_from_a_cold_start_print_the_in_process_values(args):
     in_process = CliRunner().invoke(main, args)
     assert in_process.exit_code == 0, in_process.output
     assert output == in_process.output
+
+
+# runs every verify suite; the CLI would exit 1 on the known rho-tau check
+BATTERY_CHILD = """
+import json, sys
+from qdomains.verify import SUITES, run_suite
+for name in SUITES:
+    run_suite(name)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_the_verify_battery_loads_no_scipy():
+    assert json.loads(fresh_stdout(BATTERY_CHILD)) == []
 
 
 def test_fock_representations_load_no_scipy_until_normed():

@@ -163,6 +163,50 @@ def test_twisted_ccr_against_dense_products(n, cap, q):
     assert verify_tw_ccr(fock) == pytest.approx(_dense_tw_ccr(fock), rel=0, abs=1e-15)
 
 
+def _keyed_tw_ccr(fock):
+    """verify_tw_ccr's two maxima with the terms summed per (relation, row, column) key."""
+    n, q, size = fock.n, fock.q, fock.size
+    P = fock_module.log_pochhammer_table(fock.cap, q)
+    maps = (fock_module._monomial_entries(d, fock, P) for d in np.eye(n, dtype=np.int64))
+    X, Xs = zip(*(fock_module._partial_maps(*m, size) for m in maps))
+    compose = fock_module._compose
+    eye = (np.arange(size + 1), np.append(np.ones(size), 0.0))
+    rels = [
+        [(1.0, compose(X[i], X[j])), (-q, compose(X[j], X[i]))]
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    rels += [
+        [(1.0, compose(Xs[i], X[j])), (-q, compose(X[j], Xs[i]))]
+        for i in range(n) for j in range(n) if i != j
+    ]
+    rels += [
+        [(1.0, compose(Xs[i], X[i])), (-q * q, compose(X[i], Xs[i])), (q * q - 1.0, eye)]
+        + [(1.0 - q * q, compose(X[k], Xs[k])) for k in range(i + 1, n)]
+        for i in range(n)
+    ]
+    relation = np.repeat(np.arange(len(rels)), [len(terms) for terms in rels])
+    terms = [term for terms in rels for term in terms]
+    to = np.stack([m[0][:size] for _, m in terms])
+    val = np.stack([c * m[1][:size] for c, m in terms])
+    keys = ((relation[:, None] * (size + 1) + to) * size + np.arange(size)).ravel()
+    keys, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=val.dtype)
+    np.add.at(sums, where, val.ravel())
+    residual = np.abs(sums)
+    width = fock.prefix(fock.cap - 2)
+    return float(residual[keys % size < width].max(initial=0.0)), float(residual.max(initial=0.0))
+
+
+# the per-relation sums rely on all terms of a relation landing on one row
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.99])
+@pytest.mark.parametrize(
+    "n,cap", [(1, 2), (1, 6), (1, 20), (2, 2), (2, 6), (2, 12), (3, 2), (3, 6), (3, 12)]
+)
+def test_twisted_ccr_per_relation_sums_match_the_keyed_sums(n, cap, q):
+    fock = FockTruncation(n, q, cap)
+    assert verify_tw_ccr(fock) == _keyed_tw_ccr(fock)
+
+
 def test_twisted_ccr_refuses_a_generator_that_is_not_injective(monkeypatch):
     # the adjoint inverts each generator's map; two columns on one row must not
     # overwrite each other silently

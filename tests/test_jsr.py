@@ -292,7 +292,7 @@ def test_free_ball_partials_match_brute_sum():
 
 def test_extrapolate_recovers_constant_sequences():
     seq = [(d, 2.0) for d in range(1, 30)]
-    est = jsr_extrapolate(seq, 1.5, 2.0)
+    est = jsr_extrapolate(seq, 1.5)
     assert est.extrapolated == 2.0
     assert (est.lower, est.upper) == (1.5, 2.0)
     assert est.flags == []
@@ -302,14 +302,14 @@ def test_extrapolate_recovers_constant_sequences():
 def test_extrapolate_brackets_oscillating_partials():
     # the bracket's upper end is the minimum, whatever the sequence's shape
     seq = [(d, 2.0 + 0.5 * (-1) ** d) for d in range(1, 30)]
-    est = jsr_extrapolate(seq, 1.0, 2.0)
+    est = jsr_extrapolate(seq, 1.0)
     assert est.flags == []
     assert (est.lower, est.extrapolated, est.upper) == (1.0, 1.5, 1.5)
 
 
 def test_extrapolate_takes_short_sequences():
     for d_max in (1, 4):
-        est = jsr_extrapolate([(d, 1.0 + 1.0 / d) for d in range(1, d_max + 1)], 1.0, 2.0)
+        est = jsr_extrapolate([(d, 1.0 + 1.0 / d) for d in range(1, d_max + 1)], 1.0)
         assert (est.lower, est.extrapolated, est.upper) == (1.0, 1.0 + 1.0 / d_max, 1.0 + 1.0 / d_max)
 
 
@@ -325,7 +325,7 @@ def test_extrapolate_takes_short_sequences():
     ids=["polydisk-crossover", "steep"],
 )
 def test_extrapolate_reads_the_upper_end_of_the_bracket(seq, want):
-    est = jsr_extrapolate(seq, 1.0, 2.0)
+    est = jsr_extrapolate(seq, 1.0)
     assert est.extrapolated == est.upper == min(v for _, v in seq)
     assert want is None or est.upper == pytest.approx(want, rel=1e-15, abs=0)
     assert est.lower == 1.0 < est.upper
@@ -382,7 +382,6 @@ def test_families_coincide_off_unit_modulus(family, q, p):
 
 def test_estimate_unit_ball_value():
     est = estimate_canonical_jsr("ball", 2, Q_UNIT, 2.0, 1.0, d_max=120)
-    assert est.family == "ball" and est.n == 2
     # (d+1)^(1/(2d)) -> 1
     assert est.extrapolated == pytest.approx(1.0, rel=1e-15, abs=0)
     assert est.lower == 1.0 and est.upper == pytest.approx(121.0 ** (1.0 / 240), rel=1e-12)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qdomains import verify
+from qdomains import qspace, verify
 from qdomains.qspace import _rewrite_word
 from qdomains.verify import SUITES, Check, SuiteResult, run_suite
 
@@ -118,12 +118,33 @@ def test_reversal_fails_on_one_wrong_exponent(monkeypatch):
     assert checks["reversal-isometry"].passed
 
 
+def _closed_product(result):
+    """The normal-ordering suite's closed-product check."""
+    (check,) = [c for c in result.checks if c.name == "closed-product-matches-rewriting"]
+    return check
+
+
 def test_normal_ordering_checks_every_monomial_pair():
     # the case set: every (k, m) with |k| + |m| <= 6 for n = 1, 2, 3 at three q
-    (check,) = run_suite("normal-ordering").checks
+    result = run_suite("normal-ordering")
+    assert [c.name for c in result.checks] == [
+        "closed-product-matches-rewriting",
+        "multiply-matches-rewriting",
+    ]
+    check = _closed_product(result)
     assert check.detail.startswith("3486 monomial pairs")
-    assert (check.op, check.target) == ("<=", 1e-12)
-    assert check.passed
+    assert all((c.op, c.target, c.passed) == ("<=", 1e-12, True) for c in result.checks)
+
+
+def test_normal_ordering_fails_on_a_multiply_with_swapped_exponent_arguments(monkeypatch):
+    # x^k x^m read as q**e(m, k): another consistent algebra, seen only by multiply's own check
+    exponent = qspace.normal_order_exponent
+    monkeypatch.setattr(qspace, "normal_order_exponent", lambda k, m: exponent(m, k))
+    result = run_suite("normal-ordering")
+    checks = {c.name: c for c in result.checks}
+    assert not result.passed
+    assert not checks["multiply-matches-rewriting"].passed
+    assert checks["closed-product-matches-rewriting"].passed
 
 
 def test_normal_ordering_fails_on_one_wrong_exponent(monkeypatch):
@@ -136,8 +157,7 @@ def test_normal_ordering_fails_on_one_wrong_exponent(monkeypatch):
         return e
 
     monkeypatch.setattr(verify, "normal_order_exponent", spoiled)
-    (check,) = run_suite("normal-ordering").checks
-    assert not check.passed
+    assert not _closed_product(run_suite("normal-ordering")).passed
 
 
 def test_normal_ordering_fails_on_one_wrong_key(monkeypatch):
@@ -150,8 +170,7 @@ def test_normal_ordering_fails_on_one_wrong_key(monkeypatch):
         return swaps, key
 
     monkeypatch.setattr(verify, "_rewrite_word", spoiled)
-    (check,) = run_suite("normal-ordering").checks
-    assert not check.passed
+    assert not _closed_product(run_suite("normal-ordering")).passed
 
 
 def test_normal_ordering_runs_the_rewriting_oracle(monkeypatch):
@@ -165,7 +184,7 @@ def test_normal_ordering_runs_the_rewriting_oracle(monkeypatch):
         return coeff, key
 
     monkeypatch.setattr(verify, "normal_order_word", spoiled)
-    (check,) = run_suite("normal-ordering").checks
+    check = _closed_product(run_suite("normal-ordering"))
     assert not check.passed
     assert 1e-12 < check.value < 1e-7  # the coefficient, not an integer mismatch (inf)
 
@@ -180,9 +199,28 @@ def test_normal_ordering_rewrites_each_word_once(monkeypatch):
         return rewrite(word, n)
 
     monkeypatch.setattr(verify, "_rewrite_word", counting)
-    (check,) = run_suite("normal-ordering").checks
-    assert check.passed
+    assert run_suite("normal-ordering").passed
     assert len(calls) == len(set(calls)) == 651
+
+
+def test_stirling_reads_the_suprema_off_the_exact_grid():
+    # 220 (k, r) cases: every k with 1 <= |k| <= 6 at n = 2, 3 and r in {0.8, 1}
+    checks = {c.name: c for c in run_suite("stirling").checks}
+    gap, side = checks["ball-sup-grid-gap"], checks["ball-sup-grid-onesided"]
+    assert "(61 points at n = 2, 1891 points at n = 3), 220 monomials" in gap.detail
+    for check in (gap, side):
+        assert (check.op, check.target, check.passed) == ("<=", 1e-12, True)
+
+
+@pytest.mark.parametrize("factor, failing", [(1 + 1e-9, "gap"), (1 - 1e-9, "onesided")])
+def test_stirling_fails_on_a_sphere_supremum_off_by_1e_9(monkeypatch, factor, failing):
+    closed = verify.monomial_sup
+    monkeypatch.setattr(verify, "monomial_sup", lambda k, domain, r: factor * closed(k, domain, r))
+    result = run_suite("stirling")
+    checks = {c.name: c for c in result.checks}
+    assert not result.passed
+    assert not checks[f"ball-sup-grid-{failing}"].passed
+    assert checks[f"ball-sup-grid-{failing}"].value == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_unknown_suite_rejected():
