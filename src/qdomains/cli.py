@@ -2,10 +2,12 @@
 
 Every subcommand can write a machine-readable JSON report (``--json PATH``)
 with schema { command, params, results: [ {name, value, flags, assert} ] }.
-Reports are deterministic: an identical command produces
-byte-identical JSON (floats serialized with full round-trip precision, no
-timestamps).  A ValueError from any subcommand, or a report path that
-cannot be written, is a one-line ``Error:`` and exit status 1.
+A report is one line of JSON with sorted keys, from the standard library's C
+encoder (``python -m json.tool PATH`` pretty-prints it).  Reports are
+deterministic: an identical command produces byte-identical JSON (floats
+serialized with full round-trip precision, no timestamps).  A ValueError
+from any subcommand, or a report path that cannot be written, is a
+one-line ``Error:`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -85,11 +87,12 @@ def _report(results: list[dict], **overrides) -> dict:
     }
 
 
-def _echo(line: str) -> None:
-    # With no file, click.echo caches a wrapper per sys.stdout object in a
-    # WeakKeyDictionary that keeps its key alive: every in-process run that
-    # swaps sys.stdout (CliRunner, tests) would leak its captured stream.
-    click.echo(line, file=sys.stdout)
+def _echo(text: str) -> None:
+    # Written to whatever sys.stdout is now (CliRunner swaps it per run), with
+    # no stream lookup or colour handling: no line holds an escape sequence.
+    # The flush keeps the lines ahead of a later ``Error:`` on stderr.
+    sys.stdout.write(text + "\n")
+    sys.stdout.flush()
 
 
 def _write(path: str, text: str) -> None:
@@ -97,8 +100,9 @@ def _write(path: str, text: str) -> None:
 
     The file is not truncated to zero first: on ext4 with ``auto_da_alloc``
     a truncate-then-rewrite makes ``close()`` allocate blocks and start
-    writeback.  A regular file is cut to the new length afterwards; any
-    other target (a pipe, ``/dev/stdout``) is written as a stream.
+    writeback.  A regular file left longer than the new text is cut to its
+    length afterwards; any other target (a pipe, ``/dev/stdout``) is written
+    as a stream.
     """
     data = text.encode()
     try:
@@ -107,7 +111,8 @@ def _write(path: str, text: str) -> None:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view) :]
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
                 os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
@@ -116,10 +121,10 @@ def _write(path: str, text: str) -> None:
 
 
 def _emit(report: dict, json_path: str | None, human: list[str]) -> None:
-    for line in human:
-        _echo(line)
+    _echo("\n".join(human))
     if json_path:
-        _write(json_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        # no indent: only the one-line form goes through the C encoder
+        _write(json_path, json.dumps(report, sort_keys=True) + "\n")
 
 
 def _element_flags(saturated: bool) -> tuple[str, ...]:
@@ -136,8 +141,9 @@ def _vaksman_value(expression, n, q_mod, q_phase, rho, fock_cap):
         raise click.ClickException(
             "the sup-style norm needs a real deformation parameter in (0, 1)"
         )
-    fock = FockTruncation(n, q_mod, fock_cap)
+    # parsed first: a malformed expression is named before the basis is built
     a = parse_qelement(expression, n, QParameter(q_mod, 0.0), fock_cap)
+    fock = FockTruncation(n, q_mod, fock_cap)
     return vaksman_norm(a, rho, fock), ("lower-bound",) + _element_flags(a.saturated)
 
 
@@ -327,8 +333,7 @@ def radius(expression, n, cap, json_path, csv_path):
 def verify(suites, list_only, json_path):
     """Run verification suites (all of them when none are named)."""
     if list_only:
-        for name in SUITES:
-            _echo(name)
+        _echo("\n".join(SUITES))
         return
     unknown = [s for s in suites if s not in SUITES]
     if unknown:

@@ -56,6 +56,12 @@ FREE_FAMILIES = ("free_taylor", "free_ball", "free_polydisk")
 #: refuse general-tuple enumeration beyond this many word products (jsr_partials only)
 ENUMERATION_LIMIT = 200_000
 
+#: the p from which the canonical partials and limits are read at p = inf.  R_d
+#: at p is R_d at p = inf times a factor in [1, n^(1/p)] (n^d words of degree
+#: d), within ln(n) 2^-53 of 1 here; the finite-p forms, p times a log table
+#: and p times the degree, leave double range as p nears 1e308
+_P_AS_INF = 2.0**53
+
 #: refuse canonical partials beyond this degree: the q-side convolution
 #: power holds several (d_max + 1)^2 float arrays, about 40 B (d_max + 1)^2
 #: at its peak, so some 160 MB at the limit
@@ -76,7 +82,8 @@ def canonical_partials(
     A log-domain convolution power over letter counts for the q-side
     families; closed word-count sums for the free families (both
     cross-checked against brute-force enumeration in the tests).  R_d is
-    degree-homogeneous in rho: R_d(rho) = rho R_d(1).  Raises ValueError
+    degree-homogeneous in rho: R_d(rho) = rho R_d(1).  A p from
+    :data:`_P_AS_INF` on is read as p = inf.  Raises ValueError
     when |q|^-p at the given |q| or a partial leaves double range, when
     d_max exceeds :data:`CONVOLUTION_DEGREE_LIMIT`, or when tau is not 1
     for a family other than free_polydisk, the one with block weights.
@@ -88,6 +95,8 @@ def canonical_partials(
     check_positive("rho", rho)
     if not p >= 1:
         raise ValueError("p must be >= 1")
+    if p >= _P_AS_INF:
+        p = math.inf
     check_tau(tau, unweighted=None if family == "free_polydisk" else family)
     if d_max > CONVOLUTION_DEGREE_LIMIT:
         raise ValueError(
@@ -237,7 +246,7 @@ def jsr_extrapolate(seq: Sequence[tuple[int, float]], r: float) -> JsrEstimate:
 def _canonical_limit(family: str, n: int, q: QParameter | None, p: float, tau: float) -> float:
     """lim_d R_d at rho = 1 for the canonical tuple, in closed form (module docstring)."""
     if family == "free_polydisk":
-        if math.isfinite(p):
+        if p < _P_AS_INF:
             return math.exp(_log_block_growth(n, p, tau) / p)
         return tau if n >= 2 else 1.0
     if family in Q_FAMILIES and q.modulus != 1.0:

@@ -60,19 +60,20 @@ _HINTS = {
 }
 
 
-def _real(m: re.Match, group: str, sign: str) -> float:
-    value = float(m.group(group))
+def _real(m: re.Match, group: str, digits: str, sign: str | None) -> float:
+    value = float(digits)
     if not math.isfinite(value):
-        raise ParseError(f"number {m.group(group)!r} leaves the double range", m.start(group))
-    return -value if m.group(sign) == "-" else value
+        raise ParseError(f"number {digits!r} leaves the double range", m.start(group))
+    return -value if sign == "-" else value
 
 
 def _coefficient(m: re.Match) -> complex:
-    if m.group("first") is None:
+    first, first_i, sign, second, sign2 = m.group("first", "first_i", "sign", "second", "sign2")
+    if first is None:
         return 1j
-    first = _real(m, "first", "sign")
-    second = _real(m, "second", "sign2") if m.group("second") else 0.0
-    return complex(0.0, first + second) if m.group("first_i") else complex(first, second)
+    a = _real(m, "first", first, sign)
+    b = _real(m, "second", second, sign2) if second else 0.0
+    return complex(0.0, a + b) if first_i else complex(a, b)
 
 
 def _quoted_variable(m: re.Match) -> str:
@@ -82,8 +83,8 @@ def _quoted_variable(m: re.Match) -> str:
     return f"{shown!r}... ({len(run)}-digit index)" if len(run) > _QUOTED_DIGITS else repr(shown)
 
 
-def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], int]]:
-    """(coefficient, (letter, exponent) pairs in written order, position) of each term.
+def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], float, int]]:
+    """(coefficient, (letter, exponent) pairs in written order, degree, position) of each term.
 
     A term's position is that of its first coefficient or variable.  Digit
     runs are read without their leading zeros; one with more digits than any
@@ -94,38 +95,44 @@ def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], in
     if bad is not None:
         char = bad.group()
         raise ParseError(f"unexpected character {char!r}{_HINTS.get(char, '')}", bad.start())
+    index_digits = len(str(n))
     terms = []
-    coeff, word, start = 1.0 + 0j, [], None
+    coeff, word, deg, start = 1.0 + 0j, [], 0, None
     atom_next = True  # at the start, after a sign and after '*'
     for at, m in enumerate(tokens):
-        kind, tok, pos = m.lastgroup, m.group(), m.start()
+        kind = m.lastgroup
         if kind == "op":
+            tok = m.group()
             if atom_next and (at or tok == "*"):  # only the first token may be a bare sign
-                raise ParseError(f"unexpected token {tok!r}", pos)
+                raise ParseError(f"unexpected token {tok!r}", m.start())
             if tok != "*":
                 if at:
-                    terms.append((coeff, word, start))
-                coeff, word, start = (-1.0 + 0j if tok == "-" else 1.0 + 0j), [], None
+                    terms.append((coeff, word, deg, start))
+                coeff, word, deg, start = (-1.0 + 0j if tok == "-" else 1.0 + 0j), [], 0, None
             atom_next = True
             continue
         if not atom_next:
-            raise ParseError(f"unexpected token {tok!r}", pos)
+            raise ParseError(f"unexpected token {m.group()!r}", m.start())
         atom_next = False
-        start = pos if start is None else start
+        if start is None:
+            start = m.start()
         if kind == "var":
-            digits = m.group("index").lstrip("0")
-            index = int(digits or 0) if len(digits) <= len(str(n)) else n + 1
+            run, exp = m.group("index", "exp")
+            digits = run.lstrip("0")
+            index = int(digits or 0) if len(digits) <= index_digits else n + 1
             if not 1 <= index <= n:
-                raise ParseError(f"variable {_quoted_variable(m)} outside 1..{n}", pos)
-            digits = (m.group("exp") or "1").lstrip("0")
-            word.append((index, int(digits or 0) if len(digits) <= _MAX_DIGITS else math.inf))
+                raise ParseError(f"variable {_quoted_variable(m)} outside 1..{n}", m.start())
+            digits = (exp or "1").lstrip("0")
+            e = int(digits or 0) if len(digits) <= _MAX_DIGITS else math.inf
+            word.append((index, e))
+            deg += e
             continue
         coeff *= _coefficient(m)
         if not cmath.isfinite(coeff):
-            raise ParseError("coefficient product leaves the double range", pos)
+            raise ParseError("coefficient product leaves the double range", m.start())
     if atom_next:
         raise ParseError("unexpected end of input", len(text))
-    terms.append((coeff, word, start))
+    terms.append((coeff, word, deg, start))
     return terms
 
 
@@ -150,20 +157,16 @@ def _word_map(text: str, n: int, cap: int, key) -> dict:
 
     Every term's degree is checked before any word is spelled out, so a huge
     exponent is only a number; terms add in written order, and a sum that
-    cancels drops its key.  n and cap are checked before the text is read.
+    cancels drops its key.  The map is normal as it stands: keys within the
+    cap, values finite and nonzero.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
     terms = _terms(text, n)
-    for _, powers, pos in terms:
-        degree = sum(e for _, e in powers)
+    for _, _, degree, pos in terms:
         if degree > cap:
             shown = degree if degree < math.inf else f"above 10^{_MAX_DIGITS}"
             raise ParseError(f"term degree {shown} exceeds cap {cap}", pos)
     out: dict[tuple, complex] = {}
-    for c, powers, _ in terms:
+    for c, powers, _, _ in terms:
         c, k = key(c, [letter for letter, e in powers for _ in range(e)])
         acc = finite(out.get(k, 0j) + c)
         if acc:
@@ -175,13 +178,17 @@ def _word_map(text: str, n: int, cap: int, key) -> dict:
 
 def parse_qelement(text: str, n: int, q: QParameter, cap: int) -> QElement:
     """Parse in the q-commuting algebra; each written word goes to its normal form."""
-    terms = _word_map(text, n, cap, lambda c, word: _normal_form(c, word, q, n))
-    return QElement(n, q, terms, cap=cap)
+    a = QElement(n, q, cap=cap)  # n, q and cap are checked before the text is read
+    # the map is already normal, so it is not normalized a second time
+    a.coefficients = _word_map(text, n, cap, lambda c, word: _normal_form(c, word, q, n))
+    return a
 
 
 def parse_free_element(text: str, n: int, cap: int) -> FreeElement:
     """Parse in the free algebra; variable order becomes the word."""
-    return FreeElement(n, _word_map(text, n, cap, lambda c, word: (c, tuple(word))), cap=cap)
+    a = FreeElement(n, cap=cap)  # n and cap are checked before the text is read
+    a.coefficients = _word_map(text, n, cap, lambda c, word: (c, tuple(word)))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +204,6 @@ def _fmt_coeff(c: complex) -> str:
     return f"({c.real!r}{sign}{abs(c.imag)!r}i)"
 
 
-def _fmt_powers(pairs: list[tuple[int, int]], letter: str = "x") -> str:
-    return "*".join(
-        f"{letter}{i}" if e == 1 else f"{letter}{i}^{e}" for i, e in pairs
-    )
-
-
-def _join_terms(parts: list[str]) -> str:
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
-
-
 def _one_term(c: complex, mono: str) -> str:
     if not mono:
         return _fmt_coeff(c)
@@ -225,17 +214,25 @@ def _one_term(c: complex, mono: str) -> str:
     return f"{_fmt_coeff(c)}*{mono}"
 
 
+def _joined(terms) -> str:
+    """The (coefficient, monomial text) terms joined by signs, or '0'."""
+    # no term's text holds a blank, so ' + -' only stands where two terms meet
+    text = " + ".join(_one_term(c, mono) for c, mono in terms)
+    return text.replace(" + -", " - ") if text else "0"
+
+
+def _power(letter: str, e: int) -> str:
+    return letter if e == 1 else f"{letter}^{e}"
+
+
 def format_qelement(a: QElement) -> str:
-    parts = []
-    for k, c in a.items():
-        pairs = [(i + 1, e) for i, e in enumerate(k) if e > 0]
-        parts.append(_one_term(c, _fmt_powers(pairs)))
-    return _join_terms(parts)
+    return _joined(
+        (c, "*".join(_power(f"x{i}", e) for i, e in enumerate(k, 1) if e)) for k, c in a.items()
+    )
 
 
 def format_free_element(a: FreeElement) -> str:
-    parts = []
-    for w, c in a.items():
-        pairs = [(letter, len(list(run))) for letter, run in groupby(w)]
-        parts.append(_one_term(c, _fmt_powers(pairs, "z")))
-    return _join_terms(parts)
+    return _joined(
+        (c, "*".join(_power(f"z{x}", len(list(run))) for x, run in groupby(w)))
+        for w, c in a.items()
+    )

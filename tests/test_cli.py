@@ -73,6 +73,109 @@ def test_json_report_schema_and_determinism(runner, tmp_path):
     assert set(entry) >= {"name", "value", "flags", "assert"}
 
 
+# each subcommand's report, as json.loads reads it; the key order is not part
+# of the contents
+PROVENANCE = {"package": "qdomains", "version": "0.1.0"}
+REPORTS = [
+    (
+        ["norm", "x1*x2 + 0.5*x2^2", "--family", "ball", "--q-mod", "0.5", "--rho", "0.9"],
+        {
+            "command": "norm",
+            "params": {"cap": 16, "expression": "x1*x2 + 0.5*x2^2", "family": "ball",
+                       "fock_cap": 16, "n": 2, "q_mod": 0.5, "q_phase": 0.0, "rho": 0.9,
+                       "tau": 1.0},
+            "provenance": PROVENANCE,
+            "results": [{"assert": None, "flags": [], "name": "norm", "value": 0.7672430123549661}],
+        },
+    ),
+    (
+        ["multiply", "x2*x1", "x1", "--q-mod", "0.5"],
+        {
+            "command": "multiply",
+            "expression": "4.0*x1^2*x2",
+            "params": {"cap": 16, "expr_a": "x2*x1", "expr_b": "x1", "mode": "qspace", "n": 2,
+                       "q_mod": 0.5, "q_phase": 0.0},
+            "provenance": PROVENANCE,
+            "results": [{"assert": None, "flags": [], "name": "terms", "value": 1.0},
+                        {"assert": None, "flags": [], "name": "degree", "value": 3.0}],
+        },
+    ),
+    (
+        ["quotient-norm", "z1*z2", "--family", "free-ball", "--rho", "0.9"],
+        {
+            "command": "quotient-norm",
+            "params": {"cap": 16, "expression": "z1*z2", "family": "free-ball", "n": 2,
+                       "q_mod": 1.0, "q_phase": 0.0, "rho": 0.9, "tau": 1.0},
+            "provenance": PROVENANCE,
+            "results": [
+                {"assert": None, "flags": [], "name": "quotient-norm", "value": 0.5727564927611035},
+                {"assert": None, "flags": [], "name": "degree-2", "value": 0.5727564927611035},
+            ],
+        },
+    ),
+    (
+        ["jsr", "--family", "polydisk", "--q-phase", "0.7853981633974483", "--dmax", "20"],
+        {
+            "command": "jsr",
+            "params": {"dmax": 20, "family": "polydisk", "n": 2, "p": 2.0, "q_mod": 1.0,
+                       "q_phase": 0.7853981633974483, "r": 1.0, "tau": 1.0},
+            "provenance": PROVENANCE,
+            "results": [
+                {"assert": None, "detail": "closed-form limit", "flags": [],
+                 "name": "jsr-extrapolated", "value": 1.4142135623730951},
+                {"assert": None, "flags": [], "name": "jsr-lower", "value": 1.0},
+                {"assert": None, "flags": [], "name": "jsr-upper", "value": 1.414213562373095},
+            ],
+        },
+    ),
+    (
+        ["fock-norm", "x1^3", "--q-mod", "0.5", "--rho", "0.5"],
+        {
+            "command": "fock-norm",
+            "params": {"expression": "x1^3", "fock_cap": 16, "n": 1, "q_mod": 0.5, "rho": 0.5},
+            "provenance": PROVENANCE,
+            "results": [{"assert": None, "flags": ["lower-bound"], "name": "fock-norm",
+                         "value": 0.12499999969440978}],
+        },
+    ),
+    (
+        ["radius", "z1 + 2*z1*z2"],
+        {
+            "command": "radius",
+            "params": {"cap": 16, "expression": "z1 + 2*z1*z2", "n": 2},
+            "provenance": PROVENANCE,
+            "results": [
+                {"assert": None, "flags": [], "name": "partial-d=1", "value": 1.0},
+                {"assert": None, "flags": [], "name": "partial-d=2", "value": 1.4142135623730951},
+                {"assert": None, "flags": [], "name": "radius-estimate", "value": "inf"},
+            ],
+        },
+    ),
+    (
+        ["verify", "slice-rank"],
+        {
+            "command": "verify",
+            "params": {"suites": ["slice-rank"]},
+            "provenance": PROVENANCE,
+            "results": [{"assert": {"op": "==", "pass": True, "target": 0.0},
+                         "detail": "rank vs n^d - C(d+n-1, n-1) over 36 (n, d, q) cases",
+                         "flags": [], "name": "slice-rank:slice-rank-identity", "value": 0.0}],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("args, want", REPORTS, ids=[args[0] for args, _ in REPORTS])
+def test_report_contents(runner, tmp_path, args, want):
+    out = tmp_path / "r.json"
+    invoke(runner, args + ["--json", str(out)])
+    text = out.read_text()
+    assert json.loads(text) == want
+    # one line of JSON with sorted keys
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(want, sort_keys=True) + "\n"
+
+
 def test_multiply_qspace(runner):
     r = invoke(runner, ["multiply", "x2*x1", "x1", "--q-mod", "0.5"])
     assert "4.0*x1^2*x2" in r.output
@@ -471,6 +574,38 @@ def test_fock_basis_over_the_limit_is_a_clean_error(runner):
     r = invoke(runner, ["fock-norm", "x1", "--n", "1", "--fock-cap", str(BASIS_LIMIT)], ok=False)
     assert_clean_error(r)
     assert f"{BASIS_LIMIT + 1} basis elements" in r.output
+
+
+def test_fock_norm_names_a_malformed_expression_before_building_the_basis(runner):
+    # the truncation at n = 4, cap 40 would hold 135,751 elements, over the limit
+    r = invoke(runner, ["fock-norm", "x1 $", "--n", "4", "--fock-cap", "40"], ok=False)
+    assert_clean_error(r)
+    assert "unexpected character '$'" in r.output
+
+
+@pytest.mark.parametrize("p", ["1e306", "1e308"])
+@pytest.mark.parametrize(
+    "family, args, want",
+    [
+        ("polydisk", [], 1.0),
+        ("polydisk", ["--q-mod", "0.5"], 1.0),
+        ("ball", [], 1.0),
+        ("ball", ["--q-mod", "2.0", "--n", "3"], 1.0),
+        ("free-taylor", [], 1.0),
+        ("free-ball", [], 1.0),
+        ("free-polydisk", [], 1.0),
+        ("free-polydisk", ["--tau", "2"], 2.0),
+        ("free-polydisk", ["--tau", "10", "--n", "3"], 10.0),
+    ],
+)
+def test_jsr_at_huge_p_prints_the_limit(runner, tmp_path, family, args, want, p):
+    # p times a log table or a degree leaves double range here; a RuntimeWarning
+    # from numpy is an error under pytest
+    out = tmp_path / "j.json"
+    r = invoke(runner, ["jsr", "--family", family, "--p", p, *args, "--json", str(out)])
+    assert r.output == f"jsr[{family}] = {want!r}\n"
+    est, lower, upper = (e["value"] for e in json.loads(out.read_text())["results"])
+    assert lower <= est <= upper
 
 
 @pytest.mark.parametrize("family", ["polydisk", "ball"])

@@ -407,6 +407,19 @@ def test_free_family_limits(family, n, p, tau, want):
     assert est.lower <= est.extrapolated <= est.upper * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("family", ["polydisk", "ball", "free_taylor", "free_ball", "free_polydisk"])
+def test_partials_from_p_2_53_on_are_those_at_p_inf(family):
+    # R_d at p is R_d at p = inf times a factor in [1, n^(1/p)]; near p = 1e308,
+    # p times the log tables or the degree is no double
+    tau = 2.0 if family == "free_polydisk" else 1.0
+    at_inf = canonical_partials(family, 3, Q_UNIT, math.inf, 50, tau=tau)
+    for p in (2.0**53, 1e306, 1e308):
+        assert canonical_partials(family, 3, Q_UNIT, p, 50, tau=tau) == at_inf
+    below = canonical_partials(family, 3, Q_UNIT, 2.0**52, 50, tau=tau)
+    for (_, v), (_, w) in zip(below, at_inf):
+        assert w * (1 - 1e-15) <= v <= w * 3.0 ** 2.0**-52 * (1 + 1e-15)
+
+
 def test_estimate_divergent_on_infinite_radius():
     # the family is unbounded on an infinite radius: no number to report
     for r in (math.inf, 0.0, -1.0, math.nan):

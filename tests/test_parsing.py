@@ -206,6 +206,56 @@ def test_round_trip_free_element(n, coeffs):
     assert bits(back.coefficients) == bits(a.coefficients)
 
 
+def coefficient_text(c: complex) -> str:
+    """c as '(a+bi)', which reads back to the same bits."""
+    return f"({c.real!r}{'-' if c.imag < 0 else '+'}{abs(c.imag)!r}i)"
+
+
+# few short words, so that terms repeat, cancel, overflow and pass the cap
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    cap=st.integers(min_value=2, max_value=6),
+    free=st.booleans(),
+    terms=st.lists(
+        st.tuples(
+            st.lists(st.integers(1, 3), max_size=5),
+            st.builds(complex, PART, PART) | st.sampled_from([1.0, -1.0, 1e308, -1e308, 1e308j]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_parse_equals_the_constructor_on_the_same_mapping(n, cap, free, terms):
+    q = QParameter(0.7, 2.0)
+    written, mapping = [], {}
+    for letters, c in terms:
+        word = tuple(min(x, n) for x in letters)
+        if free:
+            key, variables = word, [f"z{x}" for x in word]
+        else:  # a normal-ordered word: the coefficient takes no power of q
+            key = p_proj(word, n)
+            variables = [f"x{i + 1}^{e}" for i, e in enumerate(key) if e]
+        written.append("*".join([coefficient_text(c), *variables]))
+        mapping[key] = mapping.get(key, 0j) + c  # terms add in written order
+    text = " + ".join(written)
+    parse = (lambda: parse_free_element(text, n, cap)) if free else (lambda: parse_qelement(text, n, q, cap))
+    build = (lambda: FreeElement(n, mapping, cap=cap)) if free else (lambda: QElement(n, q, mapping, cap=cap))
+    try:
+        want = build()
+    except ValueError:  # a key past the cap, or a sum past double range
+        with pytest.raises(ValueError):
+            parse()
+        return
+    got = parse()
+    assert (type(got), got.n, got.cap, got.saturated) == (type(want), n, cap, False)
+    assert bits(got.coefficients) == bits(want.coefficients)
+    assert all(c != 0 for c in got.coefficients.values())
+    assert all(type(k) is tuple and all(type(e) is int for e in k) for k in got.coefficients)
+    if not free:
+        assert got.q is q
+
+
 # (text, coefficient of each word); every word is normal-ordered, so the
 # q-commuting value is the same at every q
 ACCEPTED = [
