@@ -48,12 +48,6 @@ class FreeElement(_TruncatedSeries):
     def word(cls, n: int, letters: Iterable[int], coeff: complex = 1.0, *, cap: int) -> "FreeElement":
         return cls(n, {tuple(letters): coeff}, cap=cap)
 
-    @classmethod
-    def generator(cls, n: int, i: int, *, cap: int) -> "FreeElement":
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} outside 1..{n}")
-        return cls(n, {(i,): 1.0}, cap=cap)
-
     def _product(self, other: "FreeElement") -> "FreeElement":
         return concat_multiply(self, other)
 

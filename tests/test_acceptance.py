@@ -203,6 +203,7 @@ def test_criterion_08_fock_representation(suite):
     v2 = checks_by_name(vak)["vaksman-monomial-values"]
     v3 = checks_by_name(vak)["vaksman-domination-constants"]
     assert c1.target == 1e-12 and v1.target == 1e-4 and v2.target == 1e-4
+    assert (v3.op, v3.target) == ("<=", 1.0)
     ok = all(c.passed for c in (c1, c2, v1, v2, v3))
     elapsed = ccr.elapsed + vak.elapsed
     announce(
@@ -238,10 +239,13 @@ def test_criterion_09_monomial_suprema(suite):
 def test_criterion_10_slice_rank_identity(suite):
     res = suite("slice-rank")
     c = checks_by_name(res)["slice-rank-identity"]
-    assert c.op == "=="
+    kernel = checks_by_name(res)["slice-fiber-kernel"]
+    assert c.op == "==" and "over 42 (n, d, q) cases, n <= 3, d <= 6" in c.detail
+    assert (kernel.op, kernel.target) == ("<=", 1e-12)
+    ok = c.passed and kernel.passed
     announce(
         "10 ideal slice ranks (exhaustive, n <= 3, d <= 6)",
-        c.passed,
-        f"{int(c.value)} rank mismatches",
+        ok,
+        f"{int(c.value)} rank mismatches over 42 slices, fiber kernel residual {kernel.value:.2g}",
     )
-    assert c.passed
+    assert ok

@@ -76,6 +76,8 @@ def test_json_report_schema_and_determinism(runner, tmp_path):
 # each subcommand's report, as json.loads reads it; the key order is not part
 # of the contents
 PROVENANCE = {"package": "qdomains", "version": "0.1.0"}
+# the rounding of q^(-inv w) q against q^(-inv w - 1) at |q| = 2, phase 1; 0 in exact arithmetic
+SLICE_KERNEL = 3.5108334685767e-16
 REPORTS = [
     (
         ["norm", "x1*x2 + 0.5*x2^2", "--family", "ball", "--q-mod", "0.5", "--rho", "0.9"],
@@ -157,9 +159,16 @@ REPORTS = [
             "command": "verify",
             "params": {"suites": ["slice-rank"]},
             "provenance": PROVENANCE,
-            "results": [{"assert": {"op": "==", "pass": True, "target": 0.0},
-                         "detail": "rank vs n^d - C(d+n-1, n-1) over 36 (n, d, q) cases",
-                         "flags": [], "name": "slice-rank:slice-rank-identity", "value": 0.0}],
+            "results": [
+                {"assert": {"op": "==", "pass": True, "target": 0.0},
+                 "detail": "per-fiber rank vs n^d - C(d+n-1, n-1) over 42 (n, d, q) cases, "
+                           "n <= 3, d <= 6, |q| in {0.5, 2}",
+                 "flags": [], "name": "slice-rank:slice-rank-identity", "value": 0.0},
+                {"assert": {"op": "<=", "pass": True, "target": 1e-12},
+                 "detail": "|sum_w q^(-inv w) M[w, c]| / max_w |q^(-inv w) M[w, c]| on every "
+                           "column c over 42 (n, d, q) cases, n <= 3, d <= 6, |q| in {0.5, 2}",
+                 "flags": [], "name": "slice-rank:slice-fiber-kernel", "value": SLICE_KERNEL},
+            ],
         },
     ),
 ]
@@ -458,8 +467,12 @@ def test_verify_reports_suites_in_the_named_order(runner, tmp_path):
     out = tmp_path / "v.json"
     invoke(runner, ["verify", "slice-rank", "quotient-ball", "--json", str(out)])
     report = json.loads(out.read_text())
-    suites = [e["name"].split(":")[0] for e in report["results"]]
-    assert suites[0] == "slice-rank" and set(suites[1:]) == {"quotient-ball"}
+    assert [e["name"] for e in report["results"]] == [
+        "slice-rank:slice-rank-identity",
+        "slice-rank:slice-fiber-kernel",
+        "quotient-ball:quotient-ball-certificate",
+        "quotient-ball:quotient-ball-spot",
+    ]
     assert report["params"]["suites"] == ["slice-rank", "quotient-ball"]
 
 

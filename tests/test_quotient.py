@@ -44,11 +44,13 @@ def blocks(k):
 
 
 def test_slice_rank_matches_kernel_count():
-    for q in (QS[0], QS[2]):
+    # the whole-slice rank is the oracle for the per-fiber blocks; d <= 1 and n = 1 have no columns
+    for q in (QParameter(0.5, 0.3), QS[1], QS[2]):
         for n in (1, 2, 3):
-            for d in range(0, 5):
+            for d in range(0, 6):
                 s = build_slice(n, q, d)
-                assert slice_rank(s) == theoretical_slice_rank(n, d)
+                whole = int(np.linalg.matrix_rank(s.matrix)) if s.matrix.size else 0
+                assert slice_rank(s) == whole == theoretical_slice_rank(n, d)
 
 
 @pytest.mark.parametrize(

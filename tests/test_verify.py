@@ -1,5 +1,6 @@
 """Verification-suite plumbing: check records, suite registry."""
 
+import cmath
 import math
 
 import numpy as np
@@ -241,3 +242,14 @@ def test_quotient_polydisk_suite_has_the_honest_failure():
     assert by_name["quotient-rho-tau-block-law"].passed
     assert by_name["quotient-taylor-certificate"].passed
     assert not res.passed
+
+
+def test_slice_fiber_kernel_fails_on_relations_written_the_wrong_way_round(monkeypatch):
+    # z_i z_j - q^-1 z_j z_i spans a slice of the same rank, which only the kernel check sees
+    build = verify.build_slice
+    monkeypatch.setattr(verify, "build_slice", lambda n, q, d: build(n, q.inverse(), d))
+    checks = {c.name: c for c in run_suite("slice-rank").checks}
+    assert checks["slice-rank-identity"].passed and checks["slice-rank-identity"].value == 0.0
+    assert not checks["slice-fiber-kernel"].passed
+    # each column reads |1 - q^-2| / max(1, |q|^-2): 0.75 at q = 0.5, 1.13 at q = 2 e^i
+    assert checks["slice-fiber-kernel"].value == pytest.approx(abs(1 - cmath.exp(-2j) / 4))
