@@ -274,6 +274,8 @@ def quotient_norm(expression, family, n, q_mod, q_phase, rho, tau, cap, json_pat
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def jsr(family, n, q_mod, q_phase, p, r, dmax, tau, json_path, csv_path):
     """Joint l^p spectral radius of the canonical generators and its certified bracket."""
+    if family != "free-polydisk":
+        check_tau(tau, unweighted=family)
     internal = family.replace("-", "_")
     # the free families ignore q, but it is checked for them too
     est = estimate_canonical_jsr(internal, n, QParameter(q_mod, q_phase), p, r, d_max=dmax, tau=tau)

@@ -6,11 +6,10 @@ Basis words are tuples over 1..n; multiplication is concatenation.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from operator import add
 
 from .qcombinatorics import (
     MultiIndex,
-    Word,
     as_word,
     check_positive,
     degree,
@@ -34,20 +33,6 @@ class FreeElement(_TruncatedSeries):
     _key_degree = staticmethod(len)
     _key_name = "word"
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, *, cap: int) -> "FreeElement":
-        return cls(n, {}, cap=cap)
-
-    @classmethod
-    def unit(cls, n: int, *, cap: int) -> "FreeElement":
-        return cls(n, {(): 1.0}, cap=cap)
-
-    @classmethod
-    def word(cls, n: int, letters: Iterable[int], coeff: complex = 1.0, *, cap: int) -> "FreeElement":
-        return cls(n, {tuple(letters): coeff}, cap=cap)
-
     def _product(self, other: "FreeElement") -> "FreeElement":
         return concat_multiply(self, other)
 
@@ -59,22 +44,8 @@ class FreeElement(_TruncatedSeries):
 
 
 def concat_multiply(a: FreeElement, b: FreeElement) -> FreeElement:
-    """Concatenation product, truncated at the cap with the sticky flag."""
-    a._check_compatible(b)
-    out: dict[Word, complex] = {}
-    truncated = False
-    for wa, ca in a.coefficients.items():
-        for wb, cb in b.coefficients.items():
-            if len(wa) + len(wb) > a.cap:
-                truncated = True
-                continue
-            w = wa + wb
-            acc = out.get(w, 0j) + ca * cb
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return a._with(out, a.saturated or b.saturated or truncated)
+    """Concatenation product u·v, truncated at the cap with the sticky flag."""
+    return a._convolve(b, add)
 
 
 # ---------------------------------------------------------------------------

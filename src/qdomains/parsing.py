@@ -12,8 +12,9 @@ tokens read as  expr := ['+'|'-'] term (('+'|'-') term)*  with
 term := (coeff | var) ('*' (coeff | var))*.  A term's coefficients commute
 into one; its variables keep their written order, the term's word.  The
 free algebra takes the word as it stands, the q-commuting algebra its normal
-form q^(-inv w) x^(p(w)).  The formatters print coefficients by repr, so
-their output reparses to the identical element.
+form q^(-inv w) x^(p(w)); the terms then add in written order.  The
+formatters print coefficients by repr, so their output reparses to the
+identical element.
 """
 
 from __future__ import annotations
@@ -83,12 +84,14 @@ def _quoted_variable(m: re.Match) -> str:
     return f"{shown!r}... ({len(run)}-digit index)" if len(run) > _QUOTED_DIGITS else repr(shown)
 
 
-def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], float, int]]:
-    """(coefficient, (letter, exponent) pairs in written order, degree, position) of each term.
+def _terms(text: str, n: int, cap: int) -> list[tuple[complex, list[int]]]:
+    """(coefficient, word) of each term in written order, the word its letters as written.
 
-    A term's position is that of its first coefficient or variable.  Digit
-    runs are read without their leading zeros; one with more digits than any
-    admissible value is refused, or read as inf, before int() sees it.
+    Digit runs are read without their leading zeros; one with more digits
+    than any admissible value is refused, or read as inf, before int() sees
+    it.  Every term's degree is checked against the cap before any word is
+    spelled out, so a huge exponent is only a number; the error points at
+    the term's first coefficient or variable.
     """
     tokens = list(_TOKEN_RE.finditer(text))
     bad = next((m for m in tokens if m.lastgroup == "bad"), None)
@@ -133,11 +136,15 @@ def _terms(text: str, n: int) -> list[tuple[complex, list[tuple[int, float]], fl
     if atom_next:
         raise ParseError("unexpected end of input", len(text))
     terms.append((coeff, word, deg, start))
-    return terms
+    for _, _, degree, pos in terms:
+        if degree > cap:
+            shown = degree if degree < math.inf else f"above 10^{_MAX_DIGITS}"
+            raise ParseError(f"term degree {shown} exceeds cap {cap}", pos)
+    return [(c, [letter for letter, e in powers for _ in range(e)]) for c, powers, _, _ in terms]
 
 
-def _normal_form(c: complex, word: list[int], q: QParameter, n: int) -> tuple[complex, tuple]:
-    """c times the word, normal-ordered: q^(-inv w) c x^(p(w)).
+def _normal_form(c: complex, word: list[int], q: QParameter, n: int) -> tuple[tuple, complex]:
+    """c times the word, normal-ordered: x^(p(w)) and its coefficient q^(-inv w) c.
 
     Each letter moves past the greater letters written before it, a factor
     q^(-count) per letter, left to right: the same products, roundings and
@@ -149,46 +156,19 @@ def _normal_form(c: complex, word: list[int], q: QParameter, n: int) -> tuple[co
         counts[letter] += 1
         if passed and c:  # 0 stays 0: no power of q, so no range error
             c = finite(c * q.power(-passed))
-    return c, tuple(counts[1:])
-
-
-def _word_map(text: str, n: int, cap: int, key) -> dict:
-    """Coefficient of each key of the text's terms, ``key(c, word)`` -> (c, key).
-
-    Every term's degree is checked before any word is spelled out, so a huge
-    exponent is only a number; terms add in written order, and a sum that
-    cancels drops its key.  The map is normal as it stands: keys within the
-    cap, values finite and nonzero.
-    """
-    terms = _terms(text, n)
-    for _, _, degree, pos in terms:
-        if degree > cap:
-            shown = degree if degree < math.inf else f"above 10^{_MAX_DIGITS}"
-            raise ParseError(f"term degree {shown} exceeds cap {cap}", pos)
-    out: dict[tuple, complex] = {}
-    for c, powers, _, _ in terms:
-        c, k = key(c, [letter for letter, e in powers for _ in range(e)])
-        acc = finite(out.get(k, 0j) + c)
-        if acc:
-            out[k] = acc
-        else:
-            out.pop(k, None)
-    return out
+    return tuple(counts[1:]), c
 
 
 def parse_qelement(text: str, n: int, q: QParameter, cap: int) -> QElement:
     """Parse in the q-commuting algebra; each written word goes to its normal form."""
     a = QElement(n, q, cap=cap)  # n, q and cap are checked before the text is read
-    # the map is already normal, so it is not normalized a second time
-    a.coefficients = _word_map(text, n, cap, lambda c, word: _normal_form(c, word, q, n))
-    return a
+    return a._sum((_normal_form(c, word, q, n) for c, word in _terms(text, n, cap)), False)
 
 
 def parse_free_element(text: str, n: int, cap: int) -> FreeElement:
     """Parse in the free algebra; variable order becomes the word."""
     a = FreeElement(n, cap=cap)  # n and cap are checked before the text is read
-    a.coefficients = _word_map(text, n, cap, lambda c, word: (c, tuple(word)))
-    return a
+    return a._sum(((tuple(word), c) for c, word in _terms(text, n, cap)), False)
 
 
 # ---------------------------------------------------------------------------

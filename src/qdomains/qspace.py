@@ -6,8 +6,8 @@ i < j.  Products above the degree cap are dropped and the element is
 marked saturated; norms of saturated elements are lower bounds for the
 untruncated values.
 
-:func:`multiply` forms products one term pair at a time from the closed
-form x^k x^m = q^e(k,m) x^(k+m), with e from :func:`normal_order_exponent`.
+:func:`multiply` hands the container's product loop the closed form
+x^k x^m = q^e(k,m) x^(k+m), with e from :func:`normal_order_exponent`.
 The normal-ordering suite runs that same function on the index columns of
 all monomial pairs of an n at once, against the rewriting oracle
 :func:`normal_order_word`.  The rewriting does not depend on q, so the
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -42,7 +43,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 class IncompatibilityError(ValueError):
-    """Raised when combining elements with different n, q, or degree cap."""
+    """Raised when combining elements of different classes, n, q, or degree cap."""
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,16 @@ def check_finite_coefficients(coefficients: Mapping[object, complex]) -> None:
 class _TruncatedSeries:
     """Degree-truncated coefficient map: the container behind QElement and FreeElement.
 
+    The two algebras differ only in their keys and in how two keys multiply.
+    Every other rule is here, once: :meth:`_sum` adds terms key by key and
+    drops a key whose terms cancel (``+``, both products, both parsers);
+    :meth:`_convolve` drops a term pair past the cap and marks the product
+    ``saturated``, a flag that sticks to everything computed from it, so its
+    norms are lower bounds; and operands must be of one class with one n,
+    cap (and q), or :class:`IncompatibilityError` is raised (``+`` and ``-``
+    with a non-series operand raise TypeError).
+
     Treat instances as immutable: all arithmetic returns new elements.
-    ``saturated`` is sticky; once a product has dropped a term past the
-    cap the flag propagates to everything computed from the result.
     Subclasses supply the key normaliser ``_key``, the key degree
     ``_key_degree``, the noun ``_key_name`` for error messages and the
     product ``_product``.
@@ -208,31 +216,69 @@ class _TruncatedSeries:
         return out
 
     def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise IncompatibilityError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if self.n != other.n:
             raise IncompatibilityError(f"dimension mismatch: {self.n} vs {other.n}")
         if self.cap != other.cap:
             raise IncompatibilityError(f"cap mismatch: {self.cap} vs {other.cap}")
 
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coefficients)
-        for k, c in other.coefficients.items():
+    def _sum(self, terms: Iterable[tuple[tuple, complex]], saturated: bool, start=()):
+        """The map ``start`` plus the (normal key, coefficient) terms, added in order.
+
+        A key whose sum is zero is dropped; a sum past double range is
+        :func:`finite`'s ValueError.
+        """
+        out = dict(start)
+        for k, c in terms:
             acc = out.get(k, 0j) + c
             if acc == 0:
                 out.pop(k, None)
             else:
                 out[k] = acc
-        return self._with(out, self.saturated or other.saturated)
+        return self._with(out, saturated)
+
+    def _convolve(self, other, join, factor=None):
+        """Sum of the products x^k x^m = factor(k, m) x^join(k, m) of the term pairs.
+
+        ``factor`` None stands for 1.  A pair whose degrees add past the cap
+        is dropped before it is joined, and the product is then saturated.
+        """
+        self._check_compatible(other)
+        cap, degree_of = self.cap, self._key_degree
+        right = [(m, cm, degree_of(m)) for m, cm in other.coefficients.items()]
+        pairs = [
+            (k, m, ck * cm)
+            for k, ck in self.coefficients.items()
+            for room in (cap - degree_of(k),)
+            for m, cm, dm in right
+            if dm <= room
+        ]
+        truncated = len(pairs) < len(self.coefficients) * len(right)
+        K, M, C = zip(*pairs) if pairs else ((), (), ())
+        if factor is not None:
+            C = map(mul, C, map(factor, K, M))
+        return self._sum(zip(map(join, K, M), C), self.saturated or other.saturated or truncated)
+
+    def __add__(self, other):
+        if not isinstance(other, _TruncatedSeries):
+            return NotImplemented
+        self._check_compatible(other)
+        return self._sum(
+            other.coefficients.items(), self.saturated or other.saturated, self.coefficients
+        )
 
     def __neg__(self):
         return self._with({k: -c for k, c in self.coefficients.items()}, self.saturated)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other) if isinstance(other, _TruncatedSeries) else NotImplemented
 
     def scaled(self, c: complex):
         c = complex(c)
-        # a product that underflows to zero is dropped, as in __add__
+        # a product that underflows to zero is dropped, as a zero sum is
         return self._with(
             {k: p for k, v in self.coefficients.items() if (p := v * c)}, self.saturated
         )
@@ -272,30 +318,6 @@ class QElement(_TruncatedSeries):
         self.q = q
         _TruncatedSeries.__init__(self, n, coefficients, cap=cap, saturated=saturated)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int, q: QParameter, *, cap: int) -> "QElement":
-        return cls(n, q, {}, cap=cap)
-
-    @classmethod
-    def unit(cls, n: int, q: QParameter, *, cap: int) -> "QElement":
-        return cls(n, q, {(0,) * n: 1.0}, cap=cap)
-
-    @classmethod
-    def monomial(
-        cls, n: int, q: QParameter, k: Iterable[int], coeff: complex = 1.0, *, cap: int
-    ) -> "QElement":
-        return cls(n, q, {tuple(k): coeff}, cap=cap)
-
-    @classmethod
-    def generator(cls, n: int, q: QParameter, i: int, *, cap: int) -> "QElement":
-        """The generator x_i, 1-based."""
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} outside 1..{n}")
-        k = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, q, {k: 1.0}, cap=cap)
-
     # -- container hooks ---------------------------------------------------
     # On every short arithmetic call: the base class is called by name, and
     # q by identity first, both cheaper than super() and the dataclass __eq__.
@@ -327,24 +349,11 @@ def multiply(a: QElement, b: QElement) -> QElement:
     e(k,m) = -sum_{i<j} k_j m_i, whose sign is pinned down by the
     rewriting oracle :func:`normal_order_word`.
     """
-    a._check_compatible(b)
-    out: dict[MultiIndex, complex] = {}
-    truncated = False
-    q = a.q
-    cap = a.cap
-    for k, ck in a.coefficients.items():
-        for m, cm in b.coefficients.items():
-            s = tuple(x + y for x, y in zip(k, m))
-            if degree(s) > cap:
-                truncated = True
-                continue
-            c = ck * cm * q.power(normal_order_exponent(k, m))
-            acc = out.get(s, 0j) + c
-            if acc == 0:
-                out.pop(s, None)
-            else:
-                out[s] = acc
-    return a._with(out, a.saturated or b.saturated or truncated)
+    return a._convolve(
+        b,
+        lambda k, m: tuple(map(add, k, m)),
+        lambda k, m: a.q.power(normal_order_exponent(k, m)),
+    )
 
 
 def scale_auto(a: QElement, rho: float) -> QElement:

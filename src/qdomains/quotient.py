@@ -119,13 +119,11 @@ def theoretical_slice_rank(n: int, d: int) -> int:
     return n ** d - math.comb(d + n - 1, n - 1)
 
 
-def canonical_lift(k: Sequence[int], *, cap: int | None = None) -> FreeElement:
-    """The nondecreasing word with letter counts k, as a free element."""
+def canonical_lift(k: Sequence[int]) -> FreeElement:
+    """The nondecreasing word with letter counts k, as a free element at cap |k|."""
     kk = as_multi_index(k)
     word = _canonical_word(kk)
-    if cap is None:
-        cap = len(word)
-    return FreeElement(len(kk), {word: 1.0}, cap=cap)
+    return FreeElement(len(kk), {word: 1.0}, cap=len(word))
 
 
 @dataclass

@@ -676,7 +676,9 @@ def test_single_large_terms_print_exactly(runner, args):
 def test_tau_is_refused_where_no_block_weight_reads_it(runner, args):
     r = invoke(runner, args, ok=False)
     assert_clean_error(r)
-    assert "has no block weight" in r.output
+    # the family is named as it was typed, free-taylor and not free_taylor
+    family = args[args.index("--family") + 1]
+    assert f"the {family} family has no block weight" in r.output
 
 
 def test_radius_of_huge_coefficients(runner, tmp_path):

@@ -30,7 +30,8 @@ def unit_polydisk_norm(a):
 
 
 def canonical_tuple(n, q, cap):
-    return tuple(QElement.generator(n, q, i + 1, cap=cap) for i in range(n))
+    units = (tuple(int(j == i) for j in range(n)) for i in range(n))
+    return tuple(QElement(n, q, {k: 1.0}, cap=cap) for k in units)
 
 
 def log_q_factorial_table(d_max, t):
@@ -241,7 +242,7 @@ def test_enumeration_agrees_with_collapse(family, q):
 def test_general_tuple_is_flagged_and_guarded():
     q = Q_HALF
     g1 = QElement(2, q, {(1, 0): 0.5, (0, 1): 0.5}, cap=4)
-    g2 = QElement.generator(2, q, 2, cap=4)
+    g2 = QElement(2, q, {(0, 1): 1.0}, cap=4)
     partials, flags = jsr_partials((g1, g2), 2.0, unit_polydisk_norm, 3)
     assert "general-tuple-enumeration" in flags
     assert len(partials) == 3
@@ -253,7 +254,7 @@ def test_general_tuple_is_flagged_and_guarded():
 def test_saturation_stops_enumeration():
     q = Q_HALF
     g1 = QElement(2, q, {(1, 0): 0.5, (0, 1): 0.5}, cap=2)
-    g2 = QElement.generator(2, q, 2, cap=2)
+    g2 = QElement(2, q, {(0, 1): 1.0}, cap=2)
     partials, flags = jsr_partials((g1, g2), 2.0, unit_polydisk_norm, 6)
     assert any(f.startswith("saturated-at-d=") for f in flags)
     assert len(partials) < 6

@@ -348,7 +348,7 @@ def test_formatting_style():
     assert s == "-2.0 + x1*x2"
     z = format_free_element(parse_free_element("z2*z2*z1", 2, 6))
     assert z == "z2^2*z1"  # runs collapse to powers
-    assert format_qelement(QElement.zero(2, Q, cap=2)) == "0"
+    assert format_qelement(QElement(2, Q, cap=2)) == "0"
 
 
 def test_long_variable_index_is_quoted_short():

@@ -143,32 +143,10 @@ def test_normal_order_exponent_on_index_columns_matches_tuples(n, cap, sizes, se
     assert got.tolist() == [normal_order_exponent(K[i], M[j]) for i, j in pairs]
 
 
-def test_multiply_edge_cases():
-    # (x1 + x2)(x2 - q x1) at q = 2: x1*x2 and q^-1 x2*x1 cancel exactly, no key is left
-    q = QParameter(2.0, 0.0)
-    a = QElement(2, q, {(1, 0): 1.0, (0, 1): 1.0}, cap=4)
-    b = QElement(2, q, {(0, 1): 1.0, (1, 0): -2.0}, cap=4)
-    assert list(multiply(a, b).coefficients.items()) == [((2, 0), -2.0), ((0, 2), 1.0)]
-    # an empty factor gives an empty product, saturated only if a factor is
-    zero = QElement.zero(2, q, cap=4)
-    for x, y in ((a, zero), (zero, a), (zero, zero)):
-        p = multiply(x, y)
-        assert p.is_zero() and not p.saturated and p.q is q
-    sat = QElement(2, q, {}, cap=4, saturated=True)
-    assert multiply(a, sat).saturated and multiply(sat, a).saturated
-    # operands must share n, cap and q, empty or not
-    for other in (QElement(3, q, {(1, 0, 0): 1.0}, cap=4), QElement(2, q, {(1, 0): 1.0}, cap=5),
-                  QElement(2, Q_HALF, {(1, 0): 1.0}, cap=4), QElement.zero(2, Q_HALF, cap=4)):
-        with pytest.raises(IncompatibilityError):
-            multiply(a, other)
-        with pytest.raises(IncompatibilityError):
-            multiply(other, a)
-
-
 def test_multiply_spot():
     # x2 x1 = q^{-1} x1 x2, so at q = 1/2 the reordered coefficient is 2
-    x1 = QElement.generator(2, Q_HALF, 1, cap=8)
-    x2 = QElement.generator(2, Q_HALF, 2, cap=8)
+    x1 = QElement(2, Q_HALF, {(1, 0): 1.0}, cap=8)
+    x2 = QElement(2, Q_HALF, {(0, 1): 1.0}, cap=8)
     p = x2 * x1
     assert p.coefficient((1, 1)) == pytest.approx(2.0 + 0j, rel=1e-15, abs=0)
     p2 = p * x1
@@ -201,8 +179,8 @@ def test_classical_degeneration_commutes():
 
 
 def test_unit_and_zero():
-    one = QElement.unit(2, Q_HALF, cap=6)
-    zero = QElement.zero(2, Q_HALF, cap=6)
+    one = QElement(2, Q_HALF, {(0, 0): 1.0}, cap=6)
+    zero = QElement(2, Q_HALF, cap=6)
     a = QElement(2, Q_HALF, {(2, 1): 1.0 + 1j}, cap=6)
     assert multiply(one, a).coefficient((2, 1)) == a.coefficient((2, 1))
     assert multiply(a, one).coefficient((2, 1)) == a.coefficient((2, 1))
@@ -210,25 +188,30 @@ def test_unit_and_zero():
     assert (a - a).is_zero()
 
 
-def test_cap_truncation_is_sticky():
-    x1 = QElement.generator(1, Q_HALF, 1, cap=2)
-    sq = x1 * x1
-    assert not sq.saturated
-    cube = sq * x1
-    assert cube.saturated
-    assert cube.is_zero()  # degree-3 term dropped entirely
-    back = cube + QElement.unit(1, Q_HALF, cap=2)
-    assert back.saturated  # flag survives later arithmetic
-
-
 def test_incompatible_operands_rejected():
-    a = QElement.unit(2, Q_HALF, cap=4)
-    b = QElement.unit(2, Q_BIG, cap=4)
-    c = QElement.unit(3, Q_HALF, cap=4)
+    a = QElement(2, Q_HALF, {(0, 0): 1.0}, cap=4)
+    b = QElement(2, Q_BIG, {(0, 0): 1.0}, cap=4)
+    c = QElement(3, Q_HALF, {(0, 0, 0): 1.0}, cap=4)
     with pytest.raises(IncompatibilityError):
         multiply(a, b)
     with pytest.raises(IncompatibilityError):
         a + c
+    # an element of the other algebra is refused in either order; its keys
+    # mean something else (the monomial x1 x2 is not the word z1 z1)
+    f = FreeElement(2, {(1,): 1}, cap=3)
+    x = QElement(2, QParameter(0.5), {(1, 1): 2}, cap=3)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, concat_multiply, multiply):
+        for u, v in ((f, x), (x, f)):
+            with pytest.raises(IncompatibilityError, match="cannot combine"):
+                op(u, v)
+    # + and - with an operand that is no series are Python's TypeError
+    for element in (f, x):
+        for operand in (1, 0.5j, "x1", None):
+            for op in (lambda u, v: u + v, lambda u, v: u - v):
+                with pytest.raises(TypeError):
+                    op(element, operand)
+                with pytest.raises(TypeError):
+                    op(operand, element)
 
 
 def test_non_finite_coefficients_are_rejected():
@@ -246,38 +229,79 @@ def make_free_element(coefficients, *, n=2, cap=4, q=None, saturated=False):
 
 
 @pytest.mark.parametrize(
-    "make, key, other_key, product",
+    "make, key, other_key, unit, product, cancelling",
     [
-        (make_qelement, (1, 0), (0, 1), multiply),
-        (make_free_element, (1,), (2,), concat_multiply),
+        (
+            make_qelement, (1, 0), (0, 1), (0, 0), multiply,
+            [
+                # (x1 + x2)(x2 - q x1) at q = 2: x1 x2 and -q q^-1 x1 x2 cancel
+                (QParameter(2.0, 0.0), {(1, 0): 1.0, (0, 1): 1.0}, {(0, 1): 1.0, (1, 0): -2.0},
+                 [((2, 0), -2.0), ((0, 2), 1.0)]),
+                # (x1 - 0.5 x2)(x2 + x1) at q = 0.5: x1 x2 and -0.5 q^-1 x1 x2 cancel
+                (Q_HALF, {(1, 0): 1.0, (0, 1): -0.5}, {(0, 1): 1.0, (1, 0): 1.0},
+                 [((2, 0), 1.0), ((0, 2), -0.5)]),
+            ],
+        ),
+        (
+            make_free_element, (1,), (2,), (), concat_multiply,
+            # (1 + z1)(z1 - 1): z1 and -z1 cancel
+            [(None, {(): 1.0, (1,): 1.0}, {(1,): 1.0, (): -1.0}, [((), -1.0), ((1, 1), 1.0)])],
+        ),
     ],
     ids=["QElement", "FreeElement"],
 )
-def test_series_container_contract(make, key, other_key, product):
+def test_series_container_contract(make, key, other_key, unit, product, cancelling):
     a = make({key: 2.0, other_key: 1j})
     # a sum that cancels drops the key
     assert (a + make({key: -2.0})).coefficients == {other_key: 1j}
     assert (a - a).is_zero() and (a + (-a)).is_zero()
-    # saturated is sticky through +, - and scaled, from either side
+    # so does a product, and the keys left keep the order they were reached in
+    for q, left, right, items in cancelling:
+        assert list(product(make(left, q=q), make(right, q=q)).coefficients.items()) == items
+    # a pair past the cap is dropped and saturates the product; the pairs within it stay
+    x = make({key: 1.0}, cap=2)
+    square = x * x
+    assert square.degree() == 2 and len(square.coefficients) == 1 and not square.saturated
+    cube = square * x
+    assert cube.saturated
+    assert cube.is_zero()  # degree-3 term dropped entirely
+    partly = product(square + make({unit: 1.0}, cap=2), x)
+    assert partly.saturated and partly.coefficients == x.coefficients
+    # saturated is sticky through +, -, scaled and *, from either side
+    back = cube + make({unit: 1.0}, cap=2)
+    assert back.saturated  # flag survives later arithmetic
     sat = make({key: 1.0}, saturated=True)
-    for out in (a + sat, sat + a, a - sat, sat - a, -sat, sat.scaled(3.0), sat.scaled(0)):
+    empty_sat = make({}, saturated=True)
+    for out in (a + sat, sat + a, a - sat, sat - a, -sat, sat.scaled(3.0), sat.scaled(0),
+                a * sat, sat * a, product(a, empty_sat), product(empty_sat, a)):
         assert out.saturated and type(out) is type(a)
-    assert not (a + a).saturated and not a.scaled(2.0).saturated
+    assert not (a + a).saturated and not a.scaled(2.0).saturated and not (a * a).saturated
+    # an empty factor gives an empty product, saturated only if a factor is
+    zero = make({})
+    for u, v in ((a, zero), (zero, a), (zero, zero)):
+        p = product(u, v)
+        assert p.is_zero() and not p.saturated and type(p) is type(a)
+        if isinstance(a, QElement):
+            assert p.q is a.q
     # a coefficient that underflows to zero is dropped, as one that cancels
     tiny = make({key: 1e-300, other_key: 1e-300}).scaled(1e-300)
     assert tiny.coefficients == {} and tiny.is_zero() and tiny.degree() == 0
     if isinstance(a, QElement):
-        tiny = scale_auto(QElement.monomial(2, Q_HALF, (3, 3), 1e-300, cap=8), 1e-10)
+        tiny = scale_auto(QElement(2, Q_HALF, {(3, 3): 1e-300}, cap=8), 1e-10)
         assert tiny.is_zero() and tiny.degree() == 0
-    # operands must share n and cap (and q for QElement)
-    mismatched = [make({}, n=3), make({}, cap=5)]
+    # operands must share n and cap (and q for QElement), empty or not, in either order
+    mismatched = [make({}, n=3), make({}, cap=5), make({key: 1.0}, cap=5)]
     if isinstance(a, QElement):
-        mismatched.append(make({}, q=Q_BIG))
+        mismatched += [make({}, q=Q_BIG), make({key: 1.0}, q=Q_BIG), make({(1, 0, 0): 1.0}, n=3)]
         assert (a + a).q is a.q and a.scaled(2.0).q is a.q
+    else:
+        mismatched.append(make({key: 1.0}, n=3))
     for b in mismatched:
         for op in (lambda x, y: x + y, lambda x, y: x - y, product, lambda x, y: x * y):
             with pytest.raises(IncompatibilityError):
                 op(a, b)
+            with pytest.raises(IncompatibilityError):
+                op(b, a)
     # non-finite coefficients are rejected, given or computed
     for bad in (math.inf, math.nan, complex(1.0, math.inf)):
         with pytest.raises(ValueError, match="not finite"):
@@ -302,7 +326,7 @@ def test_series_container_contract(make, key, other_key, product):
 
 def test_seminorm_rho_validation():
     # rho is checked on the zero element too, where no term is summed
-    for a in (QElement.unit(1, Q_HALF, cap=2), QElement.zero(1, Q_HALF, cap=2)):
+    for a in (QElement(1, Q_HALF, {(0,): 1.0}, cap=2), QElement(1, Q_HALF, cap=2)):
         for norm in (polydisk_norm, ball_norm):
             for rho in (0.0, -1.0, math.inf, math.nan):
                 with pytest.raises(ValueError, match="rho must be positive and finite"):
@@ -311,7 +335,7 @@ def test_seminorm_rho_validation():
 
 @pytest.mark.parametrize("tau", [0.5, math.nan, math.inf])
 def test_tau_must_be_finite_and_at_least_one(tau):
-    w = FreeElement.word(2, (1, 2), cap=4)
+    w = FreeElement(2, {(1, 2): 1.0}, cap=4)
     for check in (
         lambda: free_polydisk_norm(w, 1.0, tau),
         lambda: quotient_norm_l1(w, 1.0, tau, q=Q_HALF),
@@ -373,11 +397,11 @@ def test_norms_keep_their_range():
     # (x2 x1)^2 = q^-3 x1^2 x2^2: a coefficient 1e300 against the weight
     # |q|^4 = 1e-400 leaves 1e-100 for both families
     tiny = QParameter(1e-100, 0.0)
-    x1, x2 = (QElement.generator(2, tiny, i, cap=4) for i in (1, 2))
+    x1, x2 = (QElement(2, tiny, {k: 1.0}, cap=4) for k in ((1, 0), (0, 1)))
     sq = (x2 * x1) * (x2 * x1)
     assert polydisk_norm(sq, 1.0) == pytest.approx(1e-100, rel=1e-12, abs=0)
     assert ball_norm(sq, 1.0) == pytest.approx(1e-100, rel=1e-12, abs=0)
-    assert ball_norm(QElement.zero(2, tiny, cap=4), 1.0) == 0.0
+    assert ball_norm(QElement(2, tiny, cap=4), 1.0) == 0.0
     high = QElement(1, Q_HALF, {(10,): 1.0}, cap=10)
     with pytest.raises(ValueError, match="double range"):
         polydisk_norm(high, 1e100)

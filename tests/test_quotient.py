@@ -333,9 +333,9 @@ def test_out_of_range_values_raise():
 
 def test_quotient_of_zero_and_scalar():
     q = QS[0]
-    zero = FreeElement.zero(2, cap=3)
+    zero = FreeElement(2, cap=3)
     assert quotient_norm_l1(zero, 0.5, q=q).value == 0.0
-    one = FreeElement.unit(2, cap=3)
+    one = FreeElement(2, {(): 1.0}, cap=3)
     # degree 0 has no relations: the quotient norm is the plain norm
     assert quotient_norm_l1(one, 0.5, q=q).value == pytest.approx(1.0)
     assert quotient_norm_l2(one, 0.5, q=q).value == pytest.approx(1.0)
@@ -394,9 +394,8 @@ def test_coefficient_norms_are_quotient_norms_of_the_sorted_lift(data, n, log_mo
         st.dictionaries(st.sampled_from(list(multi_indices_up_to(n, 6))), coefficient, min_size=1, max_size=8)
     )
     a = QElement(n, q, terms, cap=6)
-    lift = FreeElement.zero(n, cap=6)
-    for k, c in terms.items():
-        lift = lift + canonical_lift(k, cap=6).scaled(c)
+    words = {w: c for k, c in terms.items() for w in canonical_lift(k).coefficients}
+    lift = FreeElement(n, words, cap=6)
     l1, l2 = quotient_norm_l1(lift, rho, q=q).value, quotient_norm_l2(lift, rho, q=q).value
     assert polydisk_norm(a, rho) == pytest.approx(l1, rel=1e-13, abs=0)
     assert ball_norm(a, rho) == pytest.approx(l2, rel=1e-13, abs=0)
