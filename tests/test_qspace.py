@@ -3,6 +3,7 @@
 import cmath
 import math
 from itertools import product
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
@@ -228,61 +229,87 @@ def make_free_element(coefficients, *, n=2, cap=4, q=None, saturated=False):
     return FreeElement(n, coefficients, cap=cap, saturated=saturated)
 
 
-@pytest.mark.parametrize(
-    "make, key, other_key, unit, product, cancelling",
-    [
-        (
-            make_qelement, (1, 0), (0, 1), (0, 0), multiply,
-            [
-                # (x1 + x2)(x2 - q x1) at q = 2: x1 x2 and -q q^-1 x1 x2 cancel
-                (QParameter(2.0, 0.0), {(1, 0): 1.0, (0, 1): 1.0}, {(0, 1): 1.0, (1, 0): -2.0},
-                 [((2, 0), -2.0), ((0, 2), 1.0)]),
-                # (x1 - 0.5 x2)(x2 + x1) at q = 0.5: x1 x2 and -0.5 q^-1 x1 x2 cancel
-                (Q_HALF, {(1, 0): 1.0, (0, 1): -0.5}, {(0, 1): 1.0, (1, 0): 1.0},
-                 [((2, 0), 1.0), ((0, 2), -0.5)]),
-            ],
-        ),
-        (
-            make_free_element, (1,), (2,), (), concat_multiply,
-            # (1 + z1)(z1 - 1): z1 and -z1 cancel
-            [(None, {(): 1.0, (1,): 1.0}, {(1,): 1.0, (): -1.0}, [((), -1.0), ((1, 1), 1.0)])],
-        ),
-    ],
-    ids=["QElement", "FreeElement"],
-)
-def test_series_container_contract(make, key, other_key, unit, product, cancelling):
+class Series(NamedTuple):
+    """One series class as the shared container tests see it."""
+
+    make: Callable
+    key: tuple
+    other_key: tuple
+    unit: tuple
+    product: Callable
+    # (q, left, right, product items in order) for products in which a key cancels
+    cancelling: list
+
+
+SERIES = {
+    "QElement": Series(
+        make_qelement, (1, 0), (0, 1), (0, 0), multiply,
+        [
+            # (x1 + x2)(x2 - q x1) at q = 2: x1 x2 and -q q^-1 x1 x2 cancel
+            (QParameter(2.0, 0.0), {(1, 0): 1.0, (0, 1): 1.0}, {(0, 1): 1.0, (1, 0): -2.0},
+             [((2, 0), -2.0), ((0, 2), 1.0)]),
+            # (x1 - 0.5 x2)(x2 + x1) at q = 0.5: x1 x2 and -0.5 q^-1 x1 x2 cancel
+            (Q_HALF, {(1, 0): 1.0, (0, 1): -0.5}, {(0, 1): 1.0, (1, 0): 1.0},
+             [((2, 0), 1.0), ((0, 2), -0.5)]),
+        ],
+    ),
+    "FreeElement": Series(
+        make_free_element, (1,), (2,), (), concat_multiply,
+        # (1 + z1)(z1 - 1): z1 and -z1 cancel
+        [(None, {(): 1.0, (1,): 1.0}, {(1,): 1.0, (): -1.0}, [((), -1.0), ((1, 1), 1.0)])],
+    ),
+}
+
+
+def test_multiply_edge_cases():
+    for make, key, other_key, _, product, cancelling in SERIES.values():
+        a = make({key: 2.0, other_key: 1j})
+        # a product that cancels drops the key, and the keys left keep the order they were reached in
+        for q, left, right, items in cancelling:
+            assert list(product(make(left, q=q), make(right, q=q)).coefficients.items()) == items
+        # an empty factor gives an empty product, saturated only if a factor is
+        zero = make({})
+        for u, v in ((a, zero), (zero, a), (zero, zero)):
+            p = product(u, v)
+            assert p.is_zero() and not p.saturated and type(p) is type(a)
+            if isinstance(a, QElement):
+                assert p.q is a.q
+
+
+def test_cap_truncation_is_sticky():
+    for make, key, other_key, unit, product, _ in SERIES.values():
+        a = make({key: 2.0, other_key: 1j})
+        # a pair past the cap is dropped and saturates the product; the pairs within it stay
+        x = make({key: 1.0}, cap=2)
+        square = x * x
+        assert square.degree() == 2 and len(square.coefficients) == 1 and not square.saturated
+        cube = square * x
+        assert cube.saturated
+        assert cube.is_zero()  # degree-3 term dropped entirely
+        partly = product(square + make({unit: 1.0}, cap=2), x)
+        assert partly.saturated and partly.coefficients == x.coefficients
+        back = cube + make({unit: 1.0}, cap=2)
+        assert back.saturated  # flag survives later arithmetic
+        # saturated is sticky through * from either side, an empty factor included
+        sat = make({key: 1.0}, saturated=True)
+        empty_sat = make({}, saturated=True)
+        for out in (a * sat, sat * a, product(a, empty_sat), product(empty_sat, a)):
+            assert out.saturated and type(out) is type(a)
+        assert not (a * a).saturated
+
+
+@pytest.mark.parametrize("series", SERIES.values(), ids=SERIES.keys())
+def test_series_container_contract(series):
+    make, key, other_key, _, product, _ = series
     a = make({key: 2.0, other_key: 1j})
     # a sum that cancels drops the key
     assert (a + make({key: -2.0})).coefficients == {other_key: 1j}
     assert (a - a).is_zero() and (a + (-a)).is_zero()
-    # so does a product, and the keys left keep the order they were reached in
-    for q, left, right, items in cancelling:
-        assert list(product(make(left, q=q), make(right, q=q)).coefficients.items()) == items
-    # a pair past the cap is dropped and saturates the product; the pairs within it stay
-    x = make({key: 1.0}, cap=2)
-    square = x * x
-    assert square.degree() == 2 and len(square.coefficients) == 1 and not square.saturated
-    cube = square * x
-    assert cube.saturated
-    assert cube.is_zero()  # degree-3 term dropped entirely
-    partly = product(square + make({unit: 1.0}, cap=2), x)
-    assert partly.saturated and partly.coefficients == x.coefficients
-    # saturated is sticky through +, -, scaled and *, from either side
-    back = cube + make({unit: 1.0}, cap=2)
-    assert back.saturated  # flag survives later arithmetic
+    # saturated is sticky through +, - and scaled, from either side
     sat = make({key: 1.0}, saturated=True)
-    empty_sat = make({}, saturated=True)
-    for out in (a + sat, sat + a, a - sat, sat - a, -sat, sat.scaled(3.0), sat.scaled(0),
-                a * sat, sat * a, product(a, empty_sat), product(empty_sat, a)):
+    for out in (a + sat, sat + a, a - sat, sat - a, -sat, sat.scaled(3.0), sat.scaled(0)):
         assert out.saturated and type(out) is type(a)
-    assert not (a + a).saturated and not a.scaled(2.0).saturated and not (a * a).saturated
-    # an empty factor gives an empty product, saturated only if a factor is
-    zero = make({})
-    for u, v in ((a, zero), (zero, a), (zero, zero)):
-        p = product(u, v)
-        assert p.is_zero() and not p.saturated and type(p) is type(a)
-        if isinstance(a, QElement):
-            assert p.q is a.q
+    assert not (a + a).saturated and not a.scaled(2.0).saturated
     # a coefficient that underflows to zero is dropped, as one that cancels
     tiny = make({key: 1e-300, other_key: 1e-300}).scaled(1e-300)
     assert tiny.coefficients == {} and tiny.is_zero() and tiny.degree() == 0
