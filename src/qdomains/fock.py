@@ -29,15 +29,12 @@ of blocks, and ||B||^2 is their largest top eigenvalue.  When no two
 entries share a row, as for every monomial, the Gram matrix is diagonal
 and ||B||^2 is its largest column sum of squares.  Other elements give
 blocks whose size depends on how the support differences link the window's
-columns.  Blocks of one width get one stacked dense eigvalsh; ARPACK takes
-only those too wide for it.
+columns; a min-label pass with pointer jumping finds them in numpy.  Blocks
+of one width get one stacked dense eigvalsh, and ARPACK those too wide.
 
 A representation is plain data: a ``RepMatrix`` holds its entries as row,
-column and value arrays, sorted by row.  Only ``op_norm`` on a Gram matrix
-that is not diagonal (component search and ARPACK) and the
-``RepMatrix.matrix`` view import scipy.sparse, so importing this module,
-building a representation, norming a monomial or checking the twisted CCR
-does not load it.
+column and value arrays, sorted by row.  Only ARPACK, for a window component
+wider than ``_DENSE_MAX_COLS`` columns, imports scipy.sparse.
 
 The twisted-CCR residuals need no matrix: a generator, its adjoint and a
 product of two of them send each basis vector to a multiple of at most one
@@ -48,16 +45,14 @@ One pass gives the window and the all-column maxima together.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .qcombinatorics import MultiIndex, check_positive, compositions_up_to, log_pochhammer_table
 from .qspace import QElement, QParameter, scale_auto
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 # Window components with more columns than this get ARPACK instead of a dense
 # eigvalsh of their Gram block.  On fully linked components (1 + x1 + x2,
@@ -143,14 +138,6 @@ class RepMatrix:
     fock: FockTruncation
     valid_degree: int
 
-    @property
-    def matrix(self) -> sp.csr_matrix:
-        """The entries as a scipy CSR matrix, built on each access."""
-        import scipy.sparse as sp
-
-        shape = (self.fock.size, self.fock.size)
-        return sp.csr_matrix((self.values, (self.rows, self.cols)), shape=shape)
-
     def window_columns(self) -> np.ndarray:
         return np.arange(self.fock.prefix(self.valid_degree))
 
@@ -223,17 +210,13 @@ def rep_element(a: QElement, fock: FockTruncation) -> RepMatrix:
 def op_norm(M: RepMatrix) -> float:
     """Largest singular value of the window-column block B, computed exactly.
 
-    The window |k| <= D, D = ``M.valid_degree``, is the prefix of
-    C(D + n, n) columns of the graded basis.  ||B||^2 is the top eigenvalue
-    of the Gram matrix G = B^H B.  When no two entries share a row, every
-    monomial's case, G is diagonal and ||B||^2 is the largest column sum of
-    |d|^2, with no scipy import.  Otherwise columns of B that share no row
-    act on orthogonal pieces, so G splits into the connected components of
-    its pattern and ||B|| is the largest component norm.  Components of up
-    to ``_DENSE_MAX_COLS`` columns, one-column ones included, are stacked by
-    width, one batched ``eigvalsh`` per width; a wider one gives its sparse
-    Gram block to ARPACK (``eigsh``).  ARPACK failing to converge raises
-    ValueError; no estimate is returned.
+    The window |k| <= D, D = ``M.valid_degree``, is the prefix of C(D + n, n)
+    columns of the graded basis.  ||B||^2 is the top eigenvalue of G = B^H B:
+    when no two entries share a row, every monomial's case, G is diagonal;
+    otherwise it splits into the components of its pattern, of which those
+    up to ``_DENSE_MAX_COLS`` columns get one batched ``eigvalsh`` per width
+    and wider ones ARPACK.  ARPACK failing to converge, or a norm past the
+    double range, raises ValueError; no estimate is returned.
     """
     width = M.fock.prefix(M.valid_degree)
     if width == 0:
@@ -243,14 +226,41 @@ def op_norm(M: RepMatrix) -> float:
     scale = float(np.max(np.abs(data))) if data.size else 0.0
     if scale == 0.0:
         return 0.0
-    data = data / scale  # unit largest entry: squares neither overflow nor underflow
+    # unit largest entry: squares neither overflow nor underflow.  numpy divides
+    # by a float as data * (1 / scale), so a subnormal scale is lifted exactly first
+    lift = 2.0**64 if scale < sys.float_info.min else 1.0
+    data = data * lift / (scale * lift)
     if not (rows[1:] == rows[:-1]).any():
         # no two entries share a row: G is diagonal, column c holding sum |d|^2
         squares = (data.conj() * data).real
-        return scale * math.sqrt(float(np.bincount(cols, squares, minlength=width).max()))
+        best = float(np.bincount(cols, squares, minlength=width).max())
+    else:
+        best = _top_gram_eigenvalue(rows, cols, data, width)
+    if not math.isfinite(norm := scale * math.sqrt(best)):  # nan: an entry's modulus is no double
+        raise ValueError("norm leaves the double range")
+    return norm
 
-    # the entries are sorted by row; every two that share a row, i and j
-    # (i = j included), give the Gram entry (c_i, c_j, conj(d_i) d_j)
+
+def _components(width: int, gl: np.ndarray, gr: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels) of the components of columns 0..width-1 linked by (gl, gr), both orders.
+
+    Hooking and pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982): each pass
+    hooks every tree root onto the least root linked to it, then points each column at
+    its root, the least column of its tree; labels follow least columns, as in csgraph.
+    """
+    root = np.arange(width)
+    while not np.array_equal(left := root[gl], right := root[gr]):
+        np.minimum.at(root, right, left)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    is_root = root == np.arange(width)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
+
+
+def _top_gram_eigenvalue(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, width: int) -> float:
+    """Top eigenvalue of G = B^H B from the window's entries, sorted by row."""
+    # entries i and j in one row (i = j included) give the Gram entry (c_i, c_j, conj(d_i) d_j)
     first = np.searchsorted(rows, rows)
     per_entry = np.searchsorted(rows, rows, side="right") - first
     left = np.repeat(np.arange(rows.size), per_entry)
@@ -258,20 +268,9 @@ def op_norm(M: RepMatrix) -> float:
     gl, gr, gram = cols[left], cols[right], data[left].conj() * data[right]
     if not gram.imag.any():
         gram = gram.real  # real blocks: a faster eigvalsh, and Lanczos in place of Arnoldi
-
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    indptr = np.zeros(width + 1, dtype=np.int64)
-    np.cumsum(np.bincount(gl, minlength=width), out=indptr[1:])
-    pattern = sp.csr_matrix(
-        (np.ones(gl.size), gr[np.argsort(gl, kind="stable")], indptr), shape=(width, width)
-    )
-    # the pattern repeats entries; scipy 1.17's connection="strong" never returns on that
-    count, labels = connected_components(pattern, directed=False)
-    # renumber the components by width and the columns inside each component;
-    # the dense components' blocks then lie one after another in one buffer,
-    # and those of one width form one stacked array
+    count, labels = _components(width, gl, gr)
+    # renumber the components by width and the columns inside each: the dense
+    # blocks lie one after another in one buffer, one stacked array per width
     sizes = np.bincount(labels)
     by_width = np.argsort(sizes, kind="stable")
     labels, sizes = np.argsort(by_width)[labels], sizes[by_width]
@@ -280,7 +279,6 @@ def op_norm(M: RepMatrix) -> float:
     local[np.argsort(labels, kind="stable")] = np.arange(width) - first_column
     ends = np.concatenate(([0], np.cumsum(sizes**2)))
     dense = int(np.searchsorted(sizes, _DENSE_MAX_COLS, side="right"))
-
     label, li, lj = labels[gl], local[gl], local[gr]
     w = sizes[label]
     fits = label < dense
@@ -292,6 +290,7 @@ def op_norm(M: RepMatrix) -> float:
         stack = blocks[ends[lo]:ends[hi]].reshape(hi - lo, k, k)
         best = max(best, float(np.linalg.eigvalsh(stack)[:, -1].max()))
     for g in range(dense, count):
+        import scipy.sparse as sp
         from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
         k, mine = int(sizes[g]), label == g
@@ -304,7 +303,7 @@ def op_norm(M: RepMatrix) -> float:
         except ArpackNoConvergence as exc:
             raise ValueError(f"ARPACK did not converge on a {k}-column window component") from exc
         best = max(best, float(top[0]))
-    return scale * math.sqrt(best)
+    return best
 
 
 def vaksman_norm(a: QElement, rho: float, fock: FockTruncation) -> float:

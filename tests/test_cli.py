@@ -538,7 +538,10 @@ def assert_clean_error(r):
         # a coefficient whose modulus is past double range, its parts not
         ["norm", "1.5e308*z1 + 1.5e308i*z1", "--family", "free-ball"],
         ["quotient-norm", "1.5e308*z1 + 1.5e308i*z1"],
+        ["fock-norm", "1.5e308*x1 + 1.5e308i*x1"],
         ["fock-norm", "x1^2", "--rho", "1e200"],
+        # every entry is a double, the window norm is not
+        ["fock-norm", "1e308*x1 + 1e308*x1^2", "--n", "1"],
         ["radius", "1.5e308*z1 + 1.5e308i*z1"],
     ],
 )
@@ -814,7 +817,24 @@ FOCK_RUNS = (
     ["fock-norm", "x1^2*x2 + 0.5*x2", "--n", "2", "--fock-cap", "12"],
     ["fock-norm", "x1^3 - 2*x1", "--rho", "0.5"],
     ["norm", "x1*x2 + x2^3 + 0.25", "--family", "vaksman", "--fock-cap", "10"],
+    # a subnormal largest window entry, whose reciprocal is no double
+    ["fock-norm", "x1", "--rho", "1e-320"],
+    ["norm", "x1", "--family", "vaksman", "--rho", "1e-320"],
 )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fock-norm", "x1", "--rho", "1e-320"],
+        ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5", "--rho", "1e-320"],
+    ],
+)
+def test_fock_norms_of_a_subnormal_window_print_its_value(runner, args):
+    # the window norm of x1 is 1 - 1e-10 at cap 16: rho rounds it to the polydisk value
+    want = printed_value(invoke(runner, ["norm", "x1", "--rho", "1e-320"]))
+    assert want == 1e-320
+    assert printed_value(invoke(runner, args)) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,14 +31,14 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-# builds Fock representations, then norms one; prints the scipy modules loaded
-# after the builds and after the norm
+# builds Fock representations at the cap given, then norms a three-term element;
+# prints the scipy modules loaded after the builds and after the norm
 FOCK_CHILD = """
 import json, sys
 from qdomains.fock import FockTruncation, element_for, op_norm, rep_element, rep_generator
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-fock = FockTruncation(2, 0.5, 12)
+fock = FockTruncation(2, 0.5, int(sys.argv[1]))
 rep_generator(1, fock)
 R = rep_element(element_for(fock, {(1, 0): 1.0, (0, 1): 0.5, (1, 1): -0.25}), fock)
 built = scipy_modules()
@@ -70,13 +70,13 @@ def test_import_loads_no_scipy():
 
 
 def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse():
-    """Commands that draw no Sobol sample and search no Fock Gram pattern.
+    """Commands that draw no Sobol sample and run no ARPACK.
 
     The twisted-CCR suite composes the Fock generators as partial maps, and a
     monomial's Fock norm reads a diagonal Gram matrix, so they are among them;
-    the vaksman suite norms only monomials.  Fock norms of elements whose
-    window entries share a row search the Gram pattern's components with
-    scipy.sparse and are not.
+    the vaksman suite norms only monomials.  A Fock norm whose window
+    components are all at most 240 columns wide labels them in numpy and
+    solves them densely.  Only wider components load scipy.sparse.
     """
     _, modules = cold_run(
         ["norm", "x1*x2 + 0.5*x1", "--family", "ball", "--q-mod", "0.5"],
@@ -88,21 +88,27 @@ def test_commands_without_samples_or_csr_matrices_load_no_scipy_stats_or_sparse(
         ["verify", "fock-ccr"],
         ["norm", "x1", "--family", "vaksman", "--q-mod", "0.5"],
         ["verify", "vaksman"],
+        ["fock-norm", "x1 + 0.5*x2 - 0.25*x1*x2", "--n", "2", "--fock-cap", "12"],
     )
     assert [m for m in modules if m.startswith(("scipy.stats", "scipy.sparse"))] == []
 
 
 # commands that once imported scipy late and now import none: the stirling
-# suite reads the sphere suprema off an exact grid in place of a Sobol sample
-NO_LONGER_SCIPY = [["verify", "stirling"]]
+# suite reads the sphere suprema off an exact grid in place of a Sobol sample,
+# and Fock norms label their window components in numpy
+NO_LONGER_SCIPY = [
+    ["verify", "stirling"],
+    ["fock-norm", "x1 + x2", "--n", "2"],
+    ["norm", "x1 + x1^2", "--family", "vaksman", "--n", "1", "--q-mod", "0.5"],
+]
 
 
 @pytest.mark.parametrize(
     "args",
     [
         *NO_LONGER_SCIPY,
-        ["fock-norm", "x1 + x2", "--n", "2"],
-        ["norm", "x1 + x1^2", "--family", "vaksman", "--n", "1", "--q-mod", "0.5"],
+        # one window component of 780 columns: ARPACK, which imports scipy.sparse
+        ["fock-norm", "x1 + x2 + x1*x2", "--n", "2", "--fock-cap", "40"],
     ],
     ids=" ".join,
 )
@@ -132,6 +138,15 @@ def test_the_verify_battery_loads_no_scipy():
 
 
 def test_fock_representations_load_no_scipy_until_normed():
-    built, normed = json.loads(fresh_stdout(FOCK_CHILD))
+    # at cap 12 the window has 66 columns: every component is solved densely
+    built, normed = json.loads(fresh_stdout(FOCK_CHILD, "12"))
+    assert built == []
+    assert normed == []
+
+
+def test_a_fock_component_wider_than_the_dense_limit_loads_scipy_sparse():
+    # at cap 40 the window is one component of 780 columns, past the 240 that
+    # get a dense eigvalsh: ARPACK
+    built, normed = json.loads(fresh_stdout(FOCK_CHILD, "40"))
     assert built == []
     assert [m for m in normed if m.startswith("scipy.sparse")]

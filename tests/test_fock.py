@@ -6,9 +6,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdomains.fock as fock_module
@@ -28,6 +29,12 @@ from qdomains.qspace import QElement, QParameter
 
 def position(fock, *k):
     return int(fock.positions(np.array([k]))[0])
+
+
+def csr(R):
+    """The entries of a representation as a scipy CSR matrix."""
+    shape = (R.fock.size, R.fock.size)
+    return scipy.sparse.csr_matrix((R.values, (R.rows, R.cols)), shape=shape)
 
 
 def test_basis_layout():
@@ -60,19 +67,19 @@ def test_generator_entry_spot():
     X1 = rep_generator(1, fock)
     col = position(fock, 0, 1)
     row = position(fock, 1, 1)
-    got = X1.matrix[row, col]
+    got = csr(X1)[row, col]
     assert got == pytest.approx(math.sqrt(0.75) * 0.5, rel=1e-15, abs=0)
     assert abs(got - 0.4330127018922193) < 1e-15
     # x_2 sees no letters to its right: no q factor
     X2 = rep_generator(2, fock)
-    assert X2.matrix[position(fock, 0, 2), position(fock, 0, 1)] == pytest.approx(
+    assert csr(X2)[position(fock, 0, 2), position(fock, 0, 1)] == pytest.approx(
         math.sqrt(0.75) * math.sqrt(1.0 + 0.25), rel=1e-14, abs=0  # [2]_{1/4} = 1 + 1/4
     )
 
 
 def test_generator_column_structure():
     fock = FockTruncation(2, 0.7, 3)
-    X1 = rep_generator(1, fock).matrix.tocsc()
+    X1 = csr(rep_generator(1, fock)).tocsc()
     for col, k in enumerate(fock.exponents):
         nnz = X1[:, col].nnz
         assert nnz == (0 if k.sum() >= fock.cap else 1)
@@ -84,14 +91,14 @@ def test_generator_column_structure():
 def test_rep_element_matches_generator_products():
     for q in (0.5, 0.9):
         fock = FockTruncation(3, q, 6)
-        X1, X2, X3 = (rep_generator(j, fock).matrix for j in (1, 2, 3))
+        X1, X2, X3 = (csr(rep_generator(j, fock)) for j in (1, 2, 3))
         a = element_for(fock, {(2, 0, 1): 1.5, (0, 1, 0): -1j, (1, 1, 1): 0.25})
         R = rep_element(a, fock)
         # normal order: x^(2,0,1) acts as X1 X1 X3, x^(1,1,1) as X1 X2 X3
         want = 1.5 * (X1 @ X1 @ X3) - 1j * X2 + 0.25 * (X1 @ X2 @ X3)
         # a product of truncated generators vanishes on the columns whose image
         # leaves the truncation, as the closed form does: compare on every column
-        assert np.max(np.abs((R.matrix - want).toarray())) < 1e-14
+        assert np.max(np.abs((csr(R) - want).toarray())) < 1e-14
         assert R.valid_degree == fock.cap - 3
 
 
@@ -117,7 +124,7 @@ def test_vacuum_column_reads_off_coefficients():
     # the e_0 column of pi(a) lists the monomial amplitudes: faithfulness
     fock = FockTruncation(2, 0.5, 4)
     a = element_for(fock, {(1, 1): 2.0, (0, 0): 3.0})
-    col = rep_element(a, fock).matrix.tocsc()[:, position(fock, 0, 0)].toarray().ravel()
+    col = csr(rep_element(a, fock)).tocsc()[:, position(fock, 0, 0)].toarray().ravel()
     assert col[position(fock, 0, 0)] == pytest.approx(3.0 + 0j)
     assert abs(col[position(fock, 1, 1)]) > 0.1  # nonzero image of the (1,1) term
     assert np.count_nonzero(col) == 2
@@ -138,7 +145,7 @@ def test_twisted_ccr_boundary_artifact_is_visible():
 def _dense_tw_ccr(fock):
     """verify_tw_ccr's two maxima from dense generator matrices and numpy products."""
     n, q = fock.n, fock.q
-    X = [rep_generator(j, fock).matrix.toarray() for j in range(1, n + 1)]
+    X = [csr(rep_generator(j, fock)).toarray() for j in range(1, n + 1)]
     Xs = [x.conj().T for x in X]
     eye = np.eye(fock.size)
     rels = [X[i] @ X[j] - q * X[j] @ X[i] for i in range(n) for j in range(i + 1, n)]
@@ -225,13 +232,13 @@ def test_op_norm_against_dense_svd():
     fock = FockTruncation(2, 0.6, 6)
     a = element_for(fock, {(1, 0): 1.0, (0, 2): 0.5j, (1, 1): -0.25})
     R = rep_element(a, fock)
-    dense = R.matrix.toarray()[:, R.window_columns()]
+    dense = csr(R).toarray()[:, R.window_columns()]
     svd_top = float(np.linalg.svd(dense, compute_uv=False)[0])
     assert op_norm(R) == pytest.approx(svd_top, rel=1e-12)
 
 
 def _dense_window_norm(R) -> float:
-    dense = R.matrix.toarray()[:, R.window_columns()]
+    dense = csr(R).toarray()[:, R.window_columns()]
     return float(np.linalg.svd(dense, compute_uv=False)[0])
 
 
@@ -254,14 +261,14 @@ def test_op_norm_matches_dense_svd_property(case):
     assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-10)
 
 
-def _no_component_search(*args, **kwargs):
-    raise AssertionError("a diagonal Gram matrix needs no component search")
+def _no_gram_solve(*args, **kwargs):
+    raise AssertionError("a diagonal Gram matrix needs no eigenvalue solve")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_monomial_norms_match_dense_svd(monkeypatch, n):
     # a monomial's window entries lie in distinct rows, so its Gram matrix is diagonal
-    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", _no_component_search)
+    monkeypatch.setattr(fock_module.np.linalg, "eigvalsh", _no_gram_solve)
     for q in (0.05, 0.5, 0.95):
         for cap in (0, 3, 6):
             fock = FockTruncation(n, q, cap)
@@ -272,12 +279,66 @@ def test_monomial_norms_match_dense_svd(monkeypatch, n):
 
 def test_one_column_window_with_several_entries_matches_dense_svd(monkeypatch):
     # x1^3 + x2^3 at cap 3 keeps only the vacuum column, which has two entries
-    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", _no_component_search)
+    # in two rows: its Gram matrix is diagonal too
+    monkeypatch.setattr(fock_module.np.linalg, "eigvalsh", _no_gram_solve)
     fock = FockTruncation(2, 0.5, 3)
     R = rep_element(element_for(fock, {(3, 0): 1.0, (0, 3): 1.0}), fock)
     assert R.window_columns().tolist() == [0]
     assert np.count_nonzero(R.cols == 0) == 2
     assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-15, abs=0)
+
+
+@st.composite
+def _windows_skipping_variables(draw):
+    """Elements of 2-4 complex terms on some of n <= 3 variables, at caps up to 24.
+
+    n = 3 stops at cap 14, where the dense SVD oracle still takes milliseconds.
+    """
+    n = draw(st.sampled_from([1, 2, 3]))
+    cap = draw(st.integers(1, 24 if n < 3 else 14))
+    used = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    indices = [k for k in multi_indices_up_to(n, cap) if all(k[j] == 0 or j in used for j in range(n))]
+    support = draw(st.lists(st.sampled_from(indices), min_size=2, max_size=4, unique=True))
+    coeff = st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0)
+    return FockTruncation(n, draw(st.floats(0.05, 0.95)), cap), {k: draw(coeff) for k in support}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windows_skipping_variables())
+# x1 + 0.5i x1^2 at cap 200 links column l to l + 1: one path of 199 columns
+@example((FockTruncation(1, 0.5, 200), {(1,): 1.0, (2,): 0.5j}))
+def test_window_components_match_csgraph(case):
+    fock, coeffs = case
+    R = rep_element(element_for(fock, coeffs), fock)
+    width = R.window_columns().size
+    keep = R.cols < width
+    ones = np.ones(np.count_nonzero(keep))
+    B = scipy.sparse.csr_matrix((ones, (R.rows[keep], R.cols[keep])), shape=(fock.size, width))
+    pattern = (B.T @ B).tocoo()  # the Gram pattern, each link in both orders
+    count, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
+    got_count, got_labels = fock_module._components(width, pattern.row, pattern.col)
+    assert got_count == count
+    assert np.array_equal(got_labels, labels)  # one partition, numbered alike
+    # eigvalsh on the Gram blocks and the dense SVD differ by up to 2e-15 here
+    assert op_norm(R) == pytest.approx(_dense_window_norm(R), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_components_of_scrambled_paths_match_csgraph(seed):
+    # paths visiting the columns in a random order, plus random links: the
+    # worst order for a min-label pass without pointer jumping
+    rng = np.random.default_rng(seed)
+    width = 2000
+    order = rng.permutation(width)
+    extra = rng.integers(0, width, (2, 50 * seed))
+    a = np.concatenate([order[:-1][: width // (seed + 1)], extra[0]])
+    b = np.concatenate([order[1:][: width // (seed + 1)], extra[1]])
+    gl, gr = np.concatenate([a, b]), np.concatenate([b, a])
+    pattern = scipy.sparse.coo_matrix((np.ones(gl.size), (gl, gr)), shape=(width, width))
+    count, labels = scipy.sparse.csgraph.connected_components(pattern, directed=False)
+    got_count, got_labels = fock_module._components(width, gl, gr)
+    assert got_count == count
+    assert np.array_equal(got_labels, labels)
 
 
 # elements whose window splits into components of several columns; in the
